@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "service/wire.hpp"
-
 namespace laec {
 
 u64& StatSet::slot(std::size_t i) {
@@ -47,22 +45,6 @@ void StatSet::clear() {
 
 void StatSet::add(const StatSet& other) {
   for (const auto& [name, v] : other.items()) counter(name) += v;
-}
-
-void StatSet::save_state(service::ByteWriter& w) const {
-  w.put_u32(static_cast<u32>(names_.size()));
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    w.put_string(names_[i]);
-    w.put_u64(slot(i));
-  }
-}
-
-void StatSet::restore_state(service::ByteReader& r) {
-  const u32 n = r.get_u32();
-  for (u32 i = 0; i < n; ++i) {
-    const std::string name = r.get_string();
-    counter(name) = r.get_u64();
-  }
 }
 
 }  // namespace laec

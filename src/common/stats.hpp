@@ -13,11 +13,6 @@
 
 #include "common/types.hpp"
 
-namespace laec::service {
-class ByteWriter;
-class ByteReader;
-}  // namespace laec::service
-
 namespace laec {
 
 /// Ordered set of named 64-bit counters.
@@ -39,14 +34,6 @@ class StatSet {
 
   /// Merge: add every counter of `other` into this set.
   void add(const StatSet& other);
-
-  /// Snapshot serialization: counters in registration order as
-  /// (name, value) pairs, so a restore into a freshly constructed owner
-  /// reproduces both the values and the registration order (required for
-  /// byte-stable re-serialization, and for sets whose counters are
-  /// registered lazily on the hot path, e.g. the bus per-op counters).
-  void save_state(service::ByteWriter& w) const;
-  void restore_state(service::ByteReader& r);
 
  private:
   // Deque-like stability: counters are stored in a list of chunks so that

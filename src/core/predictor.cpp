@@ -2,8 +2,6 @@
 
 #include <optional>
 
-#include "service/wire.hpp"
-
 namespace laec::core {
 
 StridePredictor::StridePredictor(const StridePredictorParams& p)
@@ -36,34 +34,6 @@ void StridePredictor::train(Addr pc, Addr actual) {
     e.stride = observed;
   }
   e.last_addr = actual;
-}
-
-void StridePredictor::save_state(service::ByteWriter& w) const {
-  w.put_u32(static_cast<u32>(table_.size()));
-  for (const Entry& e : table_) {
-    w.put_u8(e.valid ? 1 : 0);
-    w.put_u32(e.pc_tag);
-    w.put_u32(e.last_addr);
-    w.put_u32(static_cast<u32>(e.stride));
-    w.put_u32(e.confidence);
-  }
-  w.put_u64(lookups_);
-  w.put_u64(predictions_);
-}
-
-void StridePredictor::restore_state(service::ByteReader& r) {
-  if (r.get_u32() != table_.size()) {
-    throw service::WireError("snapshot: stride-predictor size mismatch");
-  }
-  for (Entry& e : table_) {
-    e.valid = r.get_u8() != 0;
-    e.pc_tag = r.get_u32();
-    e.last_addr = r.get_u32();
-    e.stride = static_cast<i32>(r.get_u32());
-    e.confidence = r.get_u32();
-  }
-  lookups_ = r.get_u64();
-  predictions_ = r.get_u64();
 }
 
 }  // namespace laec::core

@@ -20,11 +20,6 @@
 
 #include "common/types.hpp"
 
-namespace laec::service {
-class ByteWriter;
-class ByteReader;
-}  // namespace laec::service
-
 namespace laec::core {
 
 struct StridePredictorParams {
@@ -46,9 +41,14 @@ class StridePredictor {
   [[nodiscard]] u64 lookups() const { return lookups_; }
   [[nodiscard]] u64 predictions() const { return predictions_; }
 
-  /// Snapshot support: table contents and lookup/prediction counters.
-  void save_state(service::ByteWriter& w) const;
-  void restore_state(service::ByteReader& r);
+  /// Snapshot field list (protocol: sim/snapshot.hpp).
+  template <class V>
+  void visit_state(V& v) {
+    v.shape("entries", table_.size());
+    v.fixed("table", table_);
+    v.stats("lookups", lookups_);
+    v.stats("predictions", predictions_);
+  }
 
  private:
   struct Entry {
@@ -57,6 +57,15 @@ class StridePredictor {
     Addr last_addr = 0;
     i32 stride = 0;
     unsigned confidence = 0;
+
+    template <class V>
+    void visit_state(V& v) {
+      v("valid", valid);
+      v("pc_tag", pc_tag);
+      v("last_addr", last_addr);
+      v("stride", stride);
+      v("confidence", confidence);
+    }
   };
 
   [[nodiscard]] std::size_t index(Addr pc) const {

@@ -6,7 +6,6 @@
 #include "core/lookahead.hpp"
 #include "core/predictor.hpp"
 #include "isa/disasm.hpp"
-#include "service/wire.hpp"
 
 namespace laec::cpu {
 
@@ -868,141 +867,6 @@ bool Pipeline::cycle(Cycle now) {
     if (!any) halted_ = true;
   }
   return !halted_;
-}
-
-namespace {
-
-void save_slot(service::ByteWriter& w, const isa::DecodedInst& d) {
-  w.put_u8(static_cast<u8>(d.op));
-  w.put_u8(d.rd);
-  w.put_u8(d.rs1);
-  w.put_u8(d.rs2);
-  w.put_u32(static_cast<u32>(d.imm));
-  w.put_u8(d.uses_imm ? 1 : 0);
-}
-
-void restore_slot(service::ByteReader& r, isa::DecodedInst& d) {
-  d.op = static_cast<isa::Op>(r.get_u8());
-  d.rd = r.get_u8();
-  d.rs1 = r.get_u8();
-  d.rs2 = r.get_u8();
-  d.imm = static_cast<i32>(r.get_u32());
-  d.uses_imm = r.get_u8() != 0;
-}
-
-}  // namespace
-
-void Pipeline::save_state(service::ByteWriter& w) const {
-  if (chrono_.enabled()) {
-    throw std::logic_error(
-        "pipeline snapshots do not cover chronogram recording");
-  }
-  for (const Slot& s : slots_) {
-    w.put_u8(s.valid ? 1 : 0);
-    save_slot(w, s.inst);
-    w.put_u64(s.seq);
-    w.put_u32(s.pc);
-    w.put_string(s.label);
-    w.put_u8(s.fetch_done ? 1 : 0);
-    w.put_u64(s.ready_end);
-    w.put_u8(s.ex_started ? 1 : 0);
-    w.put_u32(s.ex_cycles_left);
-    w.put_u8(s.ex_done ? 1 : 0);
-    w.put_u8(s.anticipated ? 1 : 0);
-    w.put_u8(static_cast<u8>(s.la_outcome));
-    w.put_u8(s.addr_known ? 1 : 0);
-    w.put_u32(s.eff_addr);
-    w.put_u8(s.addr_predicted ? 1 : 0);
-    w.put_u32(s.predicted_addr);
-    w.put_u8(s.predictor_trained ? 1 : 0);
-    w.put_u8(s.mem_done ? 1 : 0);
-    w.put_u8(s.load_hit ? 1 : 0);
-    w.put_u8(s.ecc_checked ? 1 : 0);
-    w.put_u32(s.m_extra_cycles);
-    w.put_u32(s.store_data);
-    w.put_u8(s.store_data_latched ? 1 : 0);
-    w.put_u8(s.branch_done ? 1 : 0);
-    w.put_u64(s.branch_resolve_cycle);
-    w.put_u8(s.forced_mem ? 1 : 0);
-    w.put_u8(s.forced_hit ? 1 : 0);
-  }
-  for (const u32 v : regs_) w.put_u32(v);
-  for (const Seq st : reg_write_stamp_) w.put_u64(st);
-  w.put_u32(fetch_pc_);
-  w.put_u64(next_seq_);
-  w.put_u8(fetch_stopped_ ? 1 : 0);
-  w.put_u8(ifetch_inflight_ ? 1 : 0);
-  w.put_u8(ifetch_discard_ ? 1 : 0);
-  w.put_u32(ifetch_discard_addr_);
-  w.put_u64(redirect_cycle_);
-  w.put_u8(halted_ ? 1 : 0);
-  w.put_u64(dl1_port_cycle_);
-  w.put_u64(last_anticipated_seq_);
-  for (const DepWatch& d : dep_watch_) {
-    w.put_u8(d.reg);
-    w.put_u32(static_cast<u32>(d.remaining));
-    w.put_u8(d.consumed ? 1 : 0);
-    w.put_u8(d.counted ? 1 : 0);
-  }
-  w.put_u8(predictor_ != nullptr ? 1 : 0);
-  if (predictor_ != nullptr) predictor_->save_state(w);
-  stats_.save_state(w);
-}
-
-void Pipeline::restore_state(service::ByteReader& r) {
-  for (Slot& s : slots_) {
-    s.valid = r.get_u8() != 0;
-    restore_slot(r, s.inst);
-    s.seq = r.get_u64();
-    s.pc = r.get_u32();
-    s.label = r.get_string();
-    s.fetch_done = r.get_u8() != 0;
-    s.ready_end = r.get_u64();
-    s.ex_started = r.get_u8() != 0;
-    s.ex_cycles_left = r.get_u32();
-    s.ex_done = r.get_u8() != 0;
-    s.anticipated = r.get_u8() != 0;
-    s.la_outcome = static_cast<LookaheadOutcome>(r.get_u8());
-    s.addr_known = r.get_u8() != 0;
-    s.eff_addr = r.get_u32();
-    s.addr_predicted = r.get_u8() != 0;
-    s.predicted_addr = r.get_u32();
-    s.predictor_trained = r.get_u8() != 0;
-    s.mem_done = r.get_u8() != 0;
-    s.load_hit = r.get_u8() != 0;
-    s.ecc_checked = r.get_u8() != 0;
-    s.m_extra_cycles = r.get_u32();
-    s.store_data = r.get_u32();
-    s.store_data_latched = r.get_u8() != 0;
-    s.branch_done = r.get_u8() != 0;
-    s.branch_resolve_cycle = r.get_u64();
-    s.forced_mem = r.get_u8() != 0;
-    s.forced_hit = r.get_u8() != 0;
-  }
-  for (u32& v : regs_) v = r.get_u32();
-  for (Seq& st : reg_write_stamp_) st = r.get_u64();
-  fetch_pc_ = r.get_u32();
-  next_seq_ = r.get_u64();
-  fetch_stopped_ = r.get_u8() != 0;
-  ifetch_inflight_ = r.get_u8() != 0;
-  ifetch_discard_ = r.get_u8() != 0;
-  ifetch_discard_addr_ = r.get_u32();
-  redirect_cycle_ = r.get_u64();
-  halted_ = r.get_u8() != 0;
-  dl1_port_cycle_ = r.get_u64();
-  last_anticipated_seq_ = r.get_u64();
-  for (DepWatch& d : dep_watch_) {
-    d.reg = r.get_u8();
-    d.remaining = static_cast<int>(static_cast<i32>(r.get_u32()));
-    d.consumed = r.get_u8() != 0;
-    d.counted = r.get_u8() != 0;
-  }
-  const bool has_predictor = r.get_u8() != 0;
-  if (has_predictor != (predictor_ != nullptr)) {
-    throw service::WireError("snapshot: stride-predictor presence mismatch");
-  }
-  if (predictor_ != nullptr) predictor_->restore_state(r);
-  stats_.restore_state(r);
 }
 
 }  // namespace laec::cpu

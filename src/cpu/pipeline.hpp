@@ -22,6 +22,7 @@
 #include <array>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "common/stats.hpp"
@@ -92,11 +93,32 @@ class Pipeline {
   }
   [[nodiscard]] const PipelineParams& params() const { return params_; }
 
-  /// Snapshot support: slots, register file, fetch/redirect state, the
-  /// stride predictor and counters. Throws std::logic_error when chronogram
-  /// recording is enabled (event history is not snapshot state).
-  void save_state(service::ByteWriter& w) const;
-  void restore_state(service::ByteReader& r);
+  /// Snapshot field list (protocol: sim/snapshot.hpp). Throws
+  /// std::logic_error when chronogram recording is enabled (event history
+  /// is not snapshot state).
+  template <class V>
+  void visit_state(V& v) {
+    if (chrono_.enabled()) {
+      throw std::logic_error(
+          "pipeline snapshots do not cover chronogram recording");
+    }
+    v("slots", slots_);
+    v("regs", regs_);
+    v("reg_write_stamp", reg_write_stamp_);
+    v("fetch_pc", fetch_pc_);
+    v("next_seq", next_seq_);
+    v("fetch_stopped", fetch_stopped_);
+    v("ifetch_inflight", ifetch_inflight_);
+    v("ifetch_discard", ifetch_discard_);
+    v("ifetch_discard_addr", ifetch_discard_addr_);
+    v("redirect_cycle", redirect_cycle_);
+    v("halted", halted_);
+    v("dl1_port_cycle", dl1_port_cycle_);
+    v("last_anticipated_seq", last_anticipated_seq_);
+    v("dep_watch", dep_watch_);
+    v("predictor", predictor_);
+    v.stats("stats", stats_);
+  }
 
  private:
   friend class laec::core::LookaheadUnit;
@@ -143,6 +165,37 @@ class Pipeline {
     // Trace mode.
     bool forced_mem = false;
     bool forced_hit = true;
+
+    template <class V>
+    void visit_state(V& v) {
+      v("valid", valid);
+      v("inst", inst);
+      v("seq", seq);
+      v("pc", pc);
+      v("label", label);
+      v("fetch_done", fetch_done);
+      v("ready_end", ready_end);
+      v("ex_started", ex_started);
+      v("ex_cycles_left", ex_cycles_left);
+      v("ex_done", ex_done);
+      v("anticipated", anticipated);
+      v("la_outcome", la_outcome);
+      v("addr_known", addr_known);
+      v("eff_addr", eff_addr);
+      v("addr_predicted", addr_predicted);
+      v("predicted_addr", predicted_addr);
+      v("predictor_trained", predictor_trained);
+      v("mem_done", mem_done);
+      v("load_hit", load_hit);
+      v("ecc_checked", ecc_checked);
+      v("m_extra_cycles", m_extra_cycles);
+      v("store_data", store_data);
+      v("store_data_latched", store_data_latched);
+      v("branch_done", branch_done);
+      v("branch_resolve_cycle", branch_resolve_cycle);
+      v("forced_mem", forced_mem);
+      v("forced_hit", forced_hit);
+    }
 
     /// Cheap empty-marking for the stage-advance hot path. Every other
     /// field is only ever read behind `valid`, and every new instruction
@@ -229,6 +282,14 @@ class Pipeline {
     int remaining = 0;
     bool consumed = false;
     bool counted = false;
+
+    template <class V>
+    void visit_state(V& v) {
+      v("reg", reg);
+      v("remaining", remaining);
+      v("consumed", consumed);
+      v("counted", counted);
+    }
   };
   std::array<DepWatch, 2> dep_watch_{};
   void retire_characterize(const Slot& s);

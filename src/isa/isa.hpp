@@ -115,6 +115,17 @@ struct DecodedInst {
   i32 imm = 0;
   bool uses_imm = false;
 
+  /// Snapshot field list (protocol: sim/snapshot.hpp).
+  template <class V>
+  void visit_state(V& v) {
+    v("op", op);
+    v("rd", rd);
+    v("rs1", rs1);
+    v("rs2", rs2);
+    v("imm", imm);
+    v("uses_imm", uses_imm);
+  }
+
   [[nodiscard]] constexpr OpClass cls() const { return op_class(op); }
   [[nodiscard]] constexpr bool is_load() const {
     return cls() == OpClass::kLoad;

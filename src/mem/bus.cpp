@@ -2,43 +2,7 @@
 
 #include <cassert>
 
-#include "service/wire.hpp"
-
 namespace laec::mem {
-
-namespace {
-
-void save_transaction(service::ByteWriter& w, const BusTransaction& t) {
-  w.put_u32(t.requester);
-  w.put_u8(static_cast<u8>(t.op));
-  w.put_u32(t.addr);
-  w.put_u32(t.bytes);
-  w.put_u32(t.value);
-  w.put_string(std::string_view(reinterpret_cast<const char*>(t.line.data()),
-                                t.line.size()));
-  w.put_u64(t.submitted_at);
-  w.put_u64(t.granted_at);
-  w.put_u64(t.completes_at);
-  w.put_u8(t.done ? 1 : 0);
-}
-
-BusTransaction restore_transaction(service::ByteReader& r) {
-  BusTransaction t;
-  t.requester = r.get_u32();
-  t.op = static_cast<BusOp>(r.get_u8());
-  t.addr = r.get_u32();
-  t.bytes = r.get_u32();
-  t.value = r.get_u32();
-  const std::string line = r.get_string();
-  t.line.assign(line.begin(), line.end());
-  t.submitted_at = r.get_u64();
-  t.granted_at = r.get_u64();
-  t.completes_at = r.get_u64();
-  t.done = r.get_u8() != 0;
-  return t;
-}
-
-}  // namespace
 
 Bus::Bus(const BusParams& params, BusTarget& target, unsigned num_requesters)
     : params_(params), target_(target), num_requesters_(num_requesters) {
@@ -54,40 +18,38 @@ Bus::Token Bus::submit(BusTransaction t, Cycle now) {
   Token tok;
   // Reuse a dead slot when available to bound memory in long runs.
   for (tok = 0; tok < slots_.size(); ++tok) {
-    if (!slot_live_[static_cast<std::size_t>(tok)]) break;
+    if (!slots_[static_cast<std::size_t>(tok)].live) break;
   }
-  if (tok == slots_.size()) {
-    slots_.push_back(std::move(t));
-    slot_live_.push_back(true);
-  } else {
-    slots_[static_cast<std::size_t>(tok)] = std::move(t);
-    slot_live_[static_cast<std::size_t>(tok)] = true;
-  }
-  queues_[slots_[static_cast<std::size_t>(tok)].requester].push_back(tok);
+  if (tok == slots_.size()) slots_.emplace_back();
+  Slot& slot = slots_[static_cast<std::size_t>(tok)];
+  slot.live = true;
+  slot.txn = std::move(t);
+  queues_[slot.txn.requester].push_back(tok);
   return tok;
 }
 
 bool Bus::done(Token token) const {
-  assert(slot_live_.at(static_cast<std::size_t>(token)));
-  return slots_[static_cast<std::size_t>(token)].done;
+  assert(slots_.at(static_cast<std::size_t>(token)).live);
+  return slots_[static_cast<std::size_t>(token)].txn.done;
 }
 
 const BusTransaction& Bus::peek(Token token) const {
-  assert(slot_live_.at(static_cast<std::size_t>(token)));
-  return slots_[static_cast<std::size_t>(token)];
+  assert(slots_.at(static_cast<std::size_t>(token)).live);
+  return slots_[static_cast<std::size_t>(token)].txn;
 }
 
 BusTransaction Bus::take(Token token) {
-  assert(slot_live_.at(static_cast<std::size_t>(token)));
-  assert(slots_[static_cast<std::size_t>(token)].done);
-  slot_live_[static_cast<std::size_t>(token)] = false;
-  return std::move(slots_[static_cast<std::size_t>(token)]);
+  assert(slots_.at(static_cast<std::size_t>(token)).live);
+  Slot& slot = slots_[static_cast<std::size_t>(token)];
+  assert(slot.txn.done);
+  slot.live = false;
+  return std::move(slot.txn);
 }
 
 void Bus::tick(Cycle now) {
   if (active_ != kNoToken) {
     ++*busy_cycles_;
-    BusTransaction& t = slots_[static_cast<std::size_t>(active_)];
+    BusTransaction& t = slots_[static_cast<std::size_t>(active_)].txn;
     if (now >= t.completes_at) {
       t.done = true;
       active_ = kNoToken;
@@ -103,7 +65,7 @@ void Bus::tick(Cycle now) {
     queues_[r].pop_front();
     rr_next_ = (r + 1) % num_requesters_;
 
-    BusTransaction& t = slots_[static_cast<std::size_t>(tok)];
+    BusTransaction& t = slots_[static_cast<std::size_t>(tok)].txn;
     t.granted_at = now;
     *wait_cycles_ += now - t.submitted_at;
     ++*n_transactions_;
@@ -121,45 +83,6 @@ void Bus::tick(Cycle now) {
     ++*busy_cycles_;
     return;
   }
-}
-
-void Bus::save_state(service::ByteWriter& w) const {
-  w.put_u32(num_requesters_);
-  for (const auto& q : queues_) {
-    w.put_u32(static_cast<u32>(q.size()));
-    for (const Token tok : q) w.put_u64(tok);
-  }
-  w.put_u32(static_cast<u32>(slots_.size()));
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    w.put_u8(slot_live_[i] ? 1 : 0);
-    save_transaction(w, slots_[i]);
-  }
-  w.put_u64(active_);
-  w.put_u32(rr_next_);
-  stats_.save_state(w);
-}
-
-void Bus::restore_state(service::ByteReader& r) {
-  if (r.get_u32() != num_requesters_) {
-    throw service::WireError("snapshot: bus requester count mismatch");
-  }
-  for (auto& q : queues_) {
-    q.clear();
-    const u32 n = r.get_u32();
-    for (u32 i = 0; i < n; ++i) q.push_back(r.get_u64());
-  }
-  const u32 nslots = r.get_u32();
-  slots_.clear();
-  slot_live_.clear();
-  slots_.reserve(nslots);
-  slot_live_.reserve(nslots);
-  for (u32 i = 0; i < nslots; ++i) {
-    slot_live_.push_back(r.get_u8() != 0);
-    slots_.push_back(restore_transaction(r));
-  }
-  active_ = r.get_u64();
-  rr_next_ = r.get_u32();
-  stats_.restore_state(r);
 }
 
 }  // namespace laec::mem

@@ -39,6 +39,21 @@ struct BusTransaction {
   Cycle granted_at = kNeverCycle;
   Cycle completes_at = kNeverCycle;
   bool done = false;
+
+  /// Snapshot field list (protocol: sim/snapshot.hpp).
+  template <class V>
+  void visit_state(V& v) {
+    v("requester", requester);
+    v("op", op);
+    v("addr", addr);
+    v("bytes", bytes);
+    v("value", value);
+    v("line", line);
+    v("submitted_at", submitted_at);
+    v("granted_at", granted_at);
+    v("completes_at", completes_at);
+    v("done", done);
+  }
 };
 
 /// The device at the far end of the bus (our MemorySystem: L2 + DRAM).
@@ -73,21 +88,38 @@ class Bus {
   [[nodiscard]] StatSet& stats() { return stats_; }
   [[nodiscard]] const StatSet& stats() const { return stats_; }
 
-  /// Snapshot support: queues, slots, arbitration state, counters. The
-  /// restore target must have the same requester count.
-  void save_state(service::ByteWriter& w) const;
-  void restore_state(service::ByteReader& r);
+  /// Snapshot field list (protocol: sim/snapshot.hpp).
+  template <class V>
+  void visit_state(V& v) {
+    v.shape("requesters", num_requesters_);
+    v.fixed("queues", queues_);
+    v("slots", slots_);
+    v("active", active_);
+    v("rr_next", rr_next_);
+    v.stats("stats", stats_);
+  }
 
  private:
   static constexpr Token kNoToken = ~Token{0};
+
+  /// A transaction slot; a token indexes slots_. Dead slots are reused.
+  struct Slot {
+    bool live = false;
+    BusTransaction txn;
+
+    template <class V>
+    void visit_state(V& v) {
+      v("live", live);
+      v("txn", txn);
+    }
+  };
 
   BusParams params_;
   BusTarget& target_;
   unsigned num_requesters_;
 
   std::vector<std::deque<Token>> queues_;  // per requester
-  std::vector<BusTransaction> slots_;
-  std::vector<bool> slot_live_;
+  std::vector<Slot> slots_;
   Token active_ = kNoToken;
   unsigned rr_next_ = 0;  // round-robin pointer
 

@@ -6,7 +6,6 @@
 
 #include "common/bitops.hpp"
 #include "mem/residency.hpp"
-#include "service/wire.hpp"
 
 // The correction/recovery/scrub machinery is deliberately out of the
 // instruction stream of the clean-hit fast path: annotate it cold so the
@@ -339,45 +338,6 @@ std::vector<u8> SetAssocCache::peek_line(Addr a) const {
   const Way* way = find(a);
   assert(way != nullptr);
   return corrected_line_copy(*way);
-}
-
-void SetAssocCache::save_state(service::ByteWriter& w) const {
-  // Fold the hot-path deltas first so the StatSet alone carries the counts;
-  // a restored cache starts with zeroed live_/flushed_ deltas, which keeps
-  // the delta-folding arithmetic exact after restore.
-  flush_counters();
-  w.put_u64(lru_clock_);
-  w.put_u32(static_cast<u32>(ways_.size()));
-  for (const Way& way : ways_) {
-    w.put_u8(way.valid ? 1 : 0);
-    w.put_u8(way.dirty ? 1 : 0);
-    w.put_u32(way.tag_addr);
-    w.put_u64(way.lru_stamp);
-    w.put_u32_block(way.words.data(), way.words.size());
-    w.put_u16_block(way.check.data(), way.check.size());
-  }
-  stats_.save_state(w);
-}
-
-void SetAssocCache::restore_state(service::ByteReader& r) {
-  lru_clock_ = r.get_u64();
-  const u32 n = r.get_u32();
-  if (n != ways_.size()) {
-    throw service::WireError("snapshot: cache \"" + cfg_.name +
-                             "\" geometry mismatch");
-  }
-  const u32 nwords = cfg_.line_bytes / 4;
-  for (Way& way : ways_) {
-    way.valid = r.get_u8() != 0;
-    way.dirty = r.get_u8() != 0;
-    way.tag_addr = r.get_u32();
-    way.lru_stamp = r.get_u64();
-    r.get_u32_block(way.words.data(), nwords);
-    r.get_u16_block(way.check.data(), nwords);
-  }
-  live_ = Counters{};
-  flushed_ = Counters{};
-  stats_.restore_state(r);
 }
 
 }  // namespace laec::mem

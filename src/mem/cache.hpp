@@ -135,6 +135,16 @@ class SetAssocCache {
     u64 lru_stamp = 0;
     std::vector<u32> words;  ///< line data, one 32-bit word per entry
     std::vector<u16> check;  ///< per-32-bit-word check bits
+
+    template <class V>
+    void visit_state(V& v) {
+      v("valid", valid);
+      v("dirty", dirty);
+      v("tag_addr", tag_addr);
+      v("lru_stamp", lru_stamp);
+      v.fixed("words", words);
+      v.fixed("check", check);
+    }
   };
 
  public:
@@ -238,13 +248,21 @@ class SetAssocCache {
     }
   }
 
-  /// Snapshot support: serialize/restore the array's full deterministic
-  /// state (ways, LRU clock, folded stat counters). Codec wiring, injector
-  /// and recorder attachments are NOT covered — the restore target must be
-  /// constructed from the same CacheConfig, and attachments are re-made by
-  /// the caller afterwards. Throws service::WireError on geometry mismatch.
-  void save_state(service::ByteWriter& w) const;
-  void restore_state(service::ByteReader& r);
+  /// Snapshot field list (protocol: sim/snapshot.hpp). Codec wiring,
+  /// injector and recorder attachments are not state: the restore target
+  /// is constructed from the same CacheConfig, and attachments are re-made
+  /// by the caller afterwards.
+  template <class V>
+  void visit_state(V& v) {
+    // Fold the hot-path deltas first, so the StatSet alone carries the
+    // counts; afterwards live_ == flushed_, which keeps the delta fold
+    // exact when the StatSet is then overwritten by a restore.
+    flush_counters();
+    v("lru_clock", lru_clock_);
+    v.shape("ways", ways_.size());
+    v.fixed("ways", ways_);
+    v.stats("stats", stats_);
+  }
 
   /// Named counters of this array. Reading the set is the batch boundary:
   /// the plain hot-path counters are folded into it here.

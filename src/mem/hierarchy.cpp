@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "service/wire.hpp"
-
 namespace laec::mem {
 
 MemorySystem::MemorySystem(const MemorySystemParams& params)
@@ -128,20 +126,6 @@ void MemorySystem::flush_l2() {
   l2_.flush_dirty([this](Addr base, const u8* data) {
     memory_.write_block(base, data, l2_.line_bytes());
   });
-}
-
-void MemorySystem::save_state(service::ByteWriter& w) const {
-  memory_.save_state(w);
-  l2_.save_state(w);
-  bus_->save_state(w);
-  stats_.save_state(w);
-}
-
-void MemorySystem::restore_state(service::ByteReader& r) {
-  memory_.restore_state(r);
-  l2_.restore_state(r);
-  bus_->restore_state(r);
-  stats_.restore_state(r);
 }
 
 }  // namespace laec::mem

@@ -66,10 +66,15 @@ class MemorySystem final : public BusTarget {
   /// Write every dirty L2 line back to memory (end-of-run finalization).
   void flush_l2();
 
-  /// Snapshot support: memory pages, L2 array, bus, recovery counters.
-  /// (The refill staging buffer is transient scratch and not covered.)
-  void save_state(service::ByteWriter& w) const;
-  void restore_state(service::ByteReader& r);
+  /// Snapshot field list (protocol: sim/snapshot.hpp). The refill staging
+  /// buffer is transient scratch, not state.
+  template <class V>
+  void visit_state(V& v) {
+    v("memory", memory_);
+    v("l2", l2_);
+    v("bus", *bus_);
+    v.stats("stats", stats_);
+  }
 
   // BusTarget: execute a granted transaction, return service latency.
   unsigned service(BusTransaction& t) override;

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "service/wire.hpp"
-
 namespace laec::mem {
 
 // ---------------------------------------------------------------------------
@@ -325,59 +323,6 @@ L1IController::FetchReply L1IController::fetch(Addr a, Cycle now) {
     r.word = w.value;
   }
   return r;
-}
-
-void DL1Controller::save_state(service::ByteWriter& w) const {
-  w.put_u8(static_cast<u8>(state_));
-  w.put_u32(miss_addr_);
-  w.put_u64(token_);
-  w.put_u8(token_live_ ? 1 : 0);
-  w.put_u64(oracle_done_);
-  w.put_u64(wb_token_);
-  w.put_u8(wb_live_ ? 1 : 0);
-  w.put_u8(pending_evict_copy_.has_value() ? 1 : 0);
-  if (pending_evict_copy_.has_value()) {
-    w.put_u32(pending_evict_copy_->first);
-    const auto& data = pending_evict_copy_->second;
-    w.put_string(std::string_view(reinterpret_cast<const char*>(data.data()),
-                                  data.size()));
-  }
-  cache_.save_state(w);
-  stats_.save_state(w);
-}
-
-void DL1Controller::restore_state(service::ByteReader& r) {
-  state_ = static_cast<State>(r.get_u8());
-  miss_addr_ = r.get_u32();
-  token_ = r.get_u64();
-  token_live_ = r.get_u8() != 0;
-  oracle_done_ = r.get_u64();
-  wb_token_ = r.get_u64();
-  wb_live_ = r.get_u8() != 0;
-  pending_evict_copy_.reset();
-  if (r.get_u8() != 0) {
-    const Addr addr = r.get_u32();
-    const std::string data = r.get_string();
-    pending_evict_copy_.emplace(addr, std::vector<u8>(data.begin(), data.end()));
-  }
-  cache_.restore_state(r);
-  stats_.restore_state(r);
-}
-
-void L1IController::save_state(service::ByteWriter& w) const {
-  w.put_u8(miss_pending_ ? 1 : 0);
-  w.put_u32(miss_addr_);
-  w.put_u64(token_);
-  cache_.save_state(w);
-  stats_.save_state(w);
-}
-
-void L1IController::restore_state(service::ByteReader& r) {
-  miss_pending_ = r.get_u8() != 0;
-  miss_addr_ = r.get_u32();
-  token_ = r.get_u64();
-  cache_.restore_state(r);
-  stats_.restore_state(r);
 }
 
 }  // namespace laec::mem

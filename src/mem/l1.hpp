@@ -91,9 +91,20 @@ class DL1Controller {
 
   void set_injector(ecc::FaultInjector* inj) { cache_.set_injector(inj); }
 
-  /// Snapshot support: miss state machine, in-flight tokens, cache array.
-  void save_state(service::ByteWriter& w) const;
-  void restore_state(service::ByteReader& r);
+  /// Snapshot field list (protocol: sim/snapshot.hpp).
+  template <class V>
+  void visit_state(V& v) {
+    v("state", state_);
+    v("miss_addr", miss_addr_);
+    v("token", token_);
+    v("token_live", token_live_);
+    v("oracle_done", oracle_done_);
+    v("wb_token", wb_token_);
+    v("wb_live", wb_live_);
+    v("pending_evict_copy", pending_evict_copy_);
+    v("cache", cache_);
+    v.stats("stats", stats_);
+  }
 
  private:
   enum class State { kIdle, kLoadMiss, kStoreMiss, kWriteThrough, kOracleMiss };
@@ -145,9 +156,15 @@ class L1IController {
 
   void set_injector(ecc::FaultInjector* inj) { cache_.set_injector(inj); }
 
-  /// Snapshot support: miss state, in-flight token, cache array.
-  void save_state(service::ByteWriter& w) const;
-  void restore_state(service::ByteReader& r);
+  /// Snapshot field list (protocol: sim/snapshot.hpp).
+  template <class V>
+  void visit_state(V& v) {
+    v("miss_pending", miss_pending_);
+    v("miss_addr", miss_addr_);
+    v("token", token_);
+    v("cache", cache_);
+    v.stats("stats", stats_);
+  }
 
  private:
   L1Params params_;

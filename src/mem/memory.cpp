@@ -1,30 +1,16 @@
 #include "mem/memory.hpp"
 
-#include <algorithm>
-#include <cstring>
-#include <vector>
-
-#include "service/wire.hpp"
-
 namespace laec::mem {
 
 const u8 MainMemory::kZeroPage[MainMemory::kPageSize] = {};
 
 const u8* MainMemory::page_for_read(Addr a) const {
-  const Addr key = a >> kPageBits;
-  auto it = pages_.find(key);
-  return it == pages_.end() ? kZeroPage : it->second.get();
+  auto it = pages_.find(a >> kPageBits);
+  return it == pages_.end() ? kZeroPage : it->second.bytes.data();
 }
 
 u8* MainMemory::page_for_write(Addr a) {
-  const Addr key = a >> kPageBits;
-  auto it = pages_.find(key);
-  if (it == pages_.end()) {
-    auto page = std::make_unique<u8[]>(kPageSize);
-    std::memset(page.get(), 0, kPageSize);
-    it = pages_.emplace(key, std::move(page)).first;
-  }
-  return it->second.get();
+  return pages_.try_emplace(a >> kPageBits).first->second.bytes.data();
 }
 
 u8 MainMemory::read_u8(Addr a) const {
@@ -63,35 +49,6 @@ void MainMemory::read_block(Addr a, u8* dst, unsigned len) const {
 
 void MainMemory::write_block(Addr a, const u8* src, unsigned len) {
   for (unsigned i = 0; i < len; ++i) write_u8(a + i, src[i]);
-}
-
-void MainMemory::save_state(service::ByteWriter& w) const {
-  std::vector<Addr> keys;
-  keys.reserve(pages_.size());
-  for (const auto& [key, page] : pages_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  w.put_u32(static_cast<u32>(keys.size()));
-  for (const Addr key : keys) {
-    w.put_u32(key);
-    const u8* page = pages_.at(key).get();
-    w.put_string(
-        std::string_view(reinterpret_cast<const char*>(page), kPageSize));
-  }
-}
-
-void MainMemory::restore_state(service::ByteReader& r) {
-  pages_.clear();
-  const u32 n = r.get_u32();
-  for (u32 i = 0; i < n; ++i) {
-    const Addr key = r.get_u32();
-    const std::string data = r.get_string();
-    if (data.size() != kPageSize) {
-      throw service::WireError("snapshot: memory page size mismatch");
-    }
-    auto page = std::make_unique<u8[]>(kPageSize);
-    std::memcpy(page.get(), data.data(), kPageSize);
-    pages_.emplace(key, std::move(page));
-  }
 }
 
 }  // namespace laec::mem

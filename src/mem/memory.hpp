@@ -6,15 +6,10 @@
 // access latency (paper §II.A).
 #pragma once
 
-#include <memory>
+#include <array>
 #include <unordered_map>
 
 #include "common/types.hpp"
-
-namespace laec::service {
-class ByteWriter;
-class ByteReader;
-}  // namespace laec::service
 
 namespace laec::mem {
 
@@ -37,16 +32,27 @@ class MainMemory {
   /// Number of resident 4 KiB pages (for tests).
   [[nodiscard]] std::size_t resident_pages() const { return pages_.size(); }
 
-  /// Snapshot support: resident pages, serialized in ascending page order
-  /// so the blob is byte-stable regardless of hash-map iteration order.
-  void save_state(service::ByteWriter& w) const;
-  void restore_state(service::ByteReader& r);
+  /// Snapshot field list (protocol: sim/snapshot.hpp).
+  template <class V>
+  void visit_state(V& v) {
+    v("pages", pages_);
+  }
 
  private:
+  struct Page {
+    std::array<u8, kPageSize> bytes{};
+
+    template <class V>
+    void visit_state(V& v) {
+      v.shape("page_bytes", kPageSize);
+      v("bytes", bytes);
+    }
+  };
+
   [[nodiscard]] const u8* page_for_read(Addr a) const;
   [[nodiscard]] u8* page_for_write(Addr a);
 
-  std::unordered_map<Addr, std::unique_ptr<u8[]>> pages_;
+  std::unordered_map<Addr, Page> pages_;  ///< keyed by page number
   static const u8 kZeroPage[kPageSize];
 };
 

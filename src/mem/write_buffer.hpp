@@ -13,7 +13,6 @@
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
-#include "service/wire.hpp"
 
 namespace laec::mem {
 
@@ -24,6 +23,15 @@ struct PendingStore {
   /// Oracle-mode (synthetic trace) stores carry a pre-classified outcome.
   bool forced = false;
   bool forced_hit = true;
+
+  template <class V>
+  void visit_state(V& v) {
+    v("addr", addr);
+    v("bytes", bytes);
+    v("value", value);
+    v("forced", forced);
+    v("forced_hit", forced_hit);
+  }
 };
 
 struct WriteBufferParams {
@@ -69,33 +77,12 @@ class WriteBuffer {
   [[nodiscard]] StatSet& stats() { return stats_; }
   [[nodiscard]] const StatSet& stats() const { return stats_; }
 
-  /// Snapshot support: queue contents, backpressure latch, counters.
-  void save_state(service::ByteWriter& w) const {
-    w.put_u32(static_cast<u32>(q_.size()));
-    for (const PendingStore& s : q_) {
-      w.put_u32(s.addr);
-      w.put_u32(s.bytes);
-      w.put_u32(s.value);
-      w.put_u8(s.forced ? 1 : 0);
-      w.put_u8(s.forced_hit ? 1 : 0);
-    }
-    w.put_u8(block_until_empty_ ? 1 : 0);
-    stats_.save_state(w);
-  }
-  void restore_state(service::ByteReader& r) {
-    q_.clear();
-    const u32 n = r.get_u32();
-    for (u32 i = 0; i < n; ++i) {
-      PendingStore s;
-      s.addr = r.get_u32();
-      s.bytes = r.get_u32();
-      s.value = r.get_u32();
-      s.forced = r.get_u8() != 0;
-      s.forced_hit = r.get_u8() != 0;
-      q_.push_back(s);  // raw deposit: counters come from the StatSet below
-    }
-    block_until_empty_ = r.get_u8() != 0;
-    stats_.restore_state(r);
+  /// Snapshot field list (protocol: sim/snapshot.hpp).
+  template <class V>
+  void visit_state(V& v) {
+    v("queue", q_);
+    v("block_until_empty", block_until_empty_);
+    v.stats("stats", stats_);
   }
 
  private:

@@ -19,6 +19,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hpp"
@@ -38,17 +39,8 @@ class ByteWriter {
  public:
   void put_u8(u8 v) { buf_.push_back(static_cast<char>(v)); }
 
-  void put_u32(u32 v) {
-    for (int i = 0; i < 4; ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
-
-  void put_u64(u64 v) {
-    for (int i = 0; i < 8; ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
+  void put_u32(u32 v) { put_block(&v, 1); }
+  void put_u64(u64 v) { put_block(&v, 1); }
 
   /// IEEE-754 bit pattern: exact round-trip, no formatting loss.
   void put_double(double v) { put_u64(std::bit_cast<u64>(v)); }
@@ -59,26 +51,21 @@ class ByteWriter {
     buf_.append(s.data(), s.size());
   }
 
-  /// Bulk little-endian u32 array (no length prefix — the caller's framing
-  /// carries the count). One memcpy on little-endian hosts; the element
-  /// loop elsewhere. Snapshot capture serializes whole cache arrays through
-  /// this, so it must not cost a call per word.
-  void put_u32_block(const u32* v, std::size_t n) {
+  /// Bulk little-endian array of integers (no length prefix — the
+  /// caller's framing carries the count). One memcpy on little-endian
+  /// hosts; the byte loop elsewhere. Snapshot capture serializes whole
+  /// cache arrays and memory pages through this, so it must not cost a
+  /// call per element.
+  template <class T>
+  void put_block(const T* v, std::size_t n) {
+    static_assert(std::is_integral_v<T>);
     if constexpr (std::endian::native == std::endian::little) {
-      buf_.append(reinterpret_cast<const char*>(v), n * sizeof(u32));
-    } else {
-      for (std::size_t i = 0; i < n; ++i) put_u32(v[i]);
-    }
-  }
-
-  /// Bulk little-endian u16 array; same contract as put_u32_block.
-  void put_u16_block(const u16* v, std::size_t n) {
-    if constexpr (std::endian::native == std::endian::little) {
-      buf_.append(reinterpret_cast<const char*>(v), n * sizeof(u16));
+      buf_.append(reinterpret_cast<const char*>(v), n * sizeof(T));
     } else {
       for (std::size_t i = 0; i < n; ++i) {
-        buf_.push_back(static_cast<char>(v[i] & 0xff));
-        buf_.push_back(static_cast<char>((v[i] >> 8) & 0xff));
+        for (std::size_t b = 0; b < sizeof(T); ++b) {
+          buf_.push_back(static_cast<char>((v[i] >> (8 * b)) & 0xff));
+        }
       }
     }
   }
@@ -101,22 +88,14 @@ class ByteReader {
   }
 
   [[nodiscard]] u32 get_u32() {
-    need(4);
     u32 v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<u32>(static_cast<u8>(data_[pos_ + i])) << (8 * i);
-    }
-    pos_ += 4;
+    get_block(&v, 1);
     return v;
   }
 
   [[nodiscard]] u64 get_u64() {
-    need(8);
     u64 v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<u64>(static_cast<u8>(data_[pos_ + i])) << (8 * i);
-    }
-    pos_ += 8;
+    get_block(&v, 1);
     return v;
   }
 
@@ -130,27 +109,22 @@ class ByteReader {
     return s;
   }
 
-  /// Bulk inverse of ByteWriter::put_u32_block.
-  void get_u32_block(u32* out, std::size_t n) {
-    need(n * sizeof(u32));
+  /// Bulk inverse of ByteWriter::put_block.
+  template <class T>
+  void get_block(T* out, std::size_t n) {
+    static_assert(std::is_integral_v<T>);
+    need(n * sizeof(T));
+    if (n == 0) return;  // `out` may be null (an empty vector's data())
     if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(out, data_.data() + pos_, n * sizeof(u32));
-      pos_ += n * sizeof(u32);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) out[i] = get_u32();
-    }
-  }
-
-  /// Bulk inverse of ByteWriter::put_u16_block.
-  void get_u16_block(u16* out, std::size_t n) {
-    need(n * sizeof(u16));
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(out, data_.data() + pos_, n * sizeof(u16));
-      pos_ += n * sizeof(u16);
+      std::memcpy(out, data_.data() + pos_, n * sizeof(T));
+      pos_ += n * sizeof(T);
     } else {
       for (std::size_t i = 0; i < n; ++i) {
-        const u16 lo = get_u8();
-        out[i] = static_cast<u16>(lo | (static_cast<u16>(get_u8()) << 8));
+        T v = 0;
+        for (std::size_t b = 0; b < sizeof(T); ++b) {
+          v |= static_cast<T>(static_cast<T>(get_u8()) << (8 * b));
+        }
+        out[i] = v;
       }
     }
   }
@@ -166,11 +140,13 @@ class ByteReader {
 
  private:
   void need(std::size_t n) const {
-    if (data_.size() - pos_ < n) {
-      throw WireError("truncated wire data (wanted " + std::to_string(n) +
-                      " more bytes, have " +
-                      std::to_string(data_.size() - pos_) + ")");
-    }
+    if (data_.size() - pos_ < n) [[unlikely]] truncated(n);
+  }
+
+  [[noreturn]] void truncated(std::size_t n) const {
+    throw WireError("truncated wire data (wanted " + std::to_string(n) +
+                    " more bytes, have " + std::to_string(data_.size() - pos_) +
+                    ")");
   }
 
   std::string_view data_;

@@ -1,9 +1,18 @@
 #include "sim/snapshot.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
+#include <deque>
+#include <memory>
+#include <optional>
+#include <type_traits>
+#include <unordered_map>
+#include <utility>
 
+#include "common/stats.hpp"
+#include "core/predictor.hpp"  // the pipeline's field list reaches into it
 #include "service/wire.hpp"
 #include "sim/system.hpp"
 
@@ -45,21 +54,355 @@ u64 chunked_fnv1a(std::string_view data) {
   return h;
 }
 
+// ------------------------------------------------------------------------
+// The field-list walker (protocol: snapshot.hpp). It owns every structural
+// rule — containers, presence, key order, field paths — and hands each
+// leaf to an archive, which only encodes (Saver), decodes (Loader) or
+// records (Flattener) it.
+
+template <class T>
+concept Scalar = std::is_integral_v<T> || std::is_enum_v<T>;
+
+/// Wire type of a scalar: bools and enums travel as one byte, integers at
+/// their own width (signed ones as their two's-complement bits).
+template <Scalar T>
+using Wire = std::conditional_t<std::is_enum_v<T> || sizeof(T) == 1, u8,
+                                std::conditional_t<sizeof(T) == 4, u32, u64>>;
+
+template <class Archive>
+class Walker {
+ public:
+  static constexpr bool kRestoring = Archive::kRestoring;
+
+  explicit Walker(Archive& a) : a_(a) {}
+
+  template <class T>
+  void operator()(std::string_view name, T& x) {
+    a_.enter(name);
+    visit(x);
+    a_.leave();
+  }
+
+  /// The constructor decides presence from the configuration, so a restore
+  /// can only check it, never create or drop the component.
+  template <class T>
+  void operator()(std::string_view name, std::unique_ptr<T>& p) {
+    expect<u8>(name, p != nullptr);
+    if (p != nullptr) (*this)(name, *p);
+  }
+
+  template <class T>
+  void stats(std::string_view name, T& x) {
+    if (!a_.with_stats) return;
+    ++a_.stats_depth;
+    (*this)(name, x);
+    --a_.stats_depth;
+  }
+
+  template <class C>
+  void fixed(std::string_view name, C& c) {
+    a_.enter(name);
+    elements(c);
+    a_.leave();
+  }
+
+  void shape(std::string_view name, u64 n) { expect<u32>(name, n); }
+
+ private:
+  template <class W>
+  void expect(std::string_view name, u64 n) {
+    W v = static_cast<W>(n);
+    (*this)(name, v);
+    if (kRestoring && v != n) {
+      throw service::WireError("snapshot: " + std::string(name) +
+                               " mismatch (blob " + std::to_string(v) +
+                               ", this system " + std::to_string(n) + ")");
+    }
+  }
+
+  template <Scalar T>
+  void visit(T& x) {
+    static_assert(std::is_enum_v<T> || sizeof(T) == 1 || sizeof(T) == 4 ||
+                  sizeof(T) == 8);
+    a_.scalar(x);
+  }
+
+  template <class T>
+    requires requires(T& t, Walker& w) { t.visit_state(w); }
+  void visit(T& x) {
+    x.visit_state(*this);
+  }
+
+  void visit(StatSet& s) { a_.stat_set(s); }
+
+  /// An element of a configuration-sized container (a core, a traffic
+  /// generator) always exists.
+  template <class T>
+  void visit(std::unique_ptr<T>& p) {
+    visit(*p);
+  }
+
+  template <class T, std::size_t N>
+  void visit(std::array<T, N>& c) {
+    elements(c);
+  }
+
+  /// vector, deque, string: length-prefixed, resized on restore.
+  template <class C>
+    requires requires(C& c) { c.resize(0); }
+  void visit(C& c) {
+    u32 n = static_cast<u32>(c.size());
+    (*this)("size", n);
+    if constexpr (kRestoring) {
+      // Every element takes at least one byte: reject a larger count
+      // before the container is resized to it.
+      if (n > a_.remaining()) {
+        throw service::WireError("snapshot: element count exceeds the blob");
+      }
+      c.resize(n);
+    }
+    elements(c);
+  }
+
+  template <class T>
+  void visit(std::optional<T>& o) {
+    bool present = o.has_value();
+    (*this)("present", present);
+    if constexpr (kRestoring) {
+      o.reset();
+      if (present) o.emplace();
+    }
+    if (present) visit(*o);
+  }
+
+  template <class A, class B>
+  void visit(std::pair<A, B>& p) {
+    (*this)("first", p.first);
+    (*this)("second", p.second);
+  }
+
+  template <class K, class T>
+  void visit(std::unordered_map<K, T>& m) {
+    u32 n = static_cast<u32>(m.size());
+    (*this)("size", n);
+    if constexpr (kRestoring) {
+      m.clear();
+      for (u32 i = 0; i < n; ++i) {
+        K key{};
+        a_.scalar(key);
+        visit(m[key]);
+      }
+    } else {
+      // Ascending keys: the bytes must not depend on hash-map iteration
+      // order.
+      std::vector<K> keys;
+      keys.reserve(n);
+      for (const auto& kv : m) keys.push_back(kv.first);
+      std::sort(keys.begin(), keys.end());
+      for (K key : keys) {
+        a_.enter(key);
+        a_.scalar(key);
+        visit(m.at(key));
+        a_.leave();
+      }
+    }
+  }
+
+  template <class C>
+  void elements(C& c) {
+    using E = typename C::value_type;
+    if constexpr (std::is_integral_v<E> && requires { c.data(); }) {
+      a_.block(c.data(), c.size());
+    } else {
+      u64 i = 0;
+      for (E& e : c) {
+        a_.enter(i++);
+        visit(e);
+        a_.leave();
+      }
+    }
+  }
+
+  Archive& a_;
+};
+
+/// What every archive shares: stats selection and no-op path hooks (only
+/// the Flattener tracks paths).
+struct ArchiveBase {
+  bool with_stats = true;  ///< false skips stats fields (state_digest)
+  int stats_depth = 0;     ///< > 0 while inside a stats field
+  void enter(std::string_view) {}
+  void enter(u64) {}
+  void leave() {}
+};
+
+class Saver : public ArchiveBase {
+ public:
+  static constexpr bool kRestoring = false;
+
+  template <Scalar T>
+  void scalar(const T& x) {
+    const Wire<T> v = static_cast<Wire<T>>(x);
+    w.put_block(&v, 1);
+  }
+  template <class T>
+  void block(const T* p, std::size_t n) {
+    w.put_block(p, n);
+  }
+  /// (name, value) pairs in registration order: a restore registers them
+  /// in the same order, which keeps re-serialization byte-stable for sets
+  /// that register lazily (the bus per-operation counters).
+  void stat_set(const StatSet& s) {
+    const auto items = s.items();
+    w.put_u32(static_cast<u32>(items.size()));
+    for (const auto& [name, value] : items) {
+      w.put_string(name);
+      w.put_u64(value);
+    }
+  }
+
+  service::ByteWriter w;
+};
+
+class Loader : public ArchiveBase {
+ public:
+  static constexpr bool kRestoring = true;
+
+  explicit Loader(std::string_view payload) : r(payload) {}
+
+  template <Scalar T>
+  void scalar(T& x) {
+    Wire<T> v = 0;
+    r.get_block(&v, 1);
+    x = static_cast<T>(v);
+  }
+  template <class T>
+  void block(T* p, std::size_t n) {
+    r.get_block(p, n);
+  }
+  void stat_set(StatSet& s) {
+    const u32 n = r.get_u32();
+    s.clear();  // a counter the blob lacks was zero in the saved system
+    for (u32 i = 0; i < n; ++i) {
+      const std::string name = r.get_string();
+      s.counter(name) = r.get_u64();
+    }
+  }
+  [[nodiscard]] std::size_t remaining() const { return r.remaining(); }
+
+  service::ByteReader r;
+};
+
+/// A Saver that also records where each leaf landed in the encoding,
+/// under its field path, so two systems can be compared field by field.
+class Flattener : public Saver {
+ public:
+  struct Leaf {
+    std::string path;
+    std::size_t begin = 0;  ///< byte range of the leaf in w
+    std::size_t end = 0;
+    unsigned width = 0;  ///< element width of an array leaf; 0 for a value
+    bool stats = false;
+  };
+  std::vector<Leaf> leaves;
+
+  void enter(std::string_view name) {
+    path_.push_back(path_.empty() ? std::string(name)
+                                  : path_.back() + "." + std::string(name));
+  }
+  void enter(u64 index) {
+    path_.push_back(path_.back() + "[" + std::to_string(index) + "]");
+  }
+  void leave() { path_.pop_back(); }
+
+  template <class T>
+  void scalar(const T& x) {
+    const std::size_t begin = w.bytes().size();
+    Saver::scalar(x);
+    record(begin, 0);
+  }
+  template <class T>
+  void block(const T* p, std::size_t n) {
+    const std::size_t begin = w.bytes().size();
+    Saver::block(p, n);
+    record(begin, sizeof(T));
+  }
+  void stat_set(const StatSet& s) {
+    for (const auto& [name, value] : s.items()) {
+      enter(name);
+      scalar(value);
+      leave();
+    }
+  }
+
+  [[nodiscard]] std::string_view bytes(const Leaf& leaf) const {
+    return std::string_view(w.bytes()).substr(leaf.begin,
+                                              leaf.end - leaf.begin);
+  }
+
+ private:
+  void record(std::size_t begin, unsigned width) {
+    leaves.push_back(
+        {path_.back(), begin, w.bytes().size(), width, stats_depth > 0});
+  }
+
+  std::vector<std::string> path_;  ///< full path of each open scope
+};
+
+// The field lists serve both directions, so visit_state is non-const; the
+// saving archives only ever read through the references it hands out.
+template <class Archive>
+void walk(const System& system, Archive& a) {
+  Walker<Archive> v(a);
+  const_cast<System&>(system).visit_state(v);
+}
+
+/// Little-endian value of at most 8 bytes.
+u64 le_value(std::string_view bytes) {
+  u64 v = 0;
+  for (std::size_t i = 0; i < bytes.size() && i < 8; ++i) {
+    v |= static_cast<u64>(static_cast<u8>(bytes[i])) << (8 * i);
+  }
+  return v;
+}
+
+/// How one leaf differs between its encodings in two systems (empty when
+/// the leaf is absent): an array reports its first differing element, a
+/// value is a one-element array.
+std::optional<FieldDiff> compare(const Flattener::Leaf& leaf,
+                                 std::string_view x, std::string_view y) {
+  if (x == y) return std::nullopt;
+  const std::size_t w =
+      leaf.width != 0 ? leaf.width : std::max(x.size(), y.size());
+  std::size_t i = 0;
+  while ((i + 1) * w <= std::min(x.size(), y.size()) &&
+         x.substr(i * w, w) == y.substr(i * w, w)) {
+    ++i;
+  }
+  const auto element = [&](std::string_view s) {
+    return (i + 1) * w <= s.size() ? std::to_string(le_value(s.substr(i * w, w)))
+                                   : std::string("-");
+  };
+  return FieldDiff{
+      leaf.width != 0 ? leaf.path + "[" + std::to_string(i) + "]" : leaf.path,
+      element(x), element(y), leaf.stats};
+}
+
 }  // namespace
 
 std::string save_system_state(const System& system) {
-  service::ByteWriter payload;
-  system.save_state(payload);
+  Saver payload;
+  walk(system, payload);
 
   service::ByteWriter head;
   head.put_u32(kSnapshotVersion);
-  head.put_u64(chunked_fnv1a(payload.bytes()));
+  head.put_u64(chunked_fnv1a(payload.w.bytes()));
 
   std::string out;
-  out.reserve(sizeof(kMagic) + head.bytes().size() + payload.bytes().size());
+  out.reserve(sizeof(kMagic) + head.bytes().size() + payload.w.bytes().size());
   out.append(kMagic, sizeof(kMagic));
   out += head.bytes();
-  out += payload.bytes();
+  out += payload.w.bytes();
   return out;
 }
 
@@ -81,9 +424,46 @@ void restore_system_state(System& system, std::string_view blob) {
   if (chunked_fnv1a(payload) != checksum) {
     throw service::WireError("snapshot: checksum mismatch (corrupt blob)");
   }
-  service::ByteReader r(payload);
-  system.restore_state(r);
-  r.expect_end();
+  Loader loader(payload);
+  walk(system, loader);
+  loader.r.expect_end();
+}
+
+u64 state_digest(const System& system) {
+  Saver state;
+  state.with_stats = false;
+  walk(system, state);
+  return chunked_fnv1a(state.w.bytes());
+}
+
+std::vector<FieldDiff> diff_system_state(const System& a, const System& b) {
+  Flattener fa;
+  Flattener fb;
+  walk(a, fa);
+  walk(b, fb);
+  // Leaves match by path; a container longer in one system leaves some
+  // unmatched, and those compare against nothing.
+  std::unordered_map<std::string_view, std::string_view> unmatched;
+  for (const auto& leaf : fb.leaves) unmatched.emplace(leaf.path, fb.bytes(leaf));
+
+  std::vector<FieldDiff> out;
+  const auto add = [&](const Flattener::Leaf& leaf, std::string_view x,
+                       std::string_view y) {
+    if (auto d = compare(leaf, x, y)) out.push_back(std::move(*d));
+  };
+  for (const auto& leaf : fa.leaves) {
+    const auto it = unmatched.find(leaf.path);
+    if (it == unmatched.end()) {
+      add(leaf, fa.bytes(leaf), {});
+    } else {
+      add(leaf, fa.bytes(leaf), it->second);
+      unmatched.erase(it);
+    }
+  }
+  for (const auto& leaf : fb.leaves) {
+    if (unmatched.count(leaf.path) != 0) add(leaf, {}, fb.bytes(leaf));
+  }
+  return out;
 }
 
 void SnapshotStore::add(u64 ordinal, Cycle cycle, std::string blob) {

@@ -18,6 +18,30 @@
 // that the constructor re-derives from the config (codecs, LUTs, hot
 // counter pointers) and the injector/recorder attachments, which the
 // resume path re-attaches after restore.
+//
+// Field-list protocol. Each component describes its state once, in
+//
+//   template <class V> void visit_state(V& v);
+//
+// and save, restore, state_digest and diff_system_state all walk that one
+// list, so they cannot disagree about what the state is. The list names
+// every field through the visitor:
+//
+//   v(name, field)        state: scalars, strings, std::array, vector and
+//                         deque (length-prefixed, resized on restore),
+//                         optional, pair, unordered_map (ascending keys),
+//                         unique_ptr (presence must match on restore), or
+//                         any type with its own visit_state;
+//   v.stats(name, field)  a statistic (StatSet or counter): saved and
+//                         restored like state, left out of state_digest;
+//   v.fixed(name, c)      a container the configuration sizes: its
+//                         elements, no length (unique_ptr elements are
+//                         dereferenced);
+//   v.shape(name, n)      a configuration value (a count): written, and
+//                         checked against this system on restore.
+//
+// V::kRestoring is true while restoring, for a field that is not saved
+// but must be reset after a restore.
 #pragma once
 
 #include <memory>
@@ -32,7 +56,8 @@ class System;
 
 /// Bumped whenever the serialized layout changes; restore rejects blobs
 /// from any other version. Part of the service-job identity so a daemon
-/// never resumes a campaign across a layout change.
+/// never resumes a campaign across a layout change. test_snapshot pins the
+/// bytes of reference blobs, so a layout change fails there first.
 inline constexpr u32 kSnapshotVersion = 1;
 
 /// Serialize the full deterministic state of `system` into a framed blob
@@ -45,6 +70,26 @@ inline constexpr u32 kSnapshotVersion = 1;
 /// are detected and rejected). Throws service::WireError on bad magic,
 /// version mismatch, checksum mismatch, or layout/geometry mismatch.
 void restore_system_state(System& system, std::string_view blob);
+
+/// 64-bit hash of the state fields of `system`, statistics excluded (the
+/// cycle counter is state). Two systems built from the same configuration
+/// with equal digests hold the same state, barring a hash collision,
+/// whatever their counters say.
+[[nodiscard]] u64 state_digest(const System& system);
+
+/// One leaf field that differs between two systems.
+struct FieldDiff {
+  std::string path;    ///< e.g. "cores[0].dl1.cache.ways[17].words[3]"
+  std::string a;       ///< value in the first system, "-" when absent
+  std::string b;       ///< value in the second system, "-" when absent
+  bool stats = false;  ///< the field is a statistic (see state_digest)
+};
+
+/// Field-by-field comparison of two systems built from the same
+/// configuration, in field-list order. An array that differs is reported
+/// once, at its first differing element.
+[[nodiscard]] std::vector<FieldDiff> diff_system_state(const System& a,
+                                                       const System& b);
 
 /// Budgeted store of golden-run snapshots, ordered by consultation ordinal.
 ///

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "service/wire.hpp"
-
 namespace laec::sim {
 
 Core::Core(unsigned id, const CoreConfig& cfg, mem::Bus& bus,
@@ -113,48 +111,6 @@ void System::flush_all() {
 u32 System::read_word_final(Addr a) {
   flush_all();
   return memsys_->memory().read_u32(a);
-}
-
-void Core::save_state(service::ByteWriter& w) const {
-  dl1_->save_state(w);
-  w.put_u8(l1i_ != nullptr ? 1 : 0);
-  if (l1i_ != nullptr) l1i_->save_state(w);
-  wbuf_.save_state(w);
-  pipe_->save_state(w);
-}
-
-void Core::restore_state(service::ByteReader& r) {
-  dl1_->restore_state(r);
-  const bool has_l1i = r.get_u8() != 0;
-  if (has_l1i != (l1i_ != nullptr)) {
-    throw service::WireError("snapshot: core L1I presence mismatch");
-  }
-  if (l1i_ != nullptr) l1i_->restore_state(r);
-  wbuf_.restore_state(r);
-  pipe_->restore_state(r);
-}
-
-void System::save_state(service::ByteWriter& w) const {
-  w.put_u64(now_);
-  w.put_u32(static_cast<u32>(cores_.size()));
-  for (const auto& c : cores_) c->save_state(w);
-  w.put_u32(static_cast<u32>(traffic_.size()));
-  for (const auto& t : traffic_) t->save_state(w);
-  memsys_->save_state(w);
-}
-
-void System::restore_state(service::ByteReader& r) {
-  now_ = r.get_u64();
-  if (r.get_u32() != cores_.size()) {
-    throw service::WireError("snapshot: core count mismatch");
-  }
-  for (auto& c : cores_) c->restore_state(r);
-  if (r.get_u32() != traffic_.size()) {
-    throw service::WireError("snapshot: traffic-generator count mismatch");
-  }
-  for (auto& t : traffic_) t->restore_state(r);
-  memsys_->restore_state(r);
-  flushed_ = false;  // restored state is mid-run; memory is not final
 }
 
 }  // namespace laec::sim

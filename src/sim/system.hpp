@@ -62,9 +62,14 @@ class Core {
   [[nodiscard]] mem::WriteBuffer& wbuf() { return wbuf_; }
   [[nodiscard]] unsigned id() const { return id_; }
 
-  /// Snapshot support: DL1, L1I (when present), write buffer, pipeline.
-  void save_state(service::ByteWriter& w) const;
-  void restore_state(service::ByteReader& r);
+  /// Snapshot field list (protocol: sim/snapshot.hpp).
+  template <class V>
+  void visit_state(V& v) {
+    v("dl1", *dl1_);
+    v("l1i", l1i_);
+    v("wbuf", wbuf_);
+    v("pipeline", *pipe_);
+  }
 
  private:
   unsigned id_;
@@ -126,13 +131,20 @@ class System {
   /// final); tick() re-arms it.
   void flush_all();
 
-  /// Snapshot support (sim/snapshot.hpp wraps these in a versioned,
-  /// checksummed frame): the cycle counter, every core, every traffic
-  /// generator, and the memory system. The restore target must be built
-  /// from the same configuration; injector/recorder attachments are not
-  /// covered and must be re-made afterwards.
-  void save_state(service::ByteWriter& w) const;
-  void restore_state(service::ByteReader& r);
+  /// Snapshot field list (protocol: sim/snapshot.hpp, which wraps it in a
+  /// versioned, checksummed frame). The restore target must be built from
+  /// the same configuration; injector/recorder attachments are not covered
+  /// and must be re-made afterwards.
+  template <class V>
+  void visit_state(V& v) {
+    v("now", now_);
+    v.shape("cores", cores_.size());
+    v.fixed("cores", cores_);
+    v.shape("traffic", traffic_.size());
+    v.fixed("traffic", traffic_);
+    v("memsys", *memsys_);
+    if constexpr (V::kRestoring) flushed_ = false;  // restored mid-run
+  }
 
  private:
   SystemConfig cfg_;

@@ -1,7 +1,5 @@
 #include "sim/traffic.hpp"
 
-#include "service/wire.hpp"
-
 namespace laec::sim {
 
 TrafficGenerator::TrafficGenerator(unsigned requester_id, mem::Bus& bus,
@@ -32,22 +30,6 @@ void TrafficGenerator::tick(Cycle now) {
   cursor_ = (cursor_ + pattern_.stride) % pattern_.footprint_bytes;
   token_ = bus_.submit(std::move(t), now);
   pending_ = true;
-}
-
-void TrafficGenerator::save_state(service::ByteWriter& w) const {
-  w.put_u8(pending_ ? 1 : 0);
-  w.put_u64(token_);
-  w.put_u64(next_submit_);
-  w.put_u32(cursor_);
-  w.put_u64(completed_);
-}
-
-void TrafficGenerator::restore_state(service::ByteReader& r) {
-  pending_ = r.get_u8() != 0;
-  token_ = r.get_u64();
-  next_submit_ = r.get_u64();
-  cursor_ = r.get_u32();
-  completed_ = r.get_u64();
 }
 
 }  // namespace laec::sim

@@ -32,9 +32,15 @@ class TrafficGenerator {
 
   [[nodiscard]] u64 transactions() const { return completed_; }
 
-  /// Snapshot support: pending transaction token, pacing, address cursor.
-  void save_state(service::ByteWriter& w) const;
-  void restore_state(service::ByteReader& r);
+  /// Snapshot field list (protocol: sim/snapshot.hpp).
+  template <class V>
+  void visit_state(V& v) {
+    v("pending", pending_);
+    v("token", token_);
+    v("next_submit", next_submit_);
+    v("cursor", cursor_);
+    v.stats("completed", completed_);
+  }
 
  private:
   unsigned id_;

@@ -15,6 +15,7 @@
 #include "reliability/campaign.hpp"
 #include "report/sink.hpp"
 #include "service/protocol.hpp"
+#include "service/wire.hpp"
 
 namespace laec::obs {
 namespace {

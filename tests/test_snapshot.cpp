@@ -11,7 +11,9 @@
 // and running the suffix fault-free lands on exactly the golden run's final
 // stats and architectural memory — save captures everything the suffix
 // depends on. Corrupt, truncated, version-skewed and geometry-mismatched
-// blobs must be rejected loudly.
+// blobs must be rejected loudly. Reference blobs pin the byte layout, and
+// the stats-free digest and field diff derived from the same field lists
+// see exactly the fields they should.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -60,6 +62,49 @@ Golden make_golden(const std::string& workload, const std::string& scheme,
   return g;
 }
 
+/// Two cores, a stride predictor and three co-runner traffic generators
+/// (one per bus operation) on a 1 KB DL1. A few thousand cycles in, the bus
+/// holds queued transactions, the generators and the second core are
+/// mid-flight, and under write-through the write buffer is occupied.
+core::SimConfig contended_config(const std::string& scheme) {
+  core::SimConfig cfg;
+  cfg.set_scheme(scheme);
+  cfg.dl1_size_bytes = 1024;
+  cfg.num_cores = 2;
+  cfg.stride_predictor = true;
+  TrafficPattern t;
+  t.gap_cycles = 0;
+  t.op = mem::BusOp::kReadLine;
+  cfg.traffic.push_back(t);
+  t.gap_cycles = 3;
+  t.op = mem::BusOp::kWriteLine;
+  t.base = 0x4010'0000;
+  cfg.traffic.push_back(t);
+  t.gap_cycles = 7;
+  t.op = mem::BusOp::kWriteWord;
+  t.base = 0x4020'0000;
+  cfg.traffic.push_back(t);
+  return cfg;
+}
+
+/// A contended system running iirflt on core 0, ticked `cycles` times.
+std::unique_ptr<System> contended_system(const std::string& scheme,
+                                         int cycles) {
+  auto sys = std::make_unique<System>(
+      core::make_system_config(contended_config(scheme)));
+  sys->load_program(workloads::kernel_by_name("iirflt").build().program);
+  for (int i = 0; i < cycles; ++i) sys->tick();
+  return sys;
+}
+
+std::string describe(const std::vector<FieldDiff>& diffs) {
+  std::string out;
+  for (std::size_t i = 0; i < diffs.size() && i < 8; ++i) {
+    out += "\n  " + diffs[i].path + ": " + diffs[i].a + " vs " + diffs[i].b;
+  }
+  return out;
+}
+
 // ------------------------------------------------------------- tier 1 ----
 
 TEST(Snapshot, RestoreReserializesByteIdenticalPerHierarchyKey) {
@@ -99,31 +144,56 @@ TEST(Snapshot, GoldenCaptureIsDeterministic) {
 TEST(Snapshot, ResumeFromEverySnapshotMatchesGoldenCompletion) {
   // The actual fast-forward soundness claim: restore at ordinal C, attach a
   // replay injector with an EMPTY schedule (the fault-free trial), run the
-  // suffix — final stats and every architecturally-final word must equal
-  // the golden run's. A single field missing from the frame diverges here.
-  const Golden g = make_golden("puwmod", "laec", 2048);
-  ASSERT_TRUE(g.result.stats.completed);
-  ASSERT_GE(g.store->size(), 2u);
+  // suffix — the final state, every field and counter, and every
+  // architecturally-final word must equal the golden run's. A single field
+  // missing from the frame diverges here.
+  const core::SimConfig cfg = config_for("laec");
+  const auto& built = workloads::kernel_by_name("puwmod").build();
+  SnapshotStore store(2048, 0);
+  mem::ResidencyRecorder rec;
+  const auto golden =
+      core::run_program_keep_system(cfg, built.program, &rec, &store);
+  ASSERT_TRUE(golden.stats.completed);
+  ASSERT_GE(store.size(), 2u);
 
-  core::SimConfig replay = g.cfg;
+  core::SimConfig replay = cfg;
   ecc::InjectorConfig inj;
   inj.schedule = std::make_shared<ecc::TrialSchedule>();
   replay.faults = inj;
 
-  const auto& built = workloads::kernel_by_name("puwmod").build();
-  for (const auto& e : g.store->entries()) {
+  for (const auto& e : store.entries()) {
     auto r = core::run_program_resume(replay, *e->blob, e->ordinal);
     ASSERT_TRUE(r.stats.completed) << "ordinal " << e->ordinal;
-    EXPECT_EQ(r.stats.cycles, g.result.stats.cycles) << e->ordinal;
-    EXPECT_EQ(r.stats.instructions, g.result.stats.instructions) << e->ordinal;
-    EXPECT_EQ(r.stats.loads, g.result.stats.loads) << e->ordinal;
-    EXPECT_EQ(r.stats.load_hits, g.result.stats.load_hits) << e->ordinal;
-    EXPECT_EQ(r.stats.bus_transactions, g.result.stats.bus_transactions)
-        << e->ordinal;
+    const auto diffs = diff_system_state(*golden.system, *r.system);
+    EXPECT_TRUE(diffs.empty()) << "ordinal " << e->ordinal << describe(diffs);
     for (const auto& [addr, expect] : built.expected) {
       ASSERT_EQ(r.system->read_word_final(addr), expect)
           << "ordinal " << e->ordinal << " addr " << addr;
     }
+  }
+}
+
+TEST(Snapshot, RestoreIntoAFinishedSystemMatchesAFreshOne) {
+  // A restore overwrites a used system completely: its final-memory view
+  // (flushed at the end of its own run) must not survive, so reading the
+  // restored mid-run state flushes it exactly as a fresh system does.
+  const core::SimConfig cfg = config_for("laec");
+  const auto& built = workloads::kernel_by_name("puwmod").build();
+  SnapshotStore store(4096, 0);
+  mem::ResidencyRecorder rec;
+  auto used = core::run_program_keep_system(cfg, built.program, &rec, &store);
+  ASSERT_GE(store.size(), 1u);
+  for (const auto& [addr, expect] : built.expected) {
+    ASSERT_EQ(used.system->read_word_final(addr), expect);
+  }
+  const std::string& blob = *store.entries().front()->blob;
+  restore_system_state(*used.system, blob);
+  System fresh(core::make_system_config(cfg, /*trace_mode=*/false));
+  restore_system_state(fresh, blob);
+  EXPECT_EQ(state_digest(*used.system), state_digest(fresh));
+  for (const auto& [addr, expect] : built.expected) {
+    ASSERT_EQ(used.system->read_word_final(addr), fresh.read_word_final(addr))
+        << "addr " << addr;
   }
 }
 
@@ -143,6 +213,89 @@ TEST(Snapshot, TraceDrivenSystemRoundTrips) {
   System fresh(core::make_system_config(cfg, /*trace_mode=*/true), &unused);
   restore_system_state(fresh, blob);
   EXPECT_EQ(save_system_state(fresh), blob);
+}
+
+TEST(Snapshot, ContendedMulticoreSystemRoundTrips) {
+  // Bus queues and slots, traffic generators, the stride predictor and a
+  // second core only hold state under contention; restore and re-save it
+  // at several points of a write-through and a write-back run.
+  for (const std::string scheme : {"wt-parity", "laec"}) {
+    for (const int cycles : {1499, 14990}) {
+      const auto sys = contended_system(scheme, cycles);
+      const std::string blob = save_system_state(*sys);
+      System fresh(core::make_system_config(contended_config(scheme)));
+      restore_system_state(fresh, blob);
+      EXPECT_EQ(save_system_state(fresh), blob) << scheme << " @ " << cycles;
+      const auto diffs = diff_system_state(*sys, fresh);
+      EXPECT_TRUE(diffs.empty()) << scheme << " @ " << cycles << describe(diffs);
+    }
+  }
+}
+
+TEST(Snapshot, ReferenceBlobsPinTheLayout) {
+  // FNV-1a of whole reference blobs. The snapshot layout is the identity
+  // of kSnapshotVersion: a change here must come with a version bump and
+  // new pins (a deliberate change to what the simulator computes moves
+  // them too).
+  const Golden g = make_golden("puwmod", "laec", 2048);
+  ASSERT_GE(g.store->size(), 1u);
+  const auto& first = *g.store->entries().front();
+  EXPECT_EQ(first.ordinal, 2048u);
+  EXPECT_EQ(first.cycle, 18252u);
+  EXPECT_EQ(first.blob->size(), 554877u);
+  EXPECT_EQ(service::fnv1a(*first.blob), 0xc24d038e357407aeull);
+
+  const std::string wt = save_system_state(*contended_system("wt-parity", 1499));
+  EXPECT_EQ(wt.size(), 591748u);
+  EXPECT_EQ(service::fnv1a(wt), 0xf09265a8ac8909b7ull);
+  const std::string wb = save_system_state(*contended_system("laec", 14990));
+  EXPECT_EQ(wb.size(), 591720u);
+  EXPECT_EQ(service::fnv1a(wb), 0x16fded2024bd0a6aull);
+}
+
+TEST(Snapshot, DigestExcludesStatisticsAndDiffNamesTheField) {
+  const Golden g = make_golden("puwmod", "laec", 4096);
+  ASSERT_GE(g.store->size(), 1u);
+  const std::string& blob = *g.store->entries().front()->blob;
+  const auto make = [&] {
+    auto s = std::make_unique<System>(
+        core::make_system_config(g.cfg, /*trace_mode=*/false));
+    restore_system_state(*s, blob);
+    return s;
+  };
+  const auto a = make();
+  const auto b = make();
+  EXPECT_EQ(state_digest(*a), state_digest(*b));
+  EXPECT_TRUE(diff_system_state(*a, *b).empty());
+
+  // A counter is saved, diffed and tagged as a statistic, but the digest
+  // does not see it.
+  ++b->core(0).pipeline().stats().counter("loads");
+  EXPECT_NE(save_system_state(*a), save_system_state(*b));
+  EXPECT_EQ(state_digest(*a), state_digest(*b));
+  auto diffs = diff_system_state(*a, *b);
+  ASSERT_EQ(diffs.size(), 1u) << describe(diffs);
+  EXPECT_EQ(diffs[0].path, "cores[0].pipeline.stats.loads");
+  EXPECT_TRUE(diffs[0].stats);
+  EXPECT_EQ(std::stoull(diffs[0].b), std::stoull(diffs[0].a) + 1);
+
+  // A memory byte is state: the digest moves and the diff points at it.
+  const Addr addr = workloads::kernel_by_name("puwmod").build().program.data_base + 5;
+  mem::MainMemory& mem_b = b->memsys().memory();
+  mem_b.write_u8(addr, static_cast<u8>(~mem_b.read_u8(addr)));
+  EXPECT_NE(state_digest(*a), state_digest(*b));
+  diffs = diff_system_state(*a, *b);
+  ASSERT_EQ(diffs.size(), 2u) << describe(diffs);
+  const std::string page = std::to_string(addr >> mem::MainMemory::kPageBits);
+  const std::string byte =
+      std::to_string(addr & (mem::MainMemory::kPageSize - 1));
+  EXPECT_EQ(diffs[1].path, "memsys.memory.pages[" + page + "].bytes[" + byte + "]");
+  EXPECT_FALSE(diffs[1].stats);
+
+  // The cycle counter is state too.
+  const u64 before = state_digest(*a);
+  a->tick();
+  EXPECT_NE(state_digest(*a), before);
 }
 
 TEST(Snapshot, CorruptAndSkewedBlobsAreRejected) {
@@ -194,8 +347,14 @@ TEST(Snapshot, GeometryMismatchIsRejected) {
   core::SimConfig other = g.cfg;
   other.dl1_size_bytes = 4 * 1024;
   System sys(core::make_system_config(other, /*trace_mode=*/false));
-  EXPECT_THROW(restore_system_state(sys, *g.store->entries().front()->blob),
-               service::WireError);
+  try {
+    restore_system_state(sys, *g.store->entries().front()->blob);
+    FAIL() << "geometry-mismatched blob accepted";
+  } catch (const service::WireError& err) {
+    // The message names the field whose shape differs: the DL1 way count.
+    EXPECT_NE(std::string(err.what()).find("ways"), std::string::npos)
+        << err.what();
+  }
 }
 
 TEST(Snapshot, StoreThinsDeterministicallyUnderBudget) {
