@@ -56,13 +56,15 @@ int main(int argc, char** argv) {
 
   const auto vars = variants();
   runner::SweepGrid grid;
-  grid.workloads(kKernels).variants(vars).eccs(runner::fig8_schemes()).mode(
-      runner::RunMode::kProgram);
+  grid.workloads(kKernels)
+      .variants(vars)
+      .schemes(runner::fig8_scheme_keys())
+      .mode(runner::RunMode::kProgram);
   const auto summary = runner::run_sweep(grid, opts);
 
   // Grid order is workload-major (kernel x variant x scheme); fold into
   // per-variant average overheads over the three kernels.
-  const std::size_t ns = runner::fig8_schemes().size();
+  const std::size_t ns = runner::fig8_scheme_keys().size();
   const std::size_t nv = vars.size();
   std::vector<double> sum_ec(nv, 0), sum_es(nv, 0), sum_la(nv, 0);
   for (std::size_t k = 0; k < kKernels.size(); ++k) {

@@ -48,7 +48,7 @@ template <typename ExtraFn>
 
 inline core::SimConfig config_for(cpu::EccPolicy ecc) {
   core::SimConfig cfg;
-  cfg.ecc = ecc;
+  cfg.deployment = core::HierarchyDeployment::from_policy(ecc);
   return cfg;
 }
 

@@ -28,10 +28,12 @@ int main() {
   const auto& kernels = workloads::eembc_kernels();
   for (const auto& k : kernels) {
     const auto base = bench::run_calibrated(k, EccPolicy::kNoEcc);
-    const auto ebase = energy::compute(ep, base, EccPolicy::kNoEcc);
+    const auto ebase = energy::compute(
+        ep, base, core::HierarchyDeployment::from_policy(EccPolicy::kNoEcc));
     for (auto& [policy, acc] : accs) {
       const auto s = bench::run_calibrated(k, policy);
-      const auto e = energy::compute(ep, s, policy);
+      const auto e =
+          energy::compute(ep, s, core::HierarchyDeployment::from_policy(policy));
       acc.cycles += bench::ratio(s.cycles, base.cycles);
       acc.leak += e.leakage_uj / ebase.leakage_uj;
       acc.dyn += e.dynamic_uj / ebase.dynamic_uj;

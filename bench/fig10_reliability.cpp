@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
 
   // Adjacent-MBU-dominated shape mix: the scaled-node regime where burst
   // correction is the whole game.
-  ecc::MbuPatternTable patterns;
+  reliability::MbuPatternTable patterns;
   patterns.single = 0.10;
   patterns.adjacent_double = 0.70;
   patterns.adjacent_triple = 0.15;

@@ -37,11 +37,11 @@ struct Row {
 };
 
 /// Fold one sweep's slice of results (grid order: workload-major, the
-/// baseline-first runner::fig8_schemes() axis inner) into per-benchmark
+/// baseline-first runner::fig8_scheme_keys() axis inner) into per-benchmark
 /// overhead rows.
 std::vector<Row> to_rows(const std::vector<runner::PointResult>& rs,
                          std::size_t begin, std::size_t end) {
-  const std::size_t ns = runner::fig8_schemes().size();
+  const std::size_t ns = runner::fig8_scheme_keys().size();
   std::vector<Row> rows;
   for (std::size_t i = begin; i + ns <= end; i += ns) {
     const u64 base = rs[i].stats.cycles;
@@ -99,12 +99,12 @@ int main(int argc, char** argv) {
   // streamed header): calibrated-trace points first, kernel points second.
   runner::SweepGrid calibrated;
   calibrated.all_workloads()
-      .eccs(runner::fig8_schemes())
+      .schemes(runner::fig8_scheme_keys())
       .mode(runner::RunMode::kTrace)
       .trace_ops(120'000);
   runner::SweepGrid kernels;
   kernels.all_workloads()
-      .eccs(runner::fig8_schemes())
+      .schemes(runner::fig8_scheme_keys())
       .mode(runner::RunMode::kProgram);
 
   auto points = calibrated.points();

@@ -39,7 +39,7 @@ isa::Program worker(int iters, int store_period) {
 
 u64 run(cpu::EccPolicy ecc, unsigned co_runners, int store_period) {
   core::SimConfig cfg;
-  cfg.ecc = ecc;
+  cfg.deployment = core::HierarchyDeployment::from_policy(ecc);
   for (unsigned i = 0; i < co_runners; ++i) {
     sim::TrafficPattern t;
     t.gap_cycles = 0;

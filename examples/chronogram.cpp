@@ -32,7 +32,7 @@ void show(const char* title, cpu::EccPolicy ecc, bool addr_producer,
   const isa::Program p = a.finish();
 
   core::SimConfig cfg;
-  cfg.ecc = ecc;
+  cfg.deployment = core::HierarchyDeployment::from_policy(ecc);
   cfg.ecc_slot = slot;
   cfg.record_chronogram = true;
   sim::System sys(core::make_system_config(cfg));

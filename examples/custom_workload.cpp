@@ -46,18 +46,18 @@ isa::Program histogram_program() {
 }  // namespace
 
 int main() {
-  using cpu::EccPolicy;
+  const char* const kSchemes[] = {"no-ecc", "extra-cycle", "extra-stage",
+                                  "laec"};
 
   std::printf("=== 1. Assembled workload (histogram) across schemes ===\n\n");
   report::Table t1({"scheme", "cycles", "CPI", "vs no-ECC"});
   u64 base = 0;
-  for (EccPolicy p : {EccPolicy::kNoEcc, EccPolicy::kExtraCycle,
-                      EccPolicy::kExtraStage, EccPolicy::kLaec}) {
+  for (const char* scheme : kSchemes) {
     core::SimConfig cfg;
-    cfg.ecc = p;
+    cfg.set_scheme(scheme);
     const auto s = core::run_program(cfg, histogram_program());
-    if (p == EccPolicy::kNoEcc) base = s.cycles;
-    t1.add_row({std::string(to_string(p)), std::to_string(s.cycles),
+    if (base == 0) base = s.cycles;  // no-ecc leads
+    t1.add_row({scheme, std::to_string(s.cycles),
                 report::Table::num(s.cpi, 2),
                 report::Table::num(100.0 * (static_cast<double>(s.cycles) /
                                                 static_cast<double>(base) -
@@ -77,14 +77,13 @@ int main() {
 
   report::Table t2({"scheme", "cycles", "anticipated", "vs no-ECC"});
   base = 0;
-  for (EccPolicy p : {EccPolicy::kNoEcc, EccPolicy::kExtraCycle,
-                      EccPolicy::kExtraStage, EccPolicy::kLaec}) {
+  for (const char* scheme : kSchemes) {
     core::SimConfig cfg;
-    cfg.ecc = p;
+    cfg.set_scheme(scheme);
     workloads::SyntheticTrace trace(sp);
     const auto s = core::run_trace(cfg, trace);
-    if (p == EccPolicy::kNoEcc) base = s.cycles;
-    t2.add_row({std::string(to_string(p)), std::to_string(s.cycles),
+    if (base == 0) base = s.cycles;  // no-ecc leads
+    t2.add_row({scheme, std::to_string(s.cycles),
                 std::to_string(s.laec_anticipated),
                 report::Table::num(100.0 * (static_cast<double>(s.cycles) /
                                                 static_cast<double>(base) -

@@ -21,11 +21,9 @@ int main() {
   report::Table table({"DL1 scheme", "corrected", "parity refetches",
                        "detected-uncorrectable", "self-check"});
 
-  for (cpu::EccPolicy policy :
-       {cpu::EccPolicy::kLaec, cpu::EccPolicy::kWtParity,
-        cpu::EccPolicy::kNoEcc}) {
+  for (const char* scheme : {"laec", "wt-parity", "no-ecc"}) {
     core::SimConfig cfg;
-    cfg.ecc = policy;
+    cfg.set_scheme(scheme);
     ecc::InjectorConfig inj;
     inj.single_flip_prob = 0.002;  // one flip every ~500 word reads
     inj.seed = 2024;
@@ -41,7 +39,7 @@ int main() {
     for (const auto& [addr, expect] : kernel.expected) {
       bad += sys.read_word_final(addr) != expect;
     }
-    table.add_row({std::string(to_string(policy)),
+    table.add_row({scheme,
                    std::to_string(stats.ecc_corrected),
                    std::to_string(stats.parity_refetches),
                    std::to_string(stats.ecc_detected_uncorrectable),

@@ -33,10 +33,11 @@ int main() {
   a.halt();
   const isa::Program program = a.finish();
 
-  // 2. Configure the machine. EccPolicy picks the DL1 protection scheme:
-  //    kNoEcc / kExtraCycle / kExtraStage / kLaec / kWtParity.
+  // 2. Configure the machine. set_scheme picks the protection scheme by
+  //    key: no-ecc / extra-cycle / extra-stage / laec / wt-parity, a codec
+  //    name, or a compound hierarchy key (`laec_cli schemes` lists them).
   core::SimConfig cfg;
-  cfg.ecc = cpu::EccPolicy::kLaec;
+  cfg.set_scheme("laec");
 
   // 3. Run (run_program builds the NGMP-like system, loads, and simulates).
   const core::RunStats stats = core::run_program(cfg, program);

@@ -36,7 +36,7 @@ isa::Program store_loop(int iters) {
 
 u64 run(cpu::EccPolicy ecc, unsigned co_runners) {
   core::SimConfig cfg;
-  cfg.ecc = ecc;
+  cfg.deployment = core::HierarchyDeployment::from_policy(ecc);
   for (unsigned i = 0; i < co_runners; ++i) {
     sim::TrafficPattern t;
     t.gap_cycles = 0;  // saturating co-runner (worst-case-style pressure)

@@ -107,10 +107,6 @@ struct HierarchyDeployment {
   [[nodiscard]] std::string canonical_key() const;
 };
 
-/// Legacy name: PRs 1-2 described only the DL1 slot; the descriptor now
-/// covers the hierarchy but every single-level call site still works.
-using EccDeployment = HierarchyDeployment;
-
 [[nodiscard]] inline std::string_view to_string(const HierarchyDeployment& d) {
   return d.name;
 }

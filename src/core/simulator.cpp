@@ -34,9 +34,9 @@ sim::SystemConfig make_system_config(const SimConfig& cfg, bool trace_mode) {
   pp.max_cycles = cfg.max_cycles;
 
   // Expand the scheme descriptor: per-cache codec, scrub and recovery plus
-  // the DL1 write policy and stage placement all flow from the (possibly
-  // string-keyed) hierarchy deployment.
-  const HierarchyDeployment dep = cfg.effective_deployment();
+  // the DL1 write policy and stage placement all flow from the hierarchy
+  // deployment.
+  const HierarchyDeployment& dep = cfg.deployment;
   pp.ecc = dep.timing;
 
   mem::CacheConfig& dc = sc.core.dl1.cache;
@@ -140,7 +140,7 @@ RunStats collect_stats(sim::System& system, bool completed) {
 }
 
 unsigned injector_word_bits(const SimConfig& cfg) {
-  const HierarchyDeployment dep = cfg.effective_deployment();
+  const HierarchyDeployment& dep = cfg.deployment;
   std::string_view codec_key = dep.codec;
   if (cfg.inject_target == InjectTarget::kL1i) codec_key = dep.l1i.codec;
   if (cfg.inject_target == InjectTarget::kL2) codec_key = dep.l2.codec;

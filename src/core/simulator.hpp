@@ -49,33 +49,20 @@ enum class InjectTarget { kDl1, kL1i, kL2 };
 }
 
 struct SimConfig {
-  /// DL1 ECC deployment under study (legacy enum axis). When `deployment`
-  /// is unset this policy is expanded via HierarchyDeployment::from_policy:
-  /// kNoEcc -> unprotected write-back; kExtraCycle/kExtraStage/kLaec ->
-  /// SECDED write-back; kWtParity -> parity write-through. The L1I and L2
-  /// keep their canonical deployments (parity-32 / secded-39-32).
-  cpu::EccPolicy ecc = cpu::EccPolicy::kLaec;
-  /// Full string-keyed scheme descriptor for the whole hierarchy (per-cache
-  /// codec + scrub + recovery, DL1 write policy + stage placement). Takes
-  /// precedence over `ecc` when set; set_scheme() keeps the two in sync.
-  /// New code should select schemes this way.
-  std::optional<HierarchyDeployment> deployment;
+  /// Scheme descriptor for the whole hierarchy (per-cache codec + scrub +
+  /// recovery, DL1 write policy + stage placement). Defaults to the paper's
+  /// LAEC deployment; HierarchyDeployment::from_policy spells any of the
+  /// paper's five policies.
+  HierarchyDeployment deployment =
+      HierarchyDeployment::from_policy(cpu::EccPolicy::kLaec);
 
   /// Select the scheme by key (policy name, codec name, "placement:codec",
   /// or a compound key like "laec+l2:sec-daec-39-32" — see
-  /// HierarchyDeployment::parse). Keeps the legacy `ecc` enum in sync for
-  /// timing-model consumers. Throws std::invalid_argument for unknown keys.
+  /// HierarchyDeployment::parse). Throws std::invalid_argument for unknown
+  /// keys.
   SimConfig& set_scheme(std::string_view key) {
     deployment = HierarchyDeployment::parse(key);
-    ecc = deployment->timing;
     return *this;
-  }
-
-  /// The effective deployment: `deployment` when set, else the canonical
-  /// expansion of `ecc`.
-  [[nodiscard]] HierarchyDeployment effective_deployment() const {
-    return deployment.has_value() ? *deployment
-                                  : HierarchyDeployment::from_policy(ecc);
   }
   cpu::HazardRule hazard_rule = cpu::HazardRule::kExact;
   cpu::EccSlotPolicy ecc_slot = cpu::EccSlotPolicy::kAuto;

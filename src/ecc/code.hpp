@@ -12,35 +12,6 @@
 
 namespace laec::ecc {
 
-/// Which protection scheme a memory array uses. Legacy closed enumeration:
-/// new code should name codecs through the string-keyed registry
-/// (ecc/registry.hpp) — this enum survives as a shim for the three schemes
-/// the original reproduction hardwired.
-enum class CodecKind {
-  kNone,    ///< unprotected array
-  kParity,  ///< 1 parity bit per word: single-error detection only
-  kSecded,  ///< Hsiao SECDED: single-error correction, double-error detection
-};
-
-[[nodiscard]] constexpr std::string_view to_string(CodecKind k) {
-  switch (k) {
-    case CodecKind::kNone: return "none";
-    case CodecKind::kParity: return "parity";
-    case CodecKind::kSecded: return "secded";
-  }
-  // Every enumerator is handled above; reaching here is a caller bug.
-  return "invalid-codec-kind";
-}
-
-/// Inverse of to_string(CodecKind); nullopt for unknown spellings.
-[[nodiscard]] constexpr std::optional<CodecKind> codec_kind_from_string(
-    std::string_view s) {
-  if (s == "none") return CodecKind::kNone;
-  if (s == "parity") return CodecKind::kParity;
-  if (s == "secded") return CodecKind::kSecded;
-  return std::nullopt;
-}
-
 /// Outcome of checking one protected word.
 enum class CheckStatus {
   kOk,                     ///< syndrome clean, data delivered as stored

@@ -1,8 +1,6 @@
 #include "ecc/injector.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace laec::ecc {
 
@@ -49,13 +47,12 @@ FlipSet FaultInjector::flips_for_access(u64 word_index) {
     return flips;
   }
   // Scripted flips first (entries matching this word fire together). The
-  // inline FlipSet keeps the random modes' worst case in reserve — 2 slots
-  // for the Bernoulli draw plus 4 for a clustered pattern event; an
+  // inline FlipSet keeps the Bernoulli draw's 2 slots in reserve; an
   // (absurdly long) scripted pile-up past that stays queued and fires on
   // the word's NEXT access instead of overflowing.
-  const unsigned reserve = 2u + (cfg_.event_prob > 0 ? 4u : 0u);
+  constexpr unsigned kReserve = 2;
   for (auto it = scripted_.begin();
-       it != scripted_.end() && flips.size() + reserve < FlipSet::kMax;) {
+       it != scripted_.end() && flips.size() + kReserve < FlipSet::kMax;) {
     if (it->first == word_index) {
       flips.push(it->second);
       ++injected_scripted_;
@@ -81,99 +78,7 @@ FlipSet FaultInjector::flips_for_access(u64 word_index) {
     flips.push(static_cast<unsigned>(rng_.below(cfg_.word_bits)));
     ++injected_single_;
   }
-  if (cfg_.event_prob > 0 && rng_.chance(cfg_.event_prob)) {
-    // How many events struck this window? Legacy mode (event_lambda == 0):
-    // exactly one, and the RNG stream is untouched. Campaign mode: a
-    // zero-truncated Poisson draw, so acceleration high enough to saturate
-    // event_prob at 1.0 still distinguishes one-upset windows from pile-ups.
-    const unsigned events = cfg_.event_lambda > 0 ? sample_event_count() : 1u;
-    for (unsigned e = 0; e < events; ++e) {
-      // A clustered event needs up to 4 slots; deliver only while the whole
-      // worst case fits, and make the overflow visible instead of letting
-      // FlipSet::push drop flips mid-pattern.
-      if (flips.size() + 4u <= FlipSet::kMax) {
-        push_pattern_event(flips);
-      } else {
-        ++dropped_events_;
-      }
-    }
-  }
   return flips;
-}
-
-unsigned FaultInjector::draw_event_count(Rng& rng, double lambda) {
-  // Largest event count one access window can meaningfully attempt: the
-  // FlipSet holds kMax flips and the smallest event is a single, so
-  // anything past kMax is guaranteed surplus (it still counts as dropped).
-  constexpr unsigned kMaxEventsPerAccess = FlipSet::kMax;
-  const double lam = lambda;
-  // P(K >= 1) and P(K = 1); at extreme acceleration exp(-lam) underflows to
-  // 0 and the distribution's mass sits far above the cap — saturate.
-  const double denom = -std::expm1(-lam);
-  const double p1 = std::exp(-lam) * lam;
-  if (!(denom > 0.0) || !(p1 > 0.0)) return kMaxEventsPerAccess;
-  // Inverse transform over the zero-truncated pmf p_k / denom.
-  double u = rng.uniform() * denom;
-  double pk = p1;
-  unsigned k = 1;
-  while (u > pk && k < kMaxEventsPerAccess) {
-    u -= pk;
-    ++k;
-    pk *= lam / static_cast<double>(k);
-  }
-  return k;
-}
-
-unsigned FaultInjector::sample_event_count() {
-  return draw_event_count(rng_, cfg_.event_lambda);
-}
-
-bool FaultInjector::draw_pattern_event(Rng& rng, const MbuPatternTable& t,
-                                       unsigned word_bits, FlipSet& flips) {
-  const double total = t.total();
-  if (total <= 0) return false;
-  const unsigned n = word_bits;
-  double u = rng.uniform() * total;
-  if ((u -= t.single) < 0 || n < 3) {
-    flips.push(static_cast<unsigned>(rng.below(n)));
-    return true;
-  }
-  if ((u -= t.adjacent_double) < 0) {
-    const unsigned a = static_cast<unsigned>(rng.below(n - 1));
-    flips.push(a);
-    flips.push(a + 1);
-    return true;
-  }
-  if ((u -= t.adjacent_triple) < 0) {
-    const unsigned a = static_cast<unsigned>(rng.below(n - 2));
-    flips.push(a);
-    flips.push(a + 1);
-    flips.push(a + 2);
-    return true;
-  }
-  // Clustered: 2-4 distinct flips inside an 8-bit physical window (narrower
-  // when the codeword itself is).
-  const unsigned window = n < 8 ? n : 8;
-  const unsigned start = static_cast<unsigned>(rng.below(n - window + 1));
-  unsigned want = 2 + static_cast<unsigned>(rng.below(3));
-  if (want > window) want = window;
-  unsigned chosen[4];
-  unsigned count = 0;
-  while (count < want) {
-    const unsigned off = static_cast<unsigned>(rng.below(window));
-    bool dup = false;
-    for (unsigned i = 0; i < count; ++i) dup = dup || chosen[i] == off;
-    if (dup) continue;
-    chosen[count++] = off;
-    flips.push(start + off);
-  }
-  return true;
-}
-
-void FaultInjector::push_pattern_event(FlipSet& flips) {
-  if (draw_pattern_event(rng_, cfg_.patterns, cfg_.word_bits, flips)) {
-    ++injected_pattern_;
-  }
 }
 
 }  // namespace laec::ecc

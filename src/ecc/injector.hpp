@@ -1,17 +1,15 @@
 // Soft-error (bit flip) injection for the simulated memory arrays.
 //
-// Three modes compose:
+// Three modes:
 //  * scripted faults — exact (word index, bit position) pairs queued by tests
 //    and examples; injected on the next matching access;
 //  * random faults — Bernoulli per-word-access flip probabilities for single
 //    and double upsets, driven by the deterministic library RNG (the paper's
-//    fault model: "we do not consider MBUs", §V);
-//  * pattern-table events — the reliability campaign mode: each access
-//    suffers an upset EVENT with probability event_prob, and the event's
-//    spatial shape (single / adjacent-double / adjacent-triple / clustered)
-//    is drawn from a configurable MBU pattern-probability table, matching
-//    the scaled-node multi-cell-upset geometries the SEC-DAEC(-TAEC)
-//    literature evaluates against.
+//    fault model: "we do not consider MBUs", §V); scripted and random flips
+//    compose;
+//  * replay — the reliability campaign mode: a whole trial storm, pre-drawn
+//    over a golden run's exposure windows (reliability/schedule.hpp), is
+//    delivered verbatim by consultation ordinal.
 #pragma once
 
 #include <cassert>
@@ -28,11 +26,10 @@ namespace laec::ecc {
 /// Flip positions sampled for one word access. A fixed-capacity inline
 /// array: the hot injection path (every read of every protected word under
 /// a fault storm) allocates nothing. Random storms produce at most 2 flips
-/// per access and a pattern-table event at most 4 (the largest clustered
-/// MBU); scripted campaigns fill whatever capacity the enabled random
-/// modes do not reserve, with any surplus left queued for the word's next
-/// access (see FaultInjector::flips_for_access), so the capacity can never
-/// overflow.
+/// per access; scripted campaigns fill the capacity the random draw does
+/// not reserve, with any surplus left queued for the word's next access
+/// (see FaultInjector::flips_for_access), and pre-drawn schedules budget
+/// their deliveries the same way, so the capacity can never overflow.
 class FlipSet {
  public:
   static constexpr unsigned kMax = 8;
@@ -67,24 +64,6 @@ class FlipSet {
   unsigned count_ = 0;
 };
 
-/// Relative probabilities of the spatial shape of one upset event
-/// (campaign mode). Weights need not sum to 1; they are normalized by
-/// total(). The default table is SEU-only.
-struct MbuPatternTable {
-  double single = 1.0;
-  double adjacent_double = 0.0;
-  double adjacent_triple = 0.0;
-  /// 2-4 distinct flips inside an 8-bit physical neighbourhood — the
-  /// diagonal/split cluster geometry adjacent-correcting codes do NOT
-  /// guarantee to handle.
-  double clustered = 0.0;
-
-  [[nodiscard]] double total() const {
-    return single + adjacent_double + adjacent_triple + clustered;
-  }
-  [[nodiscard]] bool operator==(const MbuPatternTable&) const = default;
-};
-
 /// A trial's complete fault storm, pre-drawn by the campaign pruner from a
 /// golden run's recorded exposure windows (see reliability/schedule.hpp).
 /// `deliveries` lists the flips reaching the decoder, keyed by injector
@@ -110,22 +89,6 @@ struct InjectorConfig {
   /// real-world MBU geometry, and the case SEC-DAEC corrects while SECDED
   /// only detects. When false, double-flip positions are independent.
   bool adjacent_doubles = false;
-  /// Campaign (pattern-table) mode: per-access probability that the word
-  /// suffered one upset event since its last access; the event's shape is
-  /// drawn from `patterns`. Composes with (but is normally used instead
-  /// of) the single/double Bernoulli rates above.
-  double event_prob = 0.0;
-  /// Poisson mean of the number of upset events per access window (the
-  /// campaign sets it to the same rate*exposure product event_prob is
-  /// derived from). When > 0 and an access draws an event, the event COUNT
-  /// comes from a zero-truncated Poisson with this mean, so heavily
-  /// accelerated campaigns (event_prob saturating toward 1) keep their
-  /// multi-event windows instead of silently collapsing every window to a
-  /// single upset. 0 (the default) keeps the legacy one-event-per-window
-  /// behaviour and an unchanged RNG stream. Events that no longer fit the
-  /// FlipSet budget are counted (faults_dropped), never silently lost.
-  double event_lambda = 0.0;
-  MbuPatternTable patterns;
   /// Bits eligible for flipping: data bits plus check bits of one word.
   unsigned word_bits = 39;  // (39,32) SECDED codeword by default
   u64 seed = 0x5eed;
@@ -160,31 +123,18 @@ class FaultInjector {
 
   [[nodiscard]] bool enabled() const {
     return cfg_.schedule != nullptr || cfg_.single_flip_prob > 0 ||
-           cfg_.double_flip_prob > 0 || cfg_.event_prob > 0 ||
-           !scripted_.empty();
+           cfg_.double_flip_prob > 0 || !scripted_.empty();
   }
-
-  /// Number of events in a window that drew at least one: zero-truncated
-  /// Poisson(lambda), inverse-transform, capped at FlipSet::kMax. Exposed
-  /// statically so the campaign pruner replays the exact per-trial RNG
-  /// stream the injector would consume.
-  [[nodiscard]] static unsigned draw_event_count(Rng& rng, double lambda);
-
-  /// Draw one pattern-table event's shape into `flips` (campaign mode).
-  /// Returns false — consuming no RNG — when the table is all-zero.
-  /// Statically exposed for the same RNG-replay reason as above.
-  static bool draw_pattern_event(Rng& rng, const MbuPatternTable& patterns,
-                                 unsigned word_bits, FlipSet& flips);
 
   [[nodiscard]] u64 injected_single() const { return injected_single_; }
   [[nodiscard]] u64 injected_double() const { return injected_double_; }
   [[nodiscard]] u64 injected_scripted() const { return injected_scripted_; }
-  /// Pattern-table events delivered (campaign mode), by drawn shape.
+  /// Replay mode: the schedule's upset events (delivered and masked alike).
   [[nodiscard]] u64 injected_pattern() const { return injected_pattern_; }
-  /// Pattern-table events sampled but NOT delivered because the access's
-  /// FlipSet budget was exhausted (extreme-acceleration saturation). A
-  /// nonzero count means the campaign's acceleration outran the modeled
-  /// per-word fault capacity — visible in the campaign CSV, not silent.
+  /// Replay mode: the schedule's events that did NOT fit an access's
+  /// FlipSet budget (extreme-acceleration saturation). A nonzero count
+  /// means the campaign's acceleration outran the modeled per-word fault
+  /// capacity — visible in the campaign CSV, not silent.
   [[nodiscard]] u64 faults_dropped() const { return dropped_events_; }
   /// Every injection event this injector delivered, across all modes.
   [[nodiscard]] u64 injected_total() const {
@@ -193,11 +143,6 @@ class FaultInjector {
   }
 
  private:
-  /// Append one pattern-table event's flips (campaign mode).
-  void push_pattern_event(FlipSet& flips);
-  /// Member shim over draw_event_count (uses cfg_.event_lambda and rng_).
-  [[nodiscard]] unsigned sample_event_count();
-
   InjectorConfig cfg_;
   Rng rng_;
   std::deque<std::pair<u64, unsigned>> scripted_;

@@ -44,7 +44,7 @@ CodecRegistry::CodecRegistry() {
   builtin("dec-bch-45-32", [] {
     return std::make_shared<const DecBchCodec>(dec_bch32(), "dec-bch-45-32");
   });
-  // Legacy spellings (the CodecKind vocabulary) alias the 32-bit defaults.
+  // Short legacy spellings alias the 32-bit defaults.
   builtin("parity", [] { return std::make_shared<const ParityCodec>(32); });
   builtin("secded", [] {
     return std::make_shared<const SecdedCodec>(secded32(), "secded-39-32");
@@ -117,15 +117,6 @@ bool codec_registered(std::string_view name) {
 bool register_codec(std::string name, CodecFactory factory) {
   CodecRegistry::instance().add(std::move(name), std::move(factory));
   return true;
-}
-
-std::shared_ptr<const Codec> make_codec(CodecKind kind) {
-  switch (kind) {
-    case CodecKind::kNone: return make_codec("none");
-    case CodecKind::kParity: return make_codec("parity-32");
-    case CodecKind::kSecded: return make_codec("secded-39-32");
-  }
-  throw std::invalid_argument("make_codec: invalid CodecKind");
 }
 
 }  // namespace laec::ecc

@@ -67,9 +67,4 @@ class CodecRegistry {
 /// Static-initializer-friendly registration hook (returns true).
 bool register_codec(std::string name, CodecFactory factory);
 
-/// Enum shim for the legacy CodecKind call sites: maps the closed enum onto
-/// the registry's 32-bit-word defaults (kNone -> "none", kParity ->
-/// "parity-32", kSecded -> "secded-39-32").
-[[nodiscard]] std::shared_ptr<const Codec> make_codec(CodecKind kind);
-
 }  // namespace laec::ecc

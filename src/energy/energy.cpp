@@ -124,9 +124,4 @@ EnergyBreakdown compute(const EnergyParams& p, const core::RunStats& stats,
   return b;
 }
 
-EnergyBreakdown compute(const EnergyParams& p, const core::RunStats& stats,
-                        cpu::EccPolicy policy) {
-  return compute(p, stats, core::HierarchyDeployment::from_policy(policy));
-}
-
 }  // namespace laec::energy

@@ -13,7 +13,6 @@
 #pragma once
 
 #include "core/simulator.hpp"
-#include "cpu/pipeline_config.hpp"
 
 namespace laec::energy {
 
@@ -66,10 +65,5 @@ struct CodecEnergy {
 [[nodiscard]] EnergyBreakdown compute(const EnergyParams& p,
                                       const core::RunStats& stats,
                                       const core::HierarchyDeployment& deployment);
-
-/// Legacy enum shim: expands `policy` to its canonical deployment.
-[[nodiscard]] EnergyBreakdown compute(const EnergyParams& p,
-                                      const core::RunStats& stats,
-                                      cpu::EccPolicy policy);
 
 }  // namespace laec::energy

@@ -20,16 +20,29 @@ namespace laec::mem {
 
 SetAssocCache::SetAssocCache(const CacheConfig& cfg)
     : cfg_(cfg), codec_(cfg.codec.get()) {
-  assert(is_pow2(cfg_.size_bytes) && is_pow2(cfg_.line_bytes));
-  assert(cfg_.size_bytes % (cfg_.line_bytes * cfg_.ways) == 0);
-  assert(cfg_.line_bytes % 4 == 0);
-  // Hard runtime bound (line_bytes is user-settable through SimConfig):
-  // the bulk-decode scratch on the writeback path is a fixed stack array.
+  // Geometry is user-settable (CLI flags, daemon job bytes), so every bound
+  // is a runtime check, not an assert.
+  const auto reject = [&](const std::string& why) {
+    throw std::invalid_argument("cache \"" + cfg_.name + "\": " + why);
+  };
+  if (!is_pow2(cfg_.size_bytes) || !is_pow2(cfg_.line_bytes)) {
+    reject("size " + std::to_string(cfg_.size_bytes) + " B and line " +
+           std::to_string(cfg_.line_bytes) + " B must be powers of two");
+  }
+  if (cfg_.line_bytes % 4 != 0) {
+    reject("line " + std::to_string(cfg_.line_bytes) +
+           " B is not a whole number of 32-bit words");
+  }
+  // The bulk-decode scratch on the writeback path is a fixed stack array.
   if (cfg_.line_bytes > kMaxLineBytes) {
-    throw std::invalid_argument(
-        "cache \"" + cfg_.name + "\": line_bytes " +
-        std::to_string(cfg_.line_bytes) + " exceeds the supported maximum " +
-        std::to_string(kMaxLineBytes));
+    reject("line_bytes " + std::to_string(cfg_.line_bytes) +
+           " exceeds the supported maximum " + std::to_string(kMaxLineBytes));
+  }
+  if (cfg_.ways == 0 ||
+      cfg_.size_bytes % (u64{cfg_.line_bytes} * cfg_.ways) != 0) {
+    reject(std::to_string(cfg_.ways) + " ways of " +
+           std::to_string(cfg_.line_bytes) + " B lines do not divide " +
+           std::to_string(cfg_.size_bytes) + " B into whole sets");
   }
   assert((codec_ == nullptr || codec_->data_bits() == 32) &&
          "cache arrays protect 32-bit words");

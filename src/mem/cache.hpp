@@ -84,8 +84,8 @@ struct CacheConfig {
   WritePolicy write_policy = WritePolicy::kWriteBack;
   AllocPolicy alloc_policy = AllocPolicy::kWriteAllocate;
   /// Word codec; nullptr means unprotected. Construct by registry name
-  /// (ecc::make_codec("secded-39-32")) or via the CodecKind enum shim.
-  /// Must protect 32-bit words (the array's word granularity).
+  /// (ecc::make_codec("secded-39-32")). Must protect 32-bit words (the
+  /// array's word granularity).
   std::shared_ptr<const ecc::Codec> codec;
   /// Write the corrected word back into the array after a correction
   /// (scrubbing); prevents a second strike from accumulating.

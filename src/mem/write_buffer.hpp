@@ -10,6 +10,7 @@
 #pragma once
 
 #include <deque>
+#include <stdexcept>
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -41,6 +42,11 @@ struct WriteBufferParams {
 class WriteBuffer {
  public:
   explicit WriteBuffer(const WriteBufferParams& p = {}) : params_(p) {
+    // A zero-depth buffer could never accept a store: the core would stall
+    // until the cycle limit.
+    if (p.depth == 0) {
+      throw std::invalid_argument("write buffer depth must be at least 1");
+    }
     occupancy_max_ = &stats_.counter("max_occupancy");
     pushes_ = &stats_.counter("pushes");
     full_stall_events_ = &stats_.counter("full_stall_events");

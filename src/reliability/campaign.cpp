@@ -1,7 +1,6 @@
 #include "reliability/campaign.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -54,7 +53,7 @@ std::optional<RatePoint> tech_preset(std::string_view name) {
 }
 
 std::optional<RatePoint> parse_rate(
-    std::string_view token, const ecc::MbuPatternTable& default_patterns) {
+    std::string_view token, const MbuPatternTable& default_patterns) {
   if (auto p = tech_preset(token); p.has_value()) return p;
   try {
     std::size_t used = 0;
@@ -145,26 +144,6 @@ TrialOutcome classify_trial(const runner::PointResult& r) {
     return TrialOutcome::kCorrected;
   }
   return TrialOutcome::kMasked;
-}
-
-double event_lambda_for(const CampaignSpec& spec, double fit_per_mbit,
-                        unsigned codeword_bits) {
-  // FIT/Mbit -> upsets per bit-hour -> accelerated upsets per word-hour.
-  const double per_bit_hour = fit_per_mbit * 1e-9 / (1024.0 * 1024.0);
-  const double per_word_hour =
-      per_bit_hour * static_cast<double>(codeword_bits) * spec.accel;
-  const double exposure_hours = static_cast<double>(spec.exposure_cycles) /
-                                (spec.freq_mhz * 1e6) / 3600.0;
-  return per_word_hour * exposure_hours;
-}
-
-double event_prob_for(const CampaignSpec& spec, double fit_per_mbit,
-                      unsigned codeword_bits) {
-  // P(at least one Poisson arrival during the exposure window). expm1
-  // keeps precision where 1 - exp(-x) would cancel to 0 for tiny rates;
-  // saturation to exactly 1.0 at extreme acceleration is the correct limit
-  // (the event COUNT then comes from InjectorConfig::event_lambda).
-  return -std::expm1(-event_lambda_for(spec, fit_per_mbit, codeword_bits));
 }
 
 unsigned target_codeword_bits(const core::SimConfig& cfg) {
@@ -259,22 +238,10 @@ struct CellState {
 
 CellProgress cell_progress(const CellState& st) {
   CellProgress p;
+  static_cast<CellCounters&>(p) = st.res;
   p.index = st.res.cell.index;
   p.done = st.done;
   p.finished = st.finished;
-  p.trials = st.res.trials;
-  p.events = st.res.events;
-  p.events_dropped = st.res.events_dropped;
-  p.masked = st.res.masked;
-  p.corrected = st.res.corrected;
-  p.due_recovered = st.res.due_recovered;
-  p.sdc = st.res.sdc;
-  p.data_loss = st.res.data_loss;
-  p.total_cycles = st.res.total_cycles;
-  p.pruned = st.res.pruned;
-  p.fast_forwarded = st.res.fast_forwarded;
-  p.cycles_skipped = st.res.cycles_skipped;
-  p.device_hours = st.res.device_hours;
   return p;
 }
 
@@ -291,19 +258,7 @@ void restore_progress(CellState& st, const CellProgress& p,
   }
   st.done = p.done;
   st.finished = p.finished || p.done >= spec.trials;
-  st.res.trials = p.trials;
-  st.res.events = p.events;
-  st.res.events_dropped = p.events_dropped;
-  st.res.masked = p.masked;
-  st.res.corrected = p.corrected;
-  st.res.due_recovered = p.due_recovered;
-  st.res.sdc = p.sdc;
-  st.res.data_loss = p.data_loss;
-  st.res.total_cycles = p.total_cycles;
-  st.res.pruned = p.pruned;
-  st.res.fast_forwarded = p.fast_forwarded;
-  st.res.cycles_skipped = p.cycles_skipped;
-  st.res.device_hours = p.device_hours;
+  static_cast<CellCounters&>(st.res) = p;
 }
 
 /// Fold one classified trial into the cell. Shared by the simulated and
@@ -425,10 +380,10 @@ CampaignSummary run_campaign(const std::vector<CampaignCell>& cells,
 
   // This shard's slice, in grid order. Each cell's SimConfig is built once:
   // scheme applied, storm targeted, per-cycle Poisson rate derived from the
-  // rate and the targeted codec's codeword width. The InjectorConfig holds
-  // only the pattern table — every trial's storm is pre-drawn over the
-  // golden run's exposure windows and attached as a replay schedule, with
-  // pruning on AND off (the two modes differ only in which trials simulate).
+  // rate and the targeted codec's codeword width. The InjectorConfig starts
+  // empty — every trial's storm is pre-drawn over the golden run's exposure
+  // windows and attached as a replay schedule, with pruning on AND off (the
+  // two modes differ only in which trials simulate).
   std::vector<CellState> states;
   for (const auto& c : cells) {
     if (c.index % opts.shard_count != opts.shard_index) continue;
@@ -438,9 +393,7 @@ CampaignSummary run_campaign(const std::vector<CampaignCell>& cells,
     st.cfg = spec.base;
     st.cfg.set_scheme(c.scheme);
     st.cfg.inject_target = spec.target;
-    ecc::InjectorConfig inj;
-    inj.patterns = c.rate.patterns;
-    st.cfg.faults = inj;
+    st.cfg.faults.emplace();
     st.word_bits = target_codeword_bits(st.cfg);
     st.lambda_scale =
         window_lambda_scale(spec, c.rate.fit_per_mbit, st.word_bits);

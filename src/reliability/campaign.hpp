@@ -5,19 +5,20 @@
 // it — is a reliability-per-cost trade, yet raw fault-injection counters
 // ("this run saw 37 corrections") say nothing about failure RATES. This
 // subsystem turns the existing pieces (SweepRunner trials, the codec
-// registry, the pattern-table injector) into a statistics-grade evaluator:
+// registry, the replaying injector) into a statistics-grade evaluator:
 //
 //   * a campaign cell is one (workload, scheme, rate) point; the rate is a
 //     raw per-bit SEU rate in FIT/Mbit (technology-node presets bundle the
 //     rate with that node's characteristic MBU shape mix);
 //   * fault arrivals are a Poisson process in device time, accelerated by
 //     spec.accel so upsets actually land inside a few hundred microseconds
-//     of simulated execution: the per-access event probability is
-//     1 - exp(-rate_bit * codeword_bits * accel * exposure), the chance at
-//     least one (accelerated) upset struck the word during its exposure
-//     window; the event's spatial shape (single / adjacent-double /
-//     adjacent-triple / clustered) is drawn from the cell's MBU pattern
-//     table and lands on live codeword bits of the targeted cache;
+//     of simulated execution: each recorded exposure window of a word
+//     suffers >= 1 upset with probability
+//     1 - exp(-rate_bit * codeword_bits * accel * gap), gap being the
+//     window's length; the event's spatial shape (single / adjacent-double
+//     / adjacent-triple / clustered) is drawn from the cell's MBU pattern
+//     table and lands on live codeword bits of the targeted cache (the
+//     per-window draw is reliability/schedule.hpp);
 //   * every cell runs N independent trials (SweepPoint replicates — same
 //     trace, independent fault sequences, paired across schemes) and each
 //     trial is classified by severity: masked, corrected, DUE-recovered,
@@ -45,7 +46,7 @@
 #include <vector>
 
 #include "core/simulator.hpp"
-#include "ecc/injector.hpp"
+#include "reliability/schedule.hpp"
 #include "reliability/stats.hpp"
 #include "report/sink.hpp"
 #include "runner/sweep_runner.hpp"
@@ -57,7 +58,7 @@ namespace laec::reliability {
 struct RatePoint {
   std::string label;  ///< what the CSV "rate" column reports
   double fit_per_mbit = 1000.0;
-  ecc::MbuPatternTable patterns;
+  MbuPatternTable patterns;
 };
 
 /// Technology-node presets: per-bit SEU rates and MBU shape mixes
@@ -73,19 +74,13 @@ struct RatePoint {
 /// Parse a rate-axis token: a preset name, or a numeric FIT/Mbit value
 /// (which inherits `default_patterns`). nullopt for an unparsable token.
 [[nodiscard]] std::optional<RatePoint> parse_rate(
-    std::string_view token, const ecc::MbuPatternTable& default_patterns);
+    std::string_view token, const MbuPatternTable& default_patterns);
 
 /// Campaign-wide knobs (the per-cell axes live in CampaignGrid).
 struct CampaignSpec {
   /// Fault-process time acceleration. 1e16 makes a ~1000 FIT/Mbit storm
   /// land a handful of events on a typical kernel trial.
   double accel = 1e16;
-  /// Legacy fixed exposure window, in cycles. Campaign trials now measure
-  /// true per-word inter-access gaps from the golden run (see
-  /// reliability/schedule.hpp); this knob only feeds the historical
-  /// event_prob_for/event_lambda_for helpers (kept for tests and direct
-  /// injector users) and remains part of the campaign identity hash.
-  unsigned exposure_cycles = 1000;
   double freq_mhz = 150.0;  ///< LEON4-class clock (Table I)
   /// Trials per cell (the maximum, when the stopping rule is armed).
   unsigned trials = 96;
@@ -189,31 +184,16 @@ enum class TrialOutcome {
   return o == TrialOutcome::kSdc || o == TrialOutcome::kDataLoss;
 }
 
-/// The per-access upset-event probability the Poisson model yields for a
-/// codeword of `codeword_bits` under `fit_per_mbit` accelerated by
-/// spec.accel (see file comment).
-[[nodiscard]] double event_prob_for(const CampaignSpec& spec,
-                                    double fit_per_mbit,
-                                    unsigned codeword_bits);
-
-/// The raw Poisson mean behind event_prob_for: accelerated upset events per
-/// codeword per exposure window. Fed to InjectorConfig::event_lambda so
-/// saturated acceleration (event_prob -> 1) still draws multi-event windows
-/// instead of collapsing them to single upsets.
-[[nodiscard]] double event_lambda_for(const CampaignSpec& spec,
-                                      double fit_per_mbit,
-                                      unsigned codeword_bits);
-
 /// Codeword width (data + check bits) of the cache level cfg's storm
 /// targets — delegates to core::injector_word_bits, the same definition
 /// attach_injector sizes the flip universe with.
 [[nodiscard]] unsigned target_codeword_bits(const core::SimConfig& cfg);
 
-/// Aggregated result of one cell.
-struct CellResult {
-  CampaignCell cell;
-  /// Which array the storm struck (copied from the spec for the row).
-  core::InjectTarget target = core::InjectTarget::kDl1;
+/// The per-cell tallies a campaign accumulates, shared by the live
+/// CellResult and its resumable CellProgress cursor (copying one into the
+/// other is a base-class assignment). visit_counters() is their one field
+/// list, in checkpoint order.
+struct CellCounters {
   u64 trials = 0;
   u64 events = 0;  ///< fault events injected across the cell's trials
   /// Upset events the acceleration demanded but the per-access flip budget
@@ -227,13 +207,6 @@ struct CellResult {
   u64 sdc = 0;
   u64 data_loss = 0;
   u64 total_cycles = 0;
-  /// De-accelerated real device-hours the trials represent.
-  double device_hours = 0.0;
-  /// Per-fault derating factor: failing trials / injected events (0 when
-  /// no event landed). The classic AVF-style estimate of P(fault ->
-  /// failure); accurate when events-per-trial is around 1 (a trial counts
-  /// at most one failure, so heavily accelerated storms understate it).
-  double avf = 0.0;
   /// Trials whose pre-drawn storm was provably masked (every event on a
   /// dead exposure window). Counted identically with pruning on or off;
   /// only whether they were SIMULATED differs.
@@ -250,37 +223,57 @@ struct CellResult {
   /// the restores avoid. Not a CSV column — identical across modes but an
   /// estimate, not a measurement.
   u64 cycles_skipped = 0;
-  /// Resident-time-weighted fault exposure: mean per-word inter-access gap
-  /// in cycles over the golden run's recorded windows.
-  double mean_exposure_cycles = 0.0;
-  RateEstimate est;  ///< p_fail + CI, FIT (+ CI), MTTF
+  /// De-accelerated real device-hours the trials represent. Must round-trip
+  /// bit-exactly through a checkpoint to keep resumed rows byte-identical.
+  double device_hours = 0.0;
 
   [[nodiscard]] u64 failures() const { return sdc + data_loss; }
 };
 
+/// Call v(field) on every CellCounters field, in checkpoint order (const or
+/// mutable `c`).
+template <class Counters, class V>
+void visit_counters(Counters& c, V&& v) {
+  v(c.trials);
+  v(c.events);
+  v(c.events_dropped);
+  v(c.masked);
+  v(c.corrected);
+  v(c.due_recovered);
+  v(c.sdc);
+  v(c.data_loss);
+  v(c.total_cycles);
+  v(c.pruned);
+  v(c.fast_forwarded);
+  v(c.cycles_skipped);
+  v(c.device_hours);
+}
+
+/// Aggregated result of one cell.
+struct CellResult : CellCounters {
+  CampaignCell cell;
+  /// Which array the storm struck (copied from the spec for the row).
+  core::InjectTarget target = core::InjectTarget::kDl1;
+  /// Per-fault derating factor: failing trials / injected events (0 when
+  /// no event landed). The classic AVF-style estimate of P(fault ->
+  /// failure); accurate when events-per-trial is around 1 (a trial counts
+  /// at most one failure, so heavily accelerated storms understate it).
+  double avf = 0.0;
+  /// Resident-time-weighted fault exposure: mean per-word inter-access gap
+  /// in cycles over the golden run's recorded windows.
+  double mean_exposure_cycles = 0.0;
+  RateEstimate est;  ///< p_fail + CI, FIT (+ CI), MTTF
+};
+
 /// Restorable cursor of one cell mid-campaign: how many trials ran and the
-/// severity counters they accumulated. Trial seeds derive from (base_seed,
-/// workload identity, trial index), so "resume trial `done`" reproduces the
-/// exact storm an uninterrupted run would have drawn — the cursor IS the
-/// full per-cell RNG state. device_hours must round-trip bit-exactly
-/// (checkpoints store its IEEE bits) to keep resumed rows byte-identical.
-struct CellProgress {
+/// counters they accumulated. Trial seeds derive from (base_seed, workload
+/// identity, trial index), so "resume trial `done`" reproduces the exact
+/// storm an uninterrupted run would have drawn — the cursor IS the full
+/// per-cell RNG state.
+struct CellProgress : CellCounters {
   std::size_t index = 0;  ///< grid index of the cell
   unsigned done = 0;      ///< trials completed (the trial cursor)
   bool finished = false;  ///< trial budget exhausted or stopping rule fired
-  u64 trials = 0;
-  u64 events = 0;
-  u64 events_dropped = 0;
-  u64 masked = 0;
-  u64 corrected = 0;
-  u64 due_recovered = 0;
-  u64 sdc = 0;
-  u64 data_loss = 0;
-  u64 total_cycles = 0;
-  u64 pruned = 0;
-  u64 fast_forwarded = 0;
-  u64 cycles_skipped = 0;
-  double device_hours = 0.0;
 };
 
 struct CampaignOptions {

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "common/rng.hpp"
+#include "reliability/campaign.hpp"
 
 namespace laec::reliability {
 
@@ -15,9 +15,74 @@ double window_lambda_scale(const CampaignSpec& spec, double fit_per_mbit,
   return per_word_hour / (spec.freq_mhz * 1e6) / 3600.0;
 }
 
+unsigned draw_event_count(Rng& rng, double lambda) {
+  // Largest event count one access window can meaningfully attempt: the
+  // FlipSet holds kMax flips and the smallest event is a single, so
+  // anything past kMax is guaranteed surplus (it still counts as dropped).
+  constexpr unsigned kMaxEventsPerAccess = ecc::FlipSet::kMax;
+  const double lam = lambda;
+  // P(K >= 1) and P(K = 1); at extreme acceleration exp(-lam) underflows to
+  // 0 and the distribution's mass sits far above the cap — saturate.
+  const double denom = -std::expm1(-lam);
+  const double p1 = std::exp(-lam) * lam;
+  if (!(denom > 0.0) || !(p1 > 0.0)) return kMaxEventsPerAccess;
+  // Inverse transform over the zero-truncated pmf p_k / denom.
+  double u = rng.uniform() * denom;
+  double pk = p1;
+  unsigned k = 1;
+  while (u > pk && k < kMaxEventsPerAccess) {
+    u -= pk;
+    ++k;
+    pk *= lam / static_cast<double>(k);
+  }
+  return k;
+}
+
+bool draw_pattern_event(Rng& rng, const MbuPatternTable& t,
+                        unsigned word_bits, ecc::FlipSet& flips) {
+  const double total = t.total();
+  if (total <= 0) return false;
+  const unsigned n = word_bits;
+  double u = rng.uniform() * total;
+  if ((u -= t.single) < 0 || n < 3) {
+    flips.push(static_cast<unsigned>(rng.below(n)));
+    return true;
+  }
+  if ((u -= t.adjacent_double) < 0) {
+    const unsigned a = static_cast<unsigned>(rng.below(n - 1));
+    flips.push(a);
+    flips.push(a + 1);
+    return true;
+  }
+  if ((u -= t.adjacent_triple) < 0) {
+    const unsigned a = static_cast<unsigned>(rng.below(n - 2));
+    flips.push(a);
+    flips.push(a + 1);
+    flips.push(a + 2);
+    return true;
+  }
+  // Clustered: 2-4 distinct flips inside an 8-bit physical window (narrower
+  // when the codeword itself is).
+  const unsigned window = n < 8 ? n : 8;
+  const unsigned start = static_cast<unsigned>(rng.below(n - window + 1));
+  unsigned want = 2 + static_cast<unsigned>(rng.below(3));
+  if (want > window) want = window;
+  unsigned chosen[4];
+  unsigned count = 0;
+  while (count < want) {
+    const unsigned off = static_cast<unsigned>(rng.below(window));
+    bool dup = false;
+    for (unsigned i = 0; i < count; ++i) dup = dup || chosen[i] == off;
+    if (dup) continue;
+    chosen[count++] = off;
+    flips.push(start + off);
+  }
+  return true;
+}
+
 ecc::TrialSchedule draw_trial_schedule(
     const std::vector<mem::AccessWindow>& windows, double lambda_scale,
-    const ecc::MbuPatternTable& patterns, unsigned word_bits, u64 seed) {
+    const MbuPatternTable& patterns, unsigned word_bits, u64 seed) {
   ecc::TrialSchedule s;
   Rng rng(seed);
   u64 consult = 0;
@@ -27,15 +92,14 @@ ecc::TrialSchedule draw_trial_schedule(
     // consume no RNG: Rng::chance(0) is a no-draw false, so the stream stays
     // aligned no matter how many such windows the trace produces.
     if (rng.chance(-std::expm1(-lam))) {
-      const unsigned events = ecc::FaultInjector::draw_event_count(rng, lam);
+      const unsigned events = draw_event_count(rng, lam);
       if (w.live) {
         ecc::FlipSet flips;
         for (unsigned e = 0; e < events; ++e) {
-          // Mirror the injector's per-access budget: a clustered event
-          // needs up to 4 slots; overflow is counted, never silently lost.
+          // Per-access budget: a clustered event needs up to 4 slots;
+          // overflow is counted, never silently lost.
           if (flips.size() + 4u <= ecc::FlipSet::kMax) {
-            if (ecc::FaultInjector::draw_pattern_event(rng, patterns,
-                                                       word_bits, flips)) {
+            if (draw_pattern_event(rng, patterns, word_bits, flips)) {
               ++s.events;
             }
           } else {

@@ -20,24 +20,53 @@
 
 #include <vector>
 
+#include "common/rng.hpp"
 #include "ecc/injector.hpp"
 #include "mem/residency.hpp"
-#include "reliability/campaign.hpp"
 
 namespace laec::reliability {
 
+struct CampaignSpec;
+
+/// Relative probabilities of the spatial shape of one upset event.
+/// Weights need not sum to 1; they are normalized by total(). The default
+/// table is SEU-only.
+struct MbuPatternTable {
+  double single = 1.0;
+  double adjacent_double = 0.0;
+  double adjacent_triple = 0.0;
+  /// 2-4 distinct flips inside an 8-bit physical neighbourhood — the
+  /// diagonal/split cluster geometry adjacent-correcting codes do NOT
+  /// guarantee to handle.
+  double clustered = 0.0;
+
+  [[nodiscard]] double total() const {
+    return single + adjacent_double + adjacent_triple + clustered;
+  }
+  [[nodiscard]] bool operator==(const MbuPatternTable&) const = default;
+};
+
 /// Accelerated Poisson mean per cycle of exposure for one codeword:
 /// multiply by a window's gap_cycles to get that window's event rate.
-/// Same FIT -> device-time normalization as event_lambda_for, with the
-/// fixed spec.exposure_cycles stand-in replaced by true per-window gaps.
+/// FIT/Mbit -> upsets per bit-hour -> accelerated upsets per word-cycle.
 [[nodiscard]] double window_lambda_scale(const CampaignSpec& spec,
                                          double fit_per_mbit,
                                          unsigned codeword_bits);
+
+/// Number of events in a window that drew at least one: zero-truncated
+/// Poisson(lambda), inverse-transform, capped at FlipSet::kMax.
+[[nodiscard]] unsigned draw_event_count(Rng& rng, double lambda);
+
+/// Draw one event's shape from `patterns` into `flips`, as bit positions
+/// in [0, word_bits). Returns false — consuming no RNG — when the table is
+/// all-zero.
+bool draw_pattern_event(Rng& rng, const MbuPatternTable& patterns,
+                        unsigned word_bits, ecc::FlipSet& flips);
 
 /// Draw one trial's storm over `windows` (in recorded order) from a fresh
 /// Rng(seed). Deterministic: depends only on the arguments.
 [[nodiscard]] ecc::TrialSchedule draw_trial_schedule(
     const std::vector<mem::AccessWindow>& windows, double lambda_scale,
-    const ecc::MbuPatternTable& patterns, unsigned word_bits, u64 seed);
+    const MbuPatternTable& patterns, unsigned word_bits, u64 seed);
 
 }  // namespace laec::reliability

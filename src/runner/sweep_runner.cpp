@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -163,14 +164,6 @@ SweepGrid& SweepGrid::schemes(std::vector<std::string> keys) {
   return *this;
 }
 
-SweepGrid& SweepGrid::eccs(const std::vector<cpu::EccPolicy>& policies) {
-  schemes_.clear();
-  for (const auto p : policies) {
-    schemes_.emplace_back(to_string(p));
-  }
-  return *this;
-}
-
 SweepGrid& SweepGrid::hazards(std::vector<cpu::HazardRule> rules) {
   hazards_ = std::move(rules);
   return *this;
@@ -213,10 +206,10 @@ std::vector<SweepPoint> SweepGrid::points() const {
 
   // Parse every scheme key once up front (throws for unknown keys before
   // any simulation runs).
-  std::vector<core::EccDeployment> deployments;
+  std::vector<core::HierarchyDeployment> deployments;
   deployments.reserve(schemes_.size());
   for (const auto& s : schemes_) {
-    deployments.push_back(core::EccDeployment::parse(s));
+    deployments.push_back(core::HierarchyDeployment::parse(s));
   }
 
   std::vector<SweepPoint> out;
@@ -234,7 +227,6 @@ std::vector<SweepPoint> SweepGrid::points() const {
             p.config = base_;
             if (v.tweak) v.tweak(p.config);
             p.config.deployment = dep;
-            p.config.ecc = dep.timing;
             p.config.hazard_rule = hz;
             p.mode = mode_;
             p.trace_ops = trace_ops_;
@@ -278,19 +270,9 @@ PointResult run_golden_point(const SweepPoint& point, u64 base_seed,
   return run_point(golden, base_seed, recorder, snapshots);
 }
 
-const std::vector<cpu::EccPolicy>& fig8_schemes() {
-  static const std::vector<cpu::EccPolicy> kSchemes = {
-      cpu::EccPolicy::kNoEcc, cpu::EccPolicy::kExtraCycle,
-      cpu::EccPolicy::kExtraStage, cpu::EccPolicy::kLaec};
-  return kSchemes;
-}
-
 const std::vector<std::string>& fig8_scheme_keys() {
-  static const std::vector<std::string> kKeys = [] {
-    std::vector<std::string> keys;
-    for (const auto p : fig8_schemes()) keys.emplace_back(to_string(p));
-    return keys;
-  }();
+  static const std::vector<std::string> kKeys = {"no-ecc", "extra-cycle",
+                                                 "extra-stage", "laec"};
   return kKeys;
 }
 
@@ -311,8 +293,7 @@ const std::vector<std::string>& row_headers() {
 
 std::vector<std::string> to_row(const PointResult& r) {
   const auto& s = r.stats;
-  const core::HierarchyDeployment dep =
-      r.point.config.effective_deployment();
+  const core::HierarchyDeployment& dep = r.point.config.deployment;
   return {r.point.workload,
           r.point.variant,
           std::string(to_string(r.point.mode)),
@@ -354,9 +335,11 @@ SweepSummary run_sweep(const std::vector<SweepPoint>& points,
   if (opts.shard_count == 0 || opts.shard_index >= opts.shard_count) {
     throw std::invalid_argument("run_sweep: shard_index/shard_count invalid");
   }
-  // Validate every point up front so worker threads cannot throw: workload
-  // names must resolve, and trace (oracle) points cannot carry fault
-  // injection (there are no arrays to inject into).
+  // Validate every point up front so bad input fails before any simulation:
+  // workload names must resolve, and trace (oracle) points cannot carry
+  // fault injection (there are no arrays to inject into). What only system
+  // construction can check (cache geometry) throws from a worker; the first
+  // such exception stops the pool and is rethrown here.
   {
     std::set<std::string> seen;
     for (const auto& p : points) {
@@ -415,34 +398,41 @@ SweepSummary run_sweep(const std::vector<SweepPoint>& points,
       std::min<std::size_t>(requested, std::max<std::size_t>(1, mine.size())));
 
   std::atomic<std::size_t> cursor{0};
+  std::exception_ptr failure;  // first worker exception, under emit_mutex
   // Per-point wall time feeds the heartbeat's p50/p99 (tracer on or off);
   // the clock reads sit at point granularity, never inside the sim loop.
   obs::Histogram& point_us =
       obs::Registry::global().histogram("sweep.point_us");
   const auto worker = [&] {
-    for (;;) {
-      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= mine.size()) return;
-      const SweepPoint& p = *mine[i];
-      obs::Span span("trial");
-      if (span.live()) {
-        span.arg("workload", p.workload);
-        span.arg("replicate", static_cast<u64>(p.replicate));
-        if (p.resume_from != nullptr) {
-          span.arg("ff_ordinal", p.resume_from->ordinal);
+    try {
+      for (;;) {
+        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (i >= mine.size()) return;
+        const SweepPoint& p = *mine[i];
+        obs::Span span("trial");
+        if (span.live()) {
+          span.arg("workload", p.workload);
+          span.arg("replicate", static_cast<u64>(p.replicate));
+          if (p.resume_from != nullptr) {
+            span.arg("ff_ordinal", p.resume_from->ordinal);
+          }
         }
+        const auto t0 = std::chrono::steady_clock::now();
+        PointResult r = run_point(p, opts.base_seed);
+        point_us.record(static_cast<u64>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count()));
+        span.close();
+        std::lock_guard<std::mutex> lock(emit_mutex);
+        summary.results[i] = std::move(r);
+        done[i] = 1;
+        drain();
       }
-      const auto t0 = std::chrono::steady_clock::now();
-      PointResult r = run_point(p, opts.base_seed);
-      point_us.record(static_cast<u64>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
-      span.close();
+    } catch (...) {
       std::lock_guard<std::mutex> lock(emit_mutex);
-      summary.results[i] = std::move(r);
-      done[i] = 1;
-      drain();
+      if (failure == nullptr) failure = std::current_exception();
+      cursor.store(mine.size(), std::memory_order_relaxed);
     }
   };
 
@@ -454,6 +444,7 @@ SweepSummary run_sweep(const std::vector<SweepPoint>& points,
     for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(worker);
     for (auto& t : pool) t.join();
   }
+  if (failure != nullptr) std::rethrow_exception(failure);
 
   if (opts.sink != nullptr) opts.sink->end();
   return summary;

@@ -98,11 +98,8 @@ class SweepGrid {
   /// The scheme axis, string-keyed: each entry is a HierarchyDeployment
   /// key — a policy name ("laec"), a registered codec name
   /// ("sec-daec-39-32"), "placement:codec", or a compound hierarchy key
-  /// ("laec+l2:sec-daec-39-32"). This is the native axis; eccs() is the
-  /// enum shim.
+  /// ("laec+l2:sec-daec-39-32").
   SweepGrid& schemes(std::vector<std::string> keys);
-  /// Enum shim: forwards the policies' canonical keys to schemes().
-  SweepGrid& eccs(const std::vector<cpu::EccPolicy>& policies);
   SweepGrid& hazards(std::vector<cpu::HazardRule> rules);
   SweepGrid& variants(std::vector<ConfigVariant> variants);
   SweepGrid& base_config(core::SimConfig cfg);
@@ -156,12 +153,10 @@ struct SweepSummary {
   std::size_t self_check_failures = 0;
 };
 
-/// The paper's four-scheme comparison axis, baseline FIRST. Folding code
-/// (fig8, ablations, CLI sweeps) relies on kNoEcc leading each workload
+/// The paper's four-scheme comparison axis as scheme keys, baseline FIRST
+/// ("no-ecc", "extra-cycle", "extra-stage", "laec"). Folding code (fig8,
+/// ablations, CLI sweeps) relies on the baseline leading each workload
 /// block to form overhead ratios — always sweep via this list.
-[[nodiscard]] const std::vector<cpu::EccPolicy>& fig8_schemes();
-
-/// String-keyed spelling of fig8_schemes(), for SweepGrid::schemes().
 [[nodiscard]] const std::vector<std::string>& fig8_scheme_keys();
 
 /// Column names of the per-point result row, in emission order.

@@ -12,6 +12,17 @@
 
 namespace laec::service {
 
+namespace {
+
+// One CellCounters field on the wire: the u64 tallies as u64, device_hours
+// as its IEEE bits.
+void put(ByteWriter& w, u64 v) { w.put_u64(v); }
+void put(ByteWriter& w, double v) { w.put_double(v); }
+void get(ByteReader& r, u64& v) { v = r.get_u64(); }
+void get(ByteReader& r, double& v) { v = r.get_double(); }
+
+}  // namespace
+
 void save_checkpoint(const std::string& path, u64 identity,
                      const std::vector<reliability::CellProgress>& cells) {
   obs::Span span("checkpoint-write");
@@ -25,19 +36,7 @@ void save_checkpoint(const std::string& path, u64 identity,
     payload.put_u64(static_cast<u64>(c.index));
     payload.put_u32(c.done);
     payload.put_u8(c.finished ? 1 : 0);
-    payload.put_u64(c.trials);
-    payload.put_u64(c.events);
-    payload.put_u64(c.events_dropped);
-    payload.put_u64(c.masked);
-    payload.put_u64(c.corrected);
-    payload.put_u64(c.due_recovered);
-    payload.put_u64(c.sdc);
-    payload.put_u64(c.data_loss);
-    payload.put_u64(c.total_cycles);
-    payload.put_u64(c.pruned);
-    payload.put_u64(c.fast_forwarded);
-    payload.put_u64(c.cycles_skipped);
-    payload.put_double(c.device_hours);
+    reliability::visit_counters(c, [&](const auto& f) { put(payload, f); });
   }
 
   const std::string tmp = path + ".tmp";
@@ -124,19 +123,7 @@ std::vector<reliability::CellProgress> load_checkpoint(
     c.index = static_cast<std::size_t>(r.get_u64());
     c.done = r.get_u32();
     c.finished = r.get_u8() != 0;
-    c.trials = r.get_u64();
-    c.events = r.get_u64();
-    c.events_dropped = r.get_u64();
-    c.masked = r.get_u64();
-    c.corrected = r.get_u64();
-    c.due_recovered = r.get_u64();
-    c.sdc = r.get_u64();
-    c.data_loss = r.get_u64();
-    c.total_cycles = r.get_u64();
-    c.pruned = r.get_u64();
-    c.fast_forwarded = r.get_u64();
-    c.cycles_skipped = r.get_u64();
-    c.device_hours = r.get_double();
+    reliability::visit_counters(c, [&](auto& f) { get(r, f); });
     cells.push_back(c);
   }
   r.expect_end();

@@ -13,7 +13,8 @@
 //   magic (8 bytes) | u64 fnv1a(payload) | payload
 //   payload: u32 version | u64 identity | u32 ncells | cells
 //   cell: u64 index | u32 done | u8 finished | 12 x u64 counters
-//         | u64 device_hours IEEE bits
+//         | u64 device_hours IEEE bits (the counters in
+//         reliability::visit_counters order)
 //   (version 2 appended the `pruned` counter to the u64 block; version 3
 //   appended `fast_forwarded` and `cycles_skipped`)
 //

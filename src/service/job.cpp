@@ -90,7 +90,6 @@ std::string serialize_job(const CampaignJob& job) {
 
   const reliability::CampaignSpec& s = job.spec;
   w.put_double(s.accel);
-  w.put_u32(s.exposure_cycles);
   w.put_double(s.freq_mhz);
   w.put_u32(s.trials);
   w.put_u32(s.min_trials);
@@ -134,7 +133,6 @@ CampaignJob parse_job(std::string_view bytes) {
 
   reliability::CampaignSpec& s = job.spec;
   s.accel = r.get_double();
-  s.exposure_cycles = r.get_u32();
   s.freq_mhz = r.get_double();
   s.trials = r.get_u32();
   s.min_trials = r.get_u32();

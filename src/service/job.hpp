@@ -22,8 +22,9 @@
 namespace laec::service {
 
 /// v2: spec.prune + recorder version; v3: fast-forward mode (flag, snapshot
-/// cadence/budget, snapshot frame version).
-inline constexpr u32 kJobVersion = 3;
+/// cadence/budget, snapshot frame version); v4: the fixed exposure window
+/// is gone (storms are drawn over recorded per-window gaps).
+inline constexpr u32 kJobVersion = 4;
 
 struct CampaignJob {
   reliability::CampaignSpec spec;            ///< incl. base SimConfig subset

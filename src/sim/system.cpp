@@ -1,6 +1,7 @@
 #include "sim/system.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace laec::sim {
 
@@ -32,6 +33,9 @@ void Core::tick(Cycle now) {
 }
 
 System::System(const SystemConfig& cfg, cpu::TraceSource* trace) : cfg_(cfg) {
+  if (cfg.num_cores == 0) {
+    throw std::invalid_argument("a system needs at least one core");
+  }
   mem::MemorySystemParams mp = cfg.memsys;
   mp.num_requesters =
       cfg.num_cores + static_cast<unsigned>(cfg.traffic.size());

@@ -13,7 +13,7 @@ namespace laec::test {
 /// A SimConfig with fast, deterministic defaults for unit tests.
 inline core::SimConfig test_config(cpu::EccPolicy ecc) {
   core::SimConfig cfg;
-  cfg.ecc = ecc;
+  cfg.deployment = core::HierarchyDeployment::from_policy(ecc);
   cfg.max_cycles = 20'000'000;
   return cfg;
 }

@@ -3,19 +3,21 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
+#include <string_view>
 
 #include "ecc/registry.hpp"
 
 namespace laec::mem {
 namespace {
 
-CacheConfig small_cfg(ecc::CodecKind codec = ecc::CodecKind::kNone) {
+CacheConfig small_cfg(std::string_view codec = "none") {
   CacheConfig c;
   c.name = "t";
   c.size_bytes = 1024;
   c.line_bytes = 32;
   c.ways = 2;
-  c.codec = ecc::make_codec(codec);  // enum shim onto the registry
+  c.codec = ecc::make_codec(codec);
   return c;
 }
 
@@ -48,7 +50,7 @@ TEST(Cache, ReadExtractsBytes) {
 }
 
 TEST(Cache, SubWordWriteMerges) {
-  SetAssocCache c(small_cfg(ecc::CodecKind::kSecded));
+  SetAssocCache c(small_cfg("secded-39-32"));
   std::vector<u8> data(32, 0);
   c.fill(0x300, data.data(), false);
   c.write(0x308, 4, 0x11223344, true);
@@ -105,7 +107,7 @@ TEST(Cache, DirtyEvictionReturnsData) {
 }
 
 TEST(Cache, SecdedCorrectsInjectedSingleBit) {
-  SetAssocCache c(small_cfg(ecc::CodecKind::kSecded));
+  SetAssocCache c(small_cfg("secded-39-32"));
   ecc::FaultInjector inj;
   c.set_injector(&inj);
   std::vector<u8> data(32, 0);
@@ -123,7 +125,7 @@ TEST(Cache, SecdedCorrectsInjectedSingleBit) {
 }
 
 TEST(Cache, SecdedDetectsDoubleBit) {
-  SetAssocCache c(small_cfg(ecc::CodecKind::kSecded));
+  SetAssocCache c(small_cfg("secded-39-32"));
   ecc::FaultInjector inj;
   c.set_injector(&inj);
   std::vector<u8> data(32, 0x77);
@@ -136,7 +138,7 @@ TEST(Cache, SecdedDetectsDoubleBit) {
 }
 
 TEST(Cache, ParityDetectsSingleBit) {
-  SetAssocCache c(small_cfg(ecc::CodecKind::kParity));
+  SetAssocCache c(small_cfg("parity-32"));
   ecc::FaultInjector inj;
   c.set_injector(&inj);
   std::vector<u8> data(32, 0x10);
@@ -147,7 +149,7 @@ TEST(Cache, ParityDetectsSingleBit) {
 }
 
 TEST(Cache, CheckBitFlipAlsoCorrected) {
-  SetAssocCache c(small_cfg(ecc::CodecKind::kSecded));
+  SetAssocCache c(small_cfg("secded-39-32"));
   ecc::FaultInjector inj;
   c.set_injector(&inj);
   std::vector<u8> data(32, 0x42);
@@ -188,7 +190,7 @@ TEST(Cache, WritebacksLeaveInCorrectedViewEvenWithoutScrub) {
   // writeback read re-runs the codec (as hardware does): dirty evictions,
   // flush_dirty and peek_line must all deliver the corrected view, never
   // the raw flipped bits.
-  CacheConfig cfg = small_cfg(ecc::CodecKind::kSecded);
+  CacheConfig cfg = small_cfg("secded-39-32");
   cfg.scrub_on_correct = false;
   SetAssocCache c(cfg);
   std::vector<u8> data(32, 0);
@@ -222,7 +224,7 @@ TEST(Cache, SubWordWriteCorrectsBeforeMergingWithoutScrub) {
   // A standing (unscrubbed) correctable error must not be re-encoded under
   // fresh check bits by a byte store's read-modify-write — that would
   // launder the flip into a valid codeword no later read could repair.
-  CacheConfig cfg = small_cfg(ecc::CodecKind::kSecded);
+  CacheConfig cfg = small_cfg("secded-39-32");
   cfg.scrub_on_correct = false;
   SetAssocCache c(cfg);
   std::vector<u8> data(32, 0);
@@ -240,6 +242,37 @@ TEST(Cache, SubWordWriteCorrectsBeforeMergingWithoutScrub) {
   const auto after = c.read(0x100, 4);
   EXPECT_EQ(after.check, ecc::CheckStatus::kOk);
   EXPECT_EQ(after.value, 0x112233aau);
+}
+
+TEST(Cache, ImpossibleGeometryThrowsInsteadOfAsserting) {
+  // Geometry reaches the cache from CLI flags and daemon job bytes, so
+  // every bound must hold in Release builds too: no division by zero, no
+  // silently truncated set count.
+  struct Case {
+    const char* what;
+    void (*tweak)(CacheConfig&);
+  };
+  const Case cases[] = {
+      {"zero ways", [](CacheConfig& c) { c.ways = 0; }},
+      {"3 ways", [](CacheConfig& c) { c.ways = 3; }},
+      {"more ways than lines", [](CacheConfig& c) { c.ways = 64; }},
+      {"3 KB", [](CacheConfig& c) { c.size_bytes = 3 * 1024; }},
+      {"zero size", [](CacheConfig& c) { c.size_bytes = 0; }},
+      {"24 B lines", [](CacheConfig& c) { c.line_bytes = 24; }},
+      {"2 B lines", [](CacheConfig& c) { c.line_bytes = 2; }},
+      {"512 B lines",
+       [](CacheConfig& c) {
+         c.size_bytes = 64 * 1024;
+         c.line_bytes = 512;
+       }},
+  };
+  for (const Case& k : cases) {
+    CacheConfig c = small_cfg("secded-39-32");
+    k.tweak(c);
+    EXPECT_THROW({ SetAssocCache cache(c); }, std::invalid_argument)
+        << k.what;
+  }
+  EXPECT_NO_THROW({ SetAssocCache cache(small_cfg()); });
 }
 
 }  // namespace

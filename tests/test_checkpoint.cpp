@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "reliability/campaign.hpp"
@@ -45,18 +46,25 @@ struct TempPath {
   }
 };
 
+/// Every counter of cell 0 holds a distinct nonzero value, so swapping any
+/// two fields in the layout changes the bytes.
 std::vector<CellProgress> sample_cells() {
   std::vector<CellProgress> cells(2);
   cells[0].index = 0;
-  cells[0].done = 12;
+  cells[0].done = 15;
   cells[0].finished = true;
-  cells[0].trials = 12;
+  cells[0].trials = 15;
+  cells[0].events = 17;
+  cells[0].events_dropped = 6;
   cells[0].masked = 5;
   cells[0].corrected = 4;
-  cells[0].sdc = 3;
-  cells[0].events = 17;
+  cells[0].due_recovered = 3;
+  cells[0].sdc = 2;
+  cells[0].data_loss = 1;
   cells[0].total_cycles = 123456789;
   cells[0].pruned = 7;
+  cells[0].fast_forwarded = 8;
+  cells[0].cycles_skipped = 987654;
   cells[0].device_hours = 0.1 + 0.2;  // not exactly representable
   cells[1].index = 3;
   cells[1].done = 4;
@@ -64,6 +72,13 @@ std::vector<CellProgress> sample_cells() {
   cells[1].masked = 4;
   cells[1].device_hours = 1e-300;  // tiny: formatting would destroy it
   return cells;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 TEST(Checkpoint, SaveLoadRoundTripsEveryFieldBitExactly) {
@@ -78,11 +93,16 @@ TEST(Checkpoint, SaveLoadRoundTripsEveryFieldBitExactly) {
     EXPECT_EQ(loaded[i].finished, cells[i].finished);
     EXPECT_EQ(loaded[i].trials, cells[i].trials);
     EXPECT_EQ(loaded[i].events, cells[i].events);
+    EXPECT_EQ(loaded[i].events_dropped, cells[i].events_dropped);
     EXPECT_EQ(loaded[i].masked, cells[i].masked);
     EXPECT_EQ(loaded[i].corrected, cells[i].corrected);
+    EXPECT_EQ(loaded[i].due_recovered, cells[i].due_recovered);
     EXPECT_EQ(loaded[i].sdc, cells[i].sdc);
+    EXPECT_EQ(loaded[i].data_loss, cells[i].data_loss);
     EXPECT_EQ(loaded[i].total_cycles, cells[i].total_cycles);
     EXPECT_EQ(loaded[i].pruned, cells[i].pruned);
+    EXPECT_EQ(loaded[i].fast_forwarded, cells[i].fast_forwarded);
+    EXPECT_EQ(loaded[i].cycles_skipped, cells[i].cycles_skipped);
     // Bit-exact, not approximately equal: resumed rows must be
     // byte-identical, and device_hours feeds FIT/MTTF columns.
     EXPECT_EQ(std::bit_cast<u64>(loaded[i].device_hours),
@@ -95,13 +115,7 @@ TEST(Checkpoint, RejectsMissingCorruptTruncatedAndForeignFiles) {
   EXPECT_THROW((void)load_checkpoint(tmp.path, 1), WireError);  // missing
 
   save_checkpoint(tmp.path, 1, sample_cells());
-  std::string bytes;
-  {
-    std::ifstream in(tmp.path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    bytes = buf.str();
-  }
+  const std::string bytes = read_bytes(tmp.path);
   const auto write_bytes = [&](const std::string& b) {
     std::ofstream out(tmp.path, std::ios::binary | std::ios::trunc);
     out.write(b.data(), static_cast<std::streamsize>(b.size()));
@@ -139,6 +153,23 @@ TEST(Checkpoint, RejectsMissingCorruptTruncatedAndForeignFiles) {
     write_bytes(all);
     EXPECT_THROW((void)load_checkpoint(tmp.path, 1), WireError);
   }
+}
+
+TEST(Checkpoint, PayloadLayoutIsPinned) {
+  // A save/load pair rewritten in a new field order still round-trips, yet
+  // every existing checkpoint file would stop resuming correctly. Pin the
+  // bytes: this hash may only change together with kCheckpointVersion.
+  TempPath tmp("pin");
+  save_checkpoint(tmp.path, 0x1aec, sample_cells());
+  const std::string bytes = read_bytes(tmp.path);
+  const std::size_t head = sizeof kCheckpointMagic + 8;
+  ASSERT_GT(bytes.size(), head);
+  const std::string_view payload = std::string_view(bytes).substr(head);
+  // version, identity, cell count; per cell index, done, finished, twelve
+  // u64 counters and the device-hours bits.
+  EXPECT_EQ(payload.size(), 4u + 8u + 4u + 2u * (8u + 4u + 1u + 13u * 8u));
+  EXPECT_EQ(kCheckpointVersion, 3u);
+  EXPECT_EQ(fnv1a(payload), 0x7310b3fa66904240ull);
 }
 
 TEST(Checkpoint, SaveIsAtomicViaRename) {

@@ -2,9 +2,9 @@
 //  * every registered name constructs and its codec round-trips data;
 //  * unknown names fail with a clear error naming the known schemes;
 //  * user registration is a one-liner and immediately constructible;
-//  * enum round-trips (CodecKind / CheckStatus / EccPolicy / HazardRule)
-//    are exhaustive in both directions — no "?" placeholders;
-//  * EccDeployment::parse covers policy keys, codec keys and
+//  * enum round-trips (CheckStatus / EccPolicy / HazardRule) are
+//    exhaustive in both directions — no "?" placeholders;
+//  * HierarchyDeployment::parse covers policy keys, codec keys and
 //    placement:codec combinations.
 #include "ecc/registry.hpp"
 
@@ -69,13 +69,6 @@ TEST(CodecRegistry, CapabilitiesMatchSchemes) {
       << "SEC-DAEC may miscorrect non-adjacent doubles";
 }
 
-TEST(CodecRegistry, EnumShimMapsToThirtyTwoBitDefaults) {
-  EXPECT_EQ(ecc::make_codec(ecc::CodecKind::kNone)->check_bits(), 0u);
-  EXPECT_EQ(ecc::make_codec(ecc::CodecKind::kParity)->check_bits(), 1u);
-  EXPECT_EQ(ecc::make_codec(ecc::CodecKind::kSecded)->name(),
-            "secded-39-32");
-}
-
 TEST(CodecRegistry, UserRegistrationIsOneLine) {
   // The one-file drop-in path: register, construct by name, appears in the
   // listing. (A second registration of the same name must throw.)
@@ -93,18 +86,6 @@ TEST(CodecRegistry, UserRegistrationIsOneLine) {
 // ---------------------------------------------------------------------------
 // Exhaustive enum string round-trips (no "?" placeholders anywhere).
 // ---------------------------------------------------------------------------
-
-TEST(EnumRoundTrips, CodecKind) {
-  for (const auto k : {ecc::CodecKind::kNone, ecc::CodecKind::kParity,
-                       ecc::CodecKind::kSecded}) {
-    const auto s = to_string(k);
-    EXPECT_EQ(s.find('?'), std::string_view::npos);
-    const auto back = ecc::codec_kind_from_string(s);
-    ASSERT_TRUE(back.has_value()) << s;
-    EXPECT_EQ(*back, k);
-  }
-  EXPECT_FALSE(ecc::codec_kind_from_string("bogus").has_value());
-}
 
 TEST(EnumRoundTrips, CheckStatus) {
   for (const auto st :
@@ -140,63 +121,63 @@ TEST(EnumRoundTrips, EccPolicyAndHazardRule) {
 }
 
 // ---------------------------------------------------------------------------
-// EccDeployment string-keyed scheme selection.
+// String-keyed scheme selection (HierarchyDeployment::parse).
 // ---------------------------------------------------------------------------
 
-TEST(EccDeployment, PolicyKeysExpandToCanonicalDeployments) {
-  const auto laec = core::EccDeployment::parse("laec");
+TEST(SchemeKeys, PolicyKeysExpandToCanonicalDeployments) {
+  const auto laec = core::HierarchyDeployment::parse("laec");
   EXPECT_EQ(laec.codec, "secded-39-32");
   EXPECT_EQ(laec.timing, cpu::EccPolicy::kLaec);
   EXPECT_EQ(laec.write_policy, mem::WritePolicy::kWriteBack);
 
-  const auto wt = core::EccDeployment::parse("wt-parity");
+  const auto wt = core::HierarchyDeployment::parse("wt-parity");
   EXPECT_EQ(wt.codec, "parity-32");
   EXPECT_EQ(wt.write_policy, mem::WritePolicy::kWriteThrough);
   EXPECT_EQ(wt.alloc_policy, mem::AllocPolicy::kNoWriteAllocate);
 
-  const auto none = core::EccDeployment::parse("no-ecc");
+  const auto none = core::HierarchyDeployment::parse("no-ecc");
   EXPECT_EQ(none.codec, "none");
   EXPECT_EQ(none.timing, cpu::EccPolicy::kNoEcc);
 }
 
-TEST(EccDeployment, CodecKeysPickTheirNaturalArrangement) {
-  const auto daec = core::EccDeployment::parse("sec-daec-39-32");
+TEST(SchemeKeys, CodecKeysPickTheirNaturalArrangement) {
+  const auto daec = core::HierarchyDeployment::parse("sec-daec-39-32");
   EXPECT_EQ(daec.codec, "sec-daec-39-32");
   EXPECT_EQ(daec.timing, cpu::EccPolicy::kLaec);
   EXPECT_EQ(daec.write_policy, mem::WritePolicy::kWriteBack);
 
-  const auto par = core::EccDeployment::parse("parity-32");
+  const auto par = core::HierarchyDeployment::parse("parity-32");
   EXPECT_EQ(par.timing, cpu::EccPolicy::kWtParity);
   EXPECT_EQ(par.write_policy, mem::WritePolicy::kWriteThrough);
 
-  const auto none = core::EccDeployment::parse("none");
+  const auto none = core::HierarchyDeployment::parse("none");
   EXPECT_EQ(none.timing, cpu::EccPolicy::kNoEcc);
 }
 
-TEST(EccDeployment, PlacementColonCodecCombines) {
-  const auto d = core::EccDeployment::parse("extra-stage:sec-daec-39-32");
+TEST(SchemeKeys, PlacementColonCodecCombines) {
+  const auto d = core::HierarchyDeployment::parse("extra-stage:sec-daec-39-32");
   EXPECT_EQ(d.name, "extra-stage:sec-daec-39-32");
   EXPECT_EQ(d.codec, "sec-daec-39-32");
   EXPECT_EQ(d.timing, cpu::EccPolicy::kExtraStage);
   // Detect-only codecs cannot sit in a correcting placement.
-  EXPECT_THROW((void)core::EccDeployment::parse("extra-stage:parity-32"),
+  EXPECT_THROW((void)core::HierarchyDeployment::parse("extra-stage:parity-32"),
                std::invalid_argument);
-  EXPECT_THROW((void)core::EccDeployment::parse("bogus:secded-39-32"),
+  EXPECT_THROW((void)core::HierarchyDeployment::parse("bogus:secded-39-32"),
                std::invalid_argument);
 }
 
-TEST(EccDeployment, SixtyFourBitCodecsAreRejectedForTheDl1) {
+TEST(SchemeKeys, SixtyFourBitCodecsAreRejectedForTheDl1) {
   // The cache arrays protect 32-bit words; the 64-bit geometries exist in
   // the library (and the registry) but cannot be deployed in the DL1.
-  EXPECT_THROW((void)core::EccDeployment::parse("secded-72-64"),
+  EXPECT_THROW((void)core::HierarchyDeployment::parse("secded-72-64"),
                std::invalid_argument);
-  EXPECT_THROW((void)core::EccDeployment::parse("laec:sec-daec-72-64"),
+  EXPECT_THROW((void)core::HierarchyDeployment::parse("laec:sec-daec-72-64"),
                std::invalid_argument);
 }
 
-TEST(EccDeployment, UnknownKeyFailsWithKnownChoices) {
+TEST(SchemeKeys, UnknownKeyFailsWithKnownChoices) {
   try {
-    (void)core::EccDeployment::parse("quantum-ecc");
+    (void)core::HierarchyDeployment::parse("quantum-ecc");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
@@ -206,12 +187,13 @@ TEST(EccDeployment, UnknownKeyFailsWithKnownChoices) {
   }
 }
 
-TEST(EccDeployment, SimConfigSetSchemeKeepsEnumInSync) {
+TEST(SchemeKeys, SimConfigDefaultsToLaecAndSetSchemeReplacesIt) {
   core::SimConfig cfg;
+  EXPECT_EQ(cfg.deployment.name, "laec");
+  EXPECT_EQ(cfg.deployment.codec, "secded-39-32");
   cfg.set_scheme("sec-daec-39-32");
-  EXPECT_EQ(cfg.ecc, cpu::EccPolicy::kLaec);
-  ASSERT_TRUE(cfg.deployment.has_value());
-  EXPECT_EQ(cfg.deployment->codec, "sec-daec-39-32");
+  EXPECT_EQ(cfg.deployment.codec, "sec-daec-39-32");
+  EXPECT_EQ(cfg.deployment.timing, cpu::EccPolicy::kLaec);
   const auto sc = core::make_system_config(cfg);
   ASSERT_NE(sc.core.dl1.cache.codec, nullptr);
   EXPECT_EQ(sc.core.dl1.cache.codec->name(), "sec-daec-39-32");

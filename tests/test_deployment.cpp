@@ -168,10 +168,9 @@ TEST(HierarchyDeploymentWiring, SystemConfigCarriesAllThreeLevels) {
 }
 
 TEST(HierarchyDeploymentWiring, DefaultHierarchyMatchesPreRefactorMachine) {
-  // The enum axis (no explicit deployment) must build the exact machine
-  // PR 2 built: SECDED DL1 per policy, parity L1I, SECDED L2.
+  // The default scheme (LAEC) must build the paper's machine: SECDED DL1,
+  // parity L1I, SECDED L2.
   core::SimConfig cfg;
-  cfg.ecc = cpu::EccPolicy::kLaec;
   const auto sc = core::make_system_config(cfg);
   EXPECT_EQ(sc.core.dl1.cache.codec->name(), "secded-39-32");
   EXPECT_EQ(sc.core.l1i.cache.codec->name(), "parity-32");

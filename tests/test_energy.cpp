@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "ecc/registry.hpp"
 
 namespace laec::energy {
@@ -18,12 +20,16 @@ core::RunStats fake_stats(u64 cycles, u64 insts, u64 loads, u64 stores,
   return s;
 }
 
+core::HierarchyDeployment scheme(std::string_view key) {
+  return core::HierarchyDeployment::parse(key);
+}
+
 TEST(Energy, LeakageProportionalToCycles) {
   EnergyParams p;
   const auto a = compute(p, fake_stats(1'000'000, 700'000, 170'000, 50'000, 0),
-                         cpu::EccPolicy::kExtraStage);
+                         scheme("extra-stage"));
   const auto b = compute(p, fake_stats(2'000'000, 700'000, 170'000, 50'000, 0),
-                         cpu::EccPolicy::kExtraStage);
+                         scheme("extra-stage"));
   EXPECT_NEAR(b.leakage_uj / a.leakage_uj, 2.0, 1e-9);
   EXPECT_DOUBLE_EQ(a.dynamic_uj, b.dynamic_uj);  // same event counts
 }
@@ -32,7 +38,7 @@ TEST(Energy, LaecHardwareAdderIsUnderOnePercent) {
   // The paper's §IV.A claim: the extra RF ports + adder cost < 1% power.
   EnergyParams p;
   const auto s = fake_stats(1'000'000, 700'000, 170'000, 50'000, 120'000);
-  const auto e = compute(p, s, cpu::EccPolicy::kLaec);
+  const auto e = compute(p, s, scheme("laec"));
   EXPECT_GT(e.laec_adder_uj, 0.0);
   EXPECT_LT(e.laec_dynamic_fraction(), 0.01);
 }
@@ -40,9 +46,9 @@ TEST(Energy, LaecHardwareAdderIsUnderOnePercent) {
 TEST(Energy, SecdedCostsMoreThanParityThanNone) {
   EnergyParams p;
   const auto s = fake_stats(1'000'000, 700'000, 170'000, 50'000, 0);
-  const auto none = compute(p, s, cpu::EccPolicy::kNoEcc);
-  const auto par = compute(p, s, cpu::EccPolicy::kWtParity);
-  const auto sec = compute(p, s, cpu::EccPolicy::kExtraStage);
+  const auto none = compute(p, s, scheme("no-ecc"));
+  const auto par = compute(p, s, scheme("wt-parity"));
+  const auto sec = compute(p, s, scheme("extra-stage"));
   EXPECT_LT(none.dynamic_uj, par.dynamic_uj);
   EXPECT_LT(par.dynamic_uj, sec.dynamic_uj);
 }
@@ -50,7 +56,7 @@ TEST(Energy, SecdedCostsMoreThanParityThanNone) {
 TEST(Energy, NoEccPolicyHasNoLaecAdder) {
   EnergyParams p;
   const auto s = fake_stats(1'000'000, 700'000, 170'000, 50'000, 99'999);
-  const auto e = compute(p, s, cpu::EccPolicy::kNoEcc);
+  const auto e = compute(p, s, scheme("no-ecc"));
   EXPECT_DOUBLE_EQ(e.laec_adder_uj, 0.0);
 }
 
@@ -102,14 +108,14 @@ TEST(Energy, PerLevelEccEnergyFollowsTheDeployedHierarchy) {
   s.l2_writes = 10'000;
   s.l2_fill_words = 32'000;
 
-  const auto base = compute(p, s, core::HierarchyDeployment::parse("laec"));
+  const auto base = compute(p, s, scheme("laec"));
   EXPECT_GT(base.dl1_ecc_uj, 0.0);
   EXPECT_GT(base.l1i_ecc_uj, 0.0);
   EXPECT_GT(base.l2_ecc_uj, 0.0);
 
   // Upgrading only the L2 changes only the L2 share (and the total).
   const auto daec_l2 =
-      compute(p, s, core::HierarchyDeployment::parse("laec+l2:sec-daec-39-32"));
+      compute(p, s, scheme("laec+l2:sec-daec-39-32"));
   EXPECT_DOUBLE_EQ(daec_l2.dl1_ecc_uj, base.dl1_ecc_uj);
   EXPECT_DOUBLE_EQ(daec_l2.l1i_ecc_uj, base.l1i_ecc_uj);
   EXPECT_GT(daec_l2.l2_ecc_uj, base.l2_ecc_uj);
@@ -123,7 +129,7 @@ TEST(Energy, PerLevelEccEnergyFollowsTheDeployedHierarchy) {
 TEST(Energy, TotalIsDynamicPlusLeakage) {
   EnergyParams p;
   const auto s = fake_stats(500'000, 300'000, 80'000, 20'000, 10'000);
-  const auto e = compute(p, s, cpu::EccPolicy::kLaec);
+  const auto e = compute(p, s, scheme("laec"));
   EXPECT_DOUBLE_EQ(e.total_uj(), e.dynamic_uj + e.leakage_uj);
   EXPECT_GT(e.dynamic_uj, 0.0);
   EXPECT_GT(e.leakage_uj, 0.0);

@@ -77,7 +77,7 @@ TEST(FastPathEquivalence, EveryCodecUnderInjectionMatchesGenericPath) {
     // per-level ECC counter — the exact observable surface of a sweep.
     EXPECT_EQ(runner::to_row(f), runner::to_row(s))
         << "row " << i << " (" << f.point.workload << " / "
-        << f.point.config.effective_deployment().name << ")";
+        << f.point.config.deployment.name << ")";
     EXPECT_EQ(f.self_check_ok, s.self_check_ok) << "row " << i;
     ecc_events += f.stats.ecc_corrected + f.stats.ecc_detected_uncorrectable +
                   f.stats.parity_refetches;
@@ -121,7 +121,7 @@ TEST(FastPathEquivalence, LutDecodeMatchesMatrixDecodeUnderInjection) {
     const auto& l = lut.results[i];
     EXPECT_EQ(runner::to_row(l), runner::to_row(mat.results[i]))
         << "row " << i << " (" << l.point.workload << " / "
-        << l.point.config.effective_deployment().name << ")";
+        << l.point.config.deployment.name << ")";
     EXPECT_EQ(runner::to_row(l), runner::to_row(mat_generic.results[i]))
         << "row " << i << " (generic matrix)";
     EXPECT_EQ(l.self_check_ok, mat.results[i].self_check_ok) << "row " << i;

@@ -18,7 +18,7 @@ namespace laec::reliability {
 namespace {
 
 CampaignGrid grid_for(const std::vector<std::string>& schemes,
-                      const ecc::MbuPatternTable& mix,
+                      const MbuPatternTable& mix,
                       const std::string& workload = "rspeed") {
   CampaignGrid grid;
   grid.workloads({workload}).schemes(schemes);
@@ -95,7 +95,7 @@ u64 expect_equivalent(const CampaignGrid& grid, const CampaignSpec& spec,
 TEST(FfEquiv, Dl1TargetAtASaturatedOperatingPoint) {
   // puwmod closes enough DL1 windows that the default snapshot cadence
   // lands several checkpoints before typical first deliveries.
-  const ecc::MbuPatternTable mix{0.4, 0.4, 0.1, 0.1};
+  const MbuPatternTable mix{0.4, 0.4, 0.1, 0.1};
   const auto grid = grid_for({"laec", "sec-daec-39-32"}, mix, "puwmod");
   const u64 ff = expect_equivalent(
       grid, spec_for(core::InjectTarget::kDl1, 1e16), "target=dl1");
@@ -110,14 +110,14 @@ TEST(FfEquiv, L1iTargetAtALiveOperatingPoint) {
   // each delivery costs a detect-and-refetch round trip (hundred-second
   // trials). A lower acceleration keeps a sprinkling of live deliveries,
   // which is all the equivalence contract needs.
-  const ecc::MbuPatternTable mix{0.4, 0.4, 0.1, 0.1};
+  const MbuPatternTable mix{0.4, 0.4, 0.1, 0.1};
   const auto grid = grid_for({"laec", "sec-daec-39-32"}, mix);
   (void)expect_equivalent(grid, spec_for(core::InjectTarget::kL1i, 1e12),
                           "target=l1i");
 }
 
 TEST(FfEquiv, L2TargetAtASaturatedOperatingPoint) {
-  const ecc::MbuPatternTable mix{0.4, 0.4, 0.1, 0.1};
+  const MbuPatternTable mix{0.4, 0.4, 0.1, 0.1};
   const auto grid = grid_for({"laec", "sec-daec-39-32"}, mix);
   (void)expect_equivalent(grid, spec_for(core::InjectTarget::kL2, 1e16),
                           "target=l2");
@@ -127,7 +127,7 @@ TEST(FfEquiv, PruningHeavyOperatingPointStillIdentical) {
   // Low acceleration: pruning classifies most trials analytically and the
   // few simulated ones still restore. Fast-forward must compose with
   // pruning without disturbing either bookkeeping column.
-  const ecc::MbuPatternTable mix{0.4, 0.4, 0.1, 0.1};
+  const MbuPatternTable mix{0.4, 0.4, 0.1, 0.1};
   const auto grid = grid_for({"laec", "sec-daec-39-32"}, mix);
   (void)expect_equivalent(grid, spec_for(core::InjectTarget::kDl1, 1e15),
                           "pruning-heavy");
@@ -137,7 +137,7 @@ TEST(FfEquiv, NoPruneModeStillIdentical) {
   // With pruning off every trial simulates; prunable trials resume from the
   // LAST snapshot (pure speed, not counted fast-forwarded). Rows must stay
   // identical across the full 2x2 of {prune, ff}.
-  const ecc::MbuPatternTable mix{0.4, 0.4, 0.1, 0.1};
+  const MbuPatternTable mix{0.4, 0.4, 0.1, 0.1};
   const auto grid = grid_for({"laec", "secded-39-32"}, mix);
   CampaignSpec spec = spec_for(core::InjectTarget::kDl1, 1e16, 8);
   std::string ref;
@@ -159,7 +159,7 @@ TEST(FfEquiv, NoPruneModeStillIdentical) {
 TEST(FfEquiv, SnapshotCadenceDoesNotChangeRows) {
   // The snapshot schedule is an implementation knob, not a statistics knob:
   // any cadence (including 0 = capture disabled) yields identical rows.
-  const ecc::MbuPatternTable mix{0.5, 0.5, 0.0, 0.0};
+  const MbuPatternTable mix{0.5, 0.5, 0.0, 0.0};
   const auto grid = grid_for({"laec"}, mix);
   CampaignSpec spec = spec_for(core::InjectTarget::kDl1, 1e16, 8);
   spec.snapshot_every = 0;  // no snapshots: ff has nothing to restore
@@ -179,7 +179,7 @@ TEST(FfEquiv, SnapshotCadenceDoesNotChangeRows) {
 }
 
 TEST(FfEquiv, CsvBytesIdenticalAcrossThreadCounts) {
-  const ecc::MbuPatternTable mix{0.5, 0.5, 0.0, 0.0};
+  const MbuPatternTable mix{0.5, 0.5, 0.0, 0.0};
   const auto grid = grid_for({"laec", "secded-39-32"}, mix);
   const auto spec = spec_for(core::InjectTarget::kDl1, 1e16, 10);
   const std::string ref = campaign_csv(grid, spec, /*ff=*/false, 1);
@@ -189,7 +189,7 @@ TEST(FfEquiv, CsvBytesIdenticalAcrossThreadCounts) {
 }
 
 TEST(FfEquiv, ProcsMergeIdenticalAcrossFfModes) {
-  const ecc::MbuPatternTable mix{0.5, 0.5, 0.0, 0.0};
+  const MbuPatternTable mix{0.5, 0.5, 0.0, 0.0};
   const auto cells = grid_for({"laec", "secded-39-32"}, mix).cells();
   CampaignSpec spec = spec_for(core::InjectTarget::kDl1, 1e16, 8);
   std::string out[2];

@@ -22,14 +22,14 @@ MemorySystemParams fast_params() {
 }
 
 L1Params dl1_params(WritePolicy wp = WritePolicy::kWriteBack,
-                    ecc::CodecKind codec = ecc::CodecKind::kSecded) {
+                    std::string_view codec = "secded-39-32") {
   L1Params p;
   p.cache.name = "dl1";
   p.cache.size_bytes = 1024;
   p.cache.line_bytes = 32;
   p.cache.ways = 2;
   p.cache.write_policy = wp;
-  p.cache.codec = ecc::make_codec(codec);  // enum shim onto the registry
+  p.cache.codec = ecc::make_codec(codec);
   return p;
 }
 
@@ -135,7 +135,7 @@ TEST(Hierarchy, WriteBackStoreAllocatesAndDirties) {
 TEST(Hierarchy, WriteThroughStoreReachesL2) {
   MemorySystem ms(fast_params());
   DL1Controller dl1(dl1_params(WritePolicy::kWriteThrough,
-                               ecc::CodecKind::kParity),
+                               "parity-32"),
                     ms.bus(), 0);
   Cycle now = 0;
   bool done = false;
@@ -180,7 +180,7 @@ TEST(Hierarchy, DirtyEvictionWritesBackThroughBus) {
 TEST(Hierarchy, ParityErrorRecoversByRefetch) {
   MemorySystem ms(fast_params());
   DL1Controller dl1(dl1_params(WritePolicy::kWriteThrough,
-                               ecc::CodecKind::kParity),
+                               "parity-32"),
                     ms.bus(), 0);
   ecc::FaultInjector inj;
   dl1.set_injector(&inj);

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "reliability/schedule.hpp"
+
 namespace laec::ecc {
 namespace {
 
@@ -129,38 +131,15 @@ TEST(Injector, ScriptedPlusRandomDrawFillsFlipSetExactlyToCapacity) {
   EXPECT_EQ(inj.injected_double(), 1u);
 }
 
-TEST(Injector, PatternModeWidensTheScriptedReserve) {
-  // With pattern events armed (worst case: a 4-flip cluster), the scripted
-  // drain must leave 6 slots free — surplus stays queued for the next
-  // access instead of overflowing.
-  InjectorConfig cfg;
-  cfg.event_prob = 1e-12;  // armed but effectively never fires
-  cfg.patterns = {0.0, 0.0, 0.0, 1.0};
-  cfg.word_bits = 39;
-  FaultInjector inj(cfg);
-  for (unsigned b = 0; b < 6; ++b) inj.script_flip(9, b);
-  const auto first = inj.flips_for_access(9);
-  EXPECT_EQ(first.size(), FlipSet::kMax - 6);
-  unsigned delivered = first.size();
-  int accesses = 1;
-  while (inj.injected_scripted() < 6 && accesses < 10) {
-    delivered += inj.flips_for_access(9).size();
-    ++accesses;
-  }
-  EXPECT_EQ(delivered, 6u);
-  EXPECT_EQ(inj.injected_scripted(), 6u);
-  EXPECT_GE(accesses, 3);  // two slots per access
-}
-
 TEST(Injector, PatternTableDrawsEveryShapeWithTheRightGeometry) {
-  InjectorConfig cfg;
-  cfg.event_prob = 1.0;
-  cfg.patterns = {0.25, 0.25, 0.25, 0.25};
-  cfg.word_bits = 45;
-  FaultInjector inj(cfg);
+  // The campaign's storm drawer: every shape of the MBU table lands as
+  // distinct in-range flips with its own geometry.
+  const reliability::MbuPatternTable table{0.25, 0.25, 0.25, 0.25};
+  Rng rng(0x5eed);
   int singles = 0, pairs = 0, triples = 0, clusters = 0;
   for (int i = 0; i < 2000; ++i) {
-    const auto f = inj.flips_for_access(static_cast<u64>(i));
+    FlipSet f;
+    ASSERT_TRUE(reliability::draw_pattern_event(rng, table, 45, f));
     ASSERT_GE(f.size(), 1u);
     ASSERT_LE(f.size(), 4u);
     unsigned lo = 45, hi = 0;
@@ -187,27 +166,16 @@ TEST(Injector, PatternTableDrawsEveryShapeWithTheRightGeometry) {
       EXPECT_LE(hi - lo, 7u) << "cluster escaped its 8-bit window";
     }
   }
-  EXPECT_EQ(inj.injected_pattern(), 2000u);
-  EXPECT_EQ(inj.injected_total(), 2000u);
   // Every shape must actually occur (weights are equal).
   EXPECT_GT(singles, 200);
   EXPECT_GT(pairs, 200);
   EXPECT_GT(triples, 100);
   EXPECT_GT(clusters, 100);
-}
-
-TEST(Injector, PatternEventsHonorTheEventProbability) {
-  InjectorConfig cfg;
-  cfg.event_prob = 0.05;
-  cfg.patterns = {1.0, 0.0, 0.0, 0.0};
-  cfg.word_bits = 39;
-  FaultInjector inj(cfg);
-  EXPECT_TRUE(inj.enabled());
-  constexpr int kN = 20000;
-  for (int i = 0; i < kN; ++i) {
-    (void)inj.flips_for_access(static_cast<u64>(i));
-  }
-  EXPECT_NEAR(static_cast<double>(inj.injected_pattern()) / kN, 0.05, 0.008);
+  // An all-zero table draws nothing.
+  FlipSet none;
+  EXPECT_FALSE(reliability::draw_pattern_event(
+      rng, reliability::MbuPatternTable{0.0, 0.0, 0.0, 0.0}, 45, none));
+  EXPECT_TRUE(none.empty());
 }
 
 }  // namespace

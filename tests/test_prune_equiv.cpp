@@ -22,7 +22,7 @@ namespace laec::reliability {
 namespace {
 
 CampaignGrid grid_for(const std::vector<std::string>& schemes,
-                      const ecc::MbuPatternTable& mix) {
+                      const MbuPatternTable& mix) {
   CampaignGrid grid;
   grid.workloads({"rspeed"}).schemes(schemes);
   grid.rates({{"hot", 1000.0, mix}});
@@ -91,7 +91,7 @@ u64 expect_equivalent(const CampaignGrid& grid, const CampaignSpec& spec,
 TEST(PruneEquiv, EveryInjectTargetAtAMostlyPrunedOperatingPoint) {
   // accel low enough that most storms land exclusively on dead windows:
   // the analytic classification path carries real weight here.
-  const ecc::MbuPatternTable mix{0.4, 0.4, 0.1, 0.1};
+  const MbuPatternTable mix{0.4, 0.4, 0.1, 0.1};
   u64 pruned = 0;
   for (const auto target : {core::InjectTarget::kDl1, core::InjectTarget::kL1i,
                             core::InjectTarget::kL2}) {
@@ -109,7 +109,7 @@ TEST(PruneEquiv, SaturatedOperatingPointStillIdentical) {
   // fires and the per-access flip budget overflows (events_dropped > 0):
   // nothing is prunable, and the pruned run must degrade to exactly the
   // simulate-everything run, surplus accounting included.
-  const ecc::MbuPatternTable mix{0.2, 0.6, 0.15, 0.05};
+  const MbuPatternTable mix{0.2, 0.6, 0.15, 0.05};
   const auto grid = grid_for({"laec", "dec-bch-45-32"}, mix);
   const u64 pruned = expect_equivalent(
       grid, spec_for(core::InjectTarget::kDl1, 1e30), "saturated");
@@ -117,7 +117,7 @@ TEST(PruneEquiv, SaturatedOperatingPointStillIdentical) {
 }
 
 TEST(PruneEquiv, CsvBytesIdenticalAcrossThreadCounts) {
-  const ecc::MbuPatternTable mix{0.5, 0.5, 0.0, 0.0};
+  const MbuPatternTable mix{0.5, 0.5, 0.0, 0.0};
   const auto grid = grid_for({"laec", "secded-39-32"}, mix);
   const auto spec = spec_for(core::InjectTarget::kDl1, 1e15, 10);
   const std::string ref = campaign_csv(grid, spec, /*prune=*/false, 1);
@@ -127,7 +127,7 @@ TEST(PruneEquiv, CsvBytesIdenticalAcrossThreadCounts) {
 }
 
 TEST(PruneEquiv, ProcsMergeIdenticalAcrossPruneModes) {
-  const ecc::MbuPatternTable mix{0.5, 0.5, 0.0, 0.0};
+  const MbuPatternTable mix{0.5, 0.5, 0.0, 0.0};
   const auto cells = grid_for({"laec", "secded-39-32"}, mix).cells();
   CampaignSpec spec = spec_for(core::InjectTarget::kDl1, 1e15, 8);
   std::string out[2];
@@ -148,7 +148,7 @@ TEST(PruneEquiv, ProcsMergeIdenticalAcrossPruneModes) {
 TEST(PruneEquiv, StoppingRuleFiresIdenticallyUnderPruning) {
   // Early stopping consumes per-batch severity counts; a pruned batch must
   // trip the rule at exactly the same trial count.
-  const ecc::MbuPatternTable mix{1.0, 0.0, 0.0, 0.0};
+  const MbuPatternTable mix{1.0, 0.0, 0.0, 0.0};
   const auto grid = grid_for({"laec"}, mix);
   CampaignSpec spec = spec_for(core::InjectTarget::kDl1, 1e15, 64);
   spec.min_trials = 4;

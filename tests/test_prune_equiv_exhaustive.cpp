@@ -16,7 +16,7 @@ namespace laec::reliability {
 namespace {
 
 CampaignGrid grid_for(const std::string& scheme,
-                      const ecc::MbuPatternTable& mix) {
+                      const MbuPatternTable& mix) {
   CampaignGrid grid;
   grid.workloads({"rspeed"}).schemes({scheme});
   grid.rates({{"hot", 1000.0, mix}});
@@ -80,7 +80,7 @@ u64 expect_equivalent(const CampaignGrid& grid, const CampaignSpec& spec,
 }
 
 TEST(PruneEquivExhaustive, EveryCodecEveryShapeEveryTarget) {
-  const std::vector<std::pair<const char*, ecc::MbuPatternTable>> shapes = {
+  const std::vector<std::pair<const char*, MbuPatternTable>> shapes = {
       {"single", {1.0, 0.0, 0.0, 0.0}},
       {"adj2", {0.0, 1.0, 0.0, 0.0}},
       {"adj3", {0.0, 0.0, 1.0, 0.0}},

@@ -1,7 +1,7 @@
 // Reliability campaign engine tests:
 //  * Wilson interval / rate-estimator arithmetic (pure functions);
 //  * trial outcome classification and its severity precedence;
-//  * the Poisson -> per-access event probability bridge;
+//  * the storm's flip universe: the targeted codec's codeword width;
 //  * campaign grid expansion and validation;
 //  * determinism: identical FIT/CI rows at any thread count and across
 //    the multi-process driver (--procs), the sweep-runner contract
@@ -184,22 +184,7 @@ TEST(ClassifyTrial, SeverityLadder) {
   EXPECT_FALSE(is_failure(TrialOutcome::kDueRecovered));
 }
 
-// ------------------------------------------------------- Poisson bridge --
-
-TEST(EventProb, MonotoneInRateAccelAndWordWidth) {
-  CampaignSpec spec;
-  const double base = event_prob_for(spec, 1000.0, 39);
-  EXPECT_GT(base, 0.0);
-  EXPECT_LT(base, 1.0);
-  EXPECT_GT(event_prob_for(spec, 2000.0, 39), base);
-  EXPECT_GT(event_prob_for(spec, 1000.0, 45), base);
-  CampaignSpec faster = spec;
-  faster.accel *= 10.0;
-  EXPECT_GT(event_prob_for(faster, 1000.0, 39), base);
-  CampaignSpec idle = spec;
-  idle.accel = 0.0;
-  EXPECT_DOUBLE_EQ(event_prob_for(idle, 1000.0, 39), 0.0);
-}
+// ---------------------------------------------------------- flip universe --
 
 TEST(EventProb, TargetCodewordBitsFollowTheDeployedCodec) {
   core::SimConfig cfg;
@@ -254,7 +239,7 @@ TEST(CampaignGrid, ValidatesSchemesAndRates) {
 }
 
 TEST(RateParsing, PresetsAndNumbers) {
-  const ecc::MbuPatternTable mix{0.5, 0.5, 0.0, 0.0};
+  const MbuPatternTable mix{0.5, 0.5, 0.0, 0.0};
   const auto preset = parse_rate("28nm", mix);
   ASSERT_TRUE(preset.has_value());
   EXPECT_EQ(preset->label, "28nm");
@@ -277,7 +262,7 @@ TEST(RateParsing, PresetsAndNumbers) {
 CampaignGrid small_grid() {
   CampaignGrid grid;
   grid.workloads({"rspeed"}).schemes({"laec", "sec-daec-39-32"});
-  ecc::MbuPatternTable mix{0.2, 0.6, 0.15, 0.05};
+  MbuPatternTable mix{0.2, 0.6, 0.15, 0.05};
   grid.rates({{"hot", 1000.0, mix}});
   return grid;
 }
@@ -347,25 +332,12 @@ TEST(Campaign, ShardsPartitionTheCells) {
 TEST(Campaign, EventsScaleWithTheRateAxis) {
   CampaignGrid grid;
   grid.workloads({"rspeed"}).schemes({"laec"});
-  ecc::MbuPatternTable mix{1.0, 0.0, 0.0, 0.0};
+  MbuPatternTable mix{1.0, 0.0, 0.0, 0.0};
   grid.rates({{"cool", 10.0, mix}, {"hot", 1000.0, mix}});
   const auto sum = run_campaign(grid, small_spec(8));
   ASSERT_EQ(sum.cells.size(), 2u);
   EXPECT_LT(sum.cells[0].events, sum.cells[1].events);
   EXPECT_GT(sum.cells[1].events, 0u);
-}
-
-TEST(EventProb, LambdaBacksTheSaturatingProbability) {
-  CampaignSpec spec;
-  const double lam = event_lambda_for(spec, 1000.0, 39);
-  EXPECT_GT(lam, 0.0);
-  EXPECT_NEAR(event_prob_for(spec, 1000.0, 39), -std::expm1(-lam), 1e-15);
-  // Extreme acceleration: probability saturates to exactly 1, the lambda
-  // keeps growing (it is what preserves the multi-event information).
-  CampaignSpec extreme = spec;
-  extreme.accel = 1e30;
-  EXPECT_DOUBLE_EQ(event_prob_for(extreme, 1000.0, 39), 1.0);
-  EXPECT_GT(event_lambda_for(extreme, 1000.0, 39), 1.0);
 }
 
 TEST(Campaign, ExtremeAccelSurfacesDroppedEventsInsteadOfSilentTruncation) {

@@ -230,7 +230,7 @@ namespace {
 
 using mem::AccessWindow;
 
-ecc::MbuPatternTable seu_only() { return ecc::MbuPatternTable{}; }
+MbuPatternTable seu_only() { return MbuPatternTable{}; }
 
 TEST(TrialSchedule, ZeroLambdaDrawsNothing) {
   std::vector<AccessWindow> w{{100, true}, {100, false}};

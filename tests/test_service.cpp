@@ -12,6 +12,7 @@
 #include <bit>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -212,35 +213,104 @@ TEST(CampaignJob, SerializeParseRoundTrips) {
 }
 
 TEST(CampaignJob, IdentityReactsToEveryConfigurationAxis) {
+  // One perturbation per field serialize_job writes: job header, every
+  // spec field, every put_config field, the cell list and every rate
+  // weight. A field dropped from serialize_job leaves the identity
+  // unchanged; one dropped from parse_job breaks the round trip.
+  using Perturb = std::function<void(CampaignJob&)>;
+  const std::vector<std::pair<const char*, Perturb>> axes = {
+      {"base_seed", [](CampaignJob& j) { j.base_seed ^= 1; }},
+      {"shard",
+       [](CampaignJob& j) {
+         j.shard_index = 1;
+         j.shard_count = 2;
+       }},
+      {"accel", [](CampaignJob& j) { j.spec.accel *= 2; }},
+      {"freq_mhz", [](CampaignJob& j) { j.spec.freq_mhz += 1; }},
+      {"trials", [](CampaignJob& j) { j.spec.trials += 1; }},
+      {"min_trials", [](CampaignJob& j) { j.spec.min_trials += 1; }},
+      {"batch", [](CampaignJob& j) { j.spec.batch += 1; }},
+      {"confidence", [](CampaignJob& j) { j.spec.confidence = 0.99; }},
+      {"target_half_width",
+       [](CampaignJob& j) { j.spec.target_half_width = 0.1; }},
+      {"target",
+       [](CampaignJob& j) { j.spec.target = core::InjectTarget::kL2; }},
+      // A --no-prune / --no-ff run is the same campaign rows-wise, but the
+      // operator asked for the reference path: never resume across it.
+      {"prune", [](CampaignJob& j) { j.spec.prune = false; }},
+      {"fast_forward", [](CampaignJob& j) { j.spec.fast_forward = false; }},
+      {"snapshot_every", [](CampaignJob& j) { j.spec.snapshot_every += 1; }},
+      {"snapshot_mem_mb",
+       [](CampaignJob& j) { j.spec.snapshot_mem_mb += 1; }},
+      {"hazard_rule",
+       [](CampaignJob& j) { j.spec.base.hazard_rule = cpu::HazardRule::kPaperLiteral; }},
+      {"stride_predictor",
+       [](CampaignJob& j) { j.spec.base.stride_predictor = true; }},
+      {"lut_decode", [](CampaignJob& j) { j.spec.base.lut_decode = false; }},
+      {"force_generic_ecc_path",
+       [](CampaignJob& j) { j.spec.base.force_generic_ecc_path = true; }},
+      {"dl1_size_bytes",
+       [](CampaignJob& j) { j.spec.base.dl1_size_bytes *= 2; }},
+      {"dl1_ways", [](CampaignJob& j) { j.spec.base.dl1_ways *= 2; }},
+      {"dl1_line_bytes",
+       [](CampaignJob& j) { j.spec.base.dl1_line_bytes *= 2; }},
+      {"l1i_size_bytes",
+       [](CampaignJob& j) { j.spec.base.l1i_size_bytes *= 2; }},
+      {"write_buffer_depth",
+       [](CampaignJob& j) { j.spec.base.write_buffer_depth += 1; }},
+      {"mul_latency", [](CampaignJob& j) { j.spec.base.mul_latency += 1; }},
+      {"div_latency", [](CampaignJob& j) { j.spec.base.div_latency += 1; }},
+      {"bus_request_cycles",
+       [](CampaignJob& j) { j.spec.base.bus_request_cycles += 1; }},
+      {"bus_response_cycles",
+       [](CampaignJob& j) { j.spec.base.bus_response_cycles += 1; }},
+      {"l2_hit_cycles", [](CampaignJob& j) { j.spec.base.l2_hit_cycles += 1; }},
+      {"l2_write_cycles",
+       [](CampaignJob& j) { j.spec.base.l2_write_cycles += 1; }},
+      {"memory_cycles", [](CampaignJob& j) { j.spec.base.memory_cycles += 1; }},
+      {"num_cores", [](CampaignJob& j) { j.spec.base.num_cores += 1; }},
+      {"max_cycles", [](CampaignJob& j) { j.spec.base.max_cycles += 1; }},
+      {"cell count", [](CampaignJob& j) { j.cells.pop_back(); }},
+      {"cell index", [](CampaignJob& j) { j.cells[0].index += 10; }},
+      {"cell workload", [](CampaignJob& j) { j.cells[0].workload = "rspeed"; }},
+      {"cell scheme", [](CampaignJob& j) { j.cells[0].scheme = "no-ecc"; }},
+      {"rate label", [](CampaignJob& j) { j.cells[0].rate.label = "hot"; }},
+      {"rate fit", [](CampaignJob& j) { j.cells[0].rate.fit_per_mbit += 1; }},
+      {"weight single",
+       [](CampaignJob& j) { j.cells[0].rate.patterns.single += 0.5; }},
+      {"weight adjacent_double",
+       [](CampaignJob& j) { j.cells[0].rate.patterns.adjacent_double += 0.5; }},
+      {"weight adjacent_triple",
+       [](CampaignJob& j) { j.cells[0].rate.patterns.adjacent_triple += 0.5; }},
+      {"weight clustered",
+       [](CampaignJob& j) { j.cells[0].rate.patterns.clustered += 0.5; }},
+  };
   const CampaignJob base = sample_job();
   const u64 id = campaign_identity(base);
+  for (const auto& [name, perturb] : axes) {
+    CampaignJob j = base;
+    perturb(j);
+    const u64 changed = campaign_identity(j);
+    EXPECT_NE(changed, id) << name << " is not part of the identity";
+    EXPECT_EQ(campaign_identity(parse_job(serialize_job(j))), changed)
+        << name << " does not survive parse_job";
+  }
+}
 
-  CampaignJob j = base;
-  j.base_seed ^= 1;
-  EXPECT_NE(campaign_identity(j), id);
-
-  j = base;
-  j.shard_index = 1;
-  j.shard_count = 2;
-  EXPECT_NE(campaign_identity(j), id);
-
-  j = base;
-  j.spec.trials += 1;
-  EXPECT_NE(campaign_identity(j), id);
-
-  j = base;
-  j.spec.base.dl1_size_bytes *= 2;
-  EXPECT_NE(campaign_identity(j), id);
-
-  // A --no-prune run is the same campaign rows-wise, but NOT the same RNG
-  // bookkeeping contract — never silently resume across the toggle.
-  j = base;
-  j.spec.prune = false;
-  EXPECT_NE(campaign_identity(j), id);
-
-  j = base;
-  j.cells.pop_back();
-  EXPECT_NE(campaign_identity(j), id);
+TEST(CampaignJob, OlderJobVersionIsRejectedByName) {
+  // Version 3 carried the fixed exposure window v4 dropped; its bytes must
+  // fail loudly, not shift every later field by four bytes.
+  std::string bytes = serialize_job(sample_job());
+  ByteWriter v3;
+  v3.put_u32(3);
+  bytes.replace(0, 4, v3.bytes());
+  try {
+    (void)parse_job(bytes);
+    FAIL() << "a version-3 job parsed";
+  } catch (const WireError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 3"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CampaignJob, ParseRejectsTruncatedAndAlienBytes) {
@@ -357,6 +427,25 @@ TEST(Daemon, RejectsJobsWithUnknownSchemeOrWorkload) {
   EXPECT_THROW((void)submit_job(daemon.socket_path, job, w),
                std::runtime_error);
   // The daemon survives a rejected job and still serves good ones.
+  EXPECT_EQ(submit_csv(daemon.socket_path, sample_job()),
+            local_csv(sample_job()));
+}
+
+TEST(Daemon, ImpossibleGeometryGetsAnErrorFrameAndTheDaemonLivesOn) {
+  // Job bytes come off a socket: a zero-way DL1 must come back as an error
+  // frame, never a crashed daemon.
+  DaemonFixture daemon;
+  CampaignJob job = sample_job();
+  job.spec.base.dl1_ways = 0;
+  std::ostringstream out;
+  report::CsvWriter w(out);
+  try {
+    (void)submit_job(daemon.socket_path, job, w);
+    FAIL() << "a zero-way DL1 job was served";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("ways"), std::string::npos)
+        << e.what();
+  }
   EXPECT_EQ(submit_csv(daemon.socket_path, sample_job()),
             local_csv(sample_job()));
 }

@@ -21,7 +21,7 @@ using cpu::HazardRule;
 SweepGrid small_trace_grid() {
   SweepGrid g;
   g.workloads({"tblook", "canrdr", "matrix"})
-      .eccs({EccPolicy::kNoEcc, EccPolicy::kLaec, EccPolicy::kExtraStage})
+      .schemes({"no-ecc", "laec", "extra-stage"})
       .mode(RunMode::kTrace)
       .trace_ops(4'000);
   return g;
@@ -44,11 +44,11 @@ std::string csv_at(const SweepGrid& grid, unsigned threads,
 
 TEST(SweepGrid, ExpansionIsStableAndComplete) {
   const auto pts = small_trace_grid().points();
-  ASSERT_EQ(pts.size(), 9u);  // 3 workloads x 3 eccs
+  ASSERT_EQ(pts.size(), 9u);  // 3 workloads x 3 schemes
   // Workload-major, fixed inner order; indices are positional.
   EXPECT_EQ(pts[0].workload, "tblook");
-  EXPECT_EQ(pts[0].config.ecc, EccPolicy::kNoEcc);
-  EXPECT_EQ(pts[1].config.ecc, EccPolicy::kLaec);
+  EXPECT_EQ(pts[0].config.deployment.name, "no-ecc");
+  EXPECT_EQ(pts[1].config.deployment.name, "laec");
   EXPECT_EQ(pts[3].workload, "canrdr");
   for (std::size_t i = 0; i < pts.size(); ++i) {
     EXPECT_EQ(pts[i].index, i);
@@ -58,7 +58,7 @@ TEST(SweepGrid, ExpansionIsStableAndComplete) {
 
 TEST(SweepGrid, ReplicatesAxisExpandsInnermostWithTrialIndices) {
   SweepGrid g;
-  g.workloads({"tblook"}).eccs({EccPolicy::kNoEcc, EccPolicy::kLaec});
+  g.workloads({"tblook"}).schemes({"no-ecc", "laec"});
   g.replicates(3).mode(RunMode::kTrace);
   const auto pts = g.points();
   ASSERT_EQ(pts.size(), 6u);  // 2 schemes x 3 replicates, replicate inner
@@ -66,8 +66,8 @@ TEST(SweepGrid, ReplicatesAxisExpandsInnermostWithTrialIndices) {
     EXPECT_EQ(pts[i].index, i);
     EXPECT_EQ(pts[i].replicate, i % 3);
   }
-  EXPECT_EQ(pts[2].config.ecc, EccPolicy::kNoEcc);
-  EXPECT_EQ(pts[3].config.ecc, EccPolicy::kLaec);
+  EXPECT_EQ(pts[2].config.deployment.name, "no-ecc");
+  EXPECT_EQ(pts[3].config.deployment.name, "laec");
   // Replicates share the workload-identity seed; what varies per trial is
   // mixed in inside run_point (program mode: the fault stream; trace
   // mode: the synthetic trace itself).
@@ -78,7 +78,7 @@ TEST(SweepGrid, ReplicatesAxisExpandsInnermostWithTrialIndices) {
 TEST(SweepRunner, TraceReplicatesAreIndependentSamples) {
   SweepGrid g;
   g.workloads({"tblook"})
-      .eccs({EccPolicy::kLaec})
+      .schemes({"laec"})
       .replicates(3)
       .mode(RunMode::kTrace)
       .trace_ops(4000);
@@ -96,7 +96,7 @@ TEST(SweepGrid, VariantsApplyTweaksOnTopOfBaseConfig) {
   base.write_buffer_depth = 2;
   SweepGrid g;
   g.workloads({"tblook"})
-      .eccs({EccPolicy::kLaec})
+      .schemes({"laec"})
       .base_config(base)
       .variants({{"small", [](core::SimConfig& c) { c.dl1_size_bytes = 1024; }},
                  {"big", [](core::SimConfig& c) {
@@ -109,7 +109,7 @@ TEST(SweepGrid, VariantsApplyTweaksOnTopOfBaseConfig) {
   EXPECT_EQ(pts[1].config.dl1_size_bytes, 128u * 1024u);
   // Base config survives the tweak; grid-swept axes are overwritten.
   EXPECT_EQ(pts[0].config.write_buffer_depth, 2u);
-  EXPECT_EQ(pts[0].config.ecc, EccPolicy::kLaec);
+  EXPECT_EQ(pts[0].config.deployment.name, "laec");
 }
 
 TEST(SweepGrid, StringSchemeAxisCarriesDeploymentsIntoPoints) {
@@ -119,16 +119,15 @@ TEST(SweepGrid, StringSchemeAxisCarriesDeploymentsIntoPoints) {
       .mode(RunMode::kTrace);
   const auto pts = g.points();
   ASSERT_EQ(pts.size(), 3u);
-  ASSERT_TRUE(pts[1].config.deployment.has_value());
-  EXPECT_EQ(pts[1].config.deployment->codec, "sec-daec-39-32");
-  EXPECT_EQ(pts[1].config.ecc, EccPolicy::kLaec);
-  EXPECT_EQ(pts[2].config.deployment->timing, EccPolicy::kExtraStage);
-  // The enum shim spells policies through the same path.
-  SweepGrid shim;
-  shim.workloads({"tblook"}).eccs({EccPolicy::kWtParity});
-  const auto spts = shim.points();
-  ASSERT_EQ(spts.size(), 1u);
-  EXPECT_EQ(spts[0].config.effective_deployment().codec, "parity-32");
+  EXPECT_EQ(pts[1].config.deployment.codec, "sec-daec-39-32");
+  EXPECT_EQ(pts[1].config.deployment.timing, EccPolicy::kLaec);
+  EXPECT_EQ(pts[2].config.deployment.timing, EccPolicy::kExtraStage);
+  // Policy keys expand to their canonical deployments.
+  SweepGrid policy;
+  policy.workloads({"tblook"}).schemes({"wt-parity"});
+  const auto ppts = policy.points();
+  ASSERT_EQ(ppts.size(), 1u);
+  EXPECT_EQ(ppts[0].config.deployment.codec, "parity-32");
 }
 
 TEST(SweepGrid, CompoundHierarchyKeysSweepPerLevelCodecs) {
@@ -141,12 +140,12 @@ TEST(SweepGrid, CompoundHierarchyKeysSweepPerLevelCodecs) {
   ASSERT_EQ(pts.size(), 3u);
   // All three points share the DL1 deployment; the levels differ.
   for (const auto& p : pts) {
-    EXPECT_EQ(p.config.effective_deployment().codec, "secded-39-32");
-    EXPECT_EQ(p.config.ecc, cpu::EccPolicy::kLaec);
+    EXPECT_EQ(p.config.deployment.codec, "secded-39-32");
+    EXPECT_EQ(p.config.deployment.timing, cpu::EccPolicy::kLaec);
   }
-  EXPECT_EQ(pts[0].config.deployment->l2.codec, "secded-39-32");
-  EXPECT_EQ(pts[1].config.deployment->l2.codec, "sec-daec-39-32");
-  EXPECT_EQ(pts[2].config.deployment->l1i.codec, "parity-i2-32");
+  EXPECT_EQ(pts[0].config.deployment.l2.codec, "secded-39-32");
+  EXPECT_EQ(pts[1].config.deployment.l2.codec, "sec-daec-39-32");
+  EXPECT_EQ(pts[2].config.deployment.l1i.codec, "parity-i2-32");
   // Rows carry the per-level codec columns.
   const std::string csv = csv_at(g, 2);
   EXPECT_NE(csv.find("laec+l1i:parity-i2-32+l2:sec-daec-39-32"),
@@ -244,7 +243,7 @@ TEST(SweepRunner, ShardsPartitionTheGridExactly) {
 
 TEST(SweepRunner, ProgramModeRunsSelfChecks) {
   SweepGrid g;
-  g.workloads({"tblook"}).eccs({EccPolicy::kLaec}).mode(RunMode::kProgram);
+  g.workloads({"tblook"}).schemes({"laec"}).mode(RunMode::kProgram);
   const auto summary = run_sweep(g, {});
   ASSERT_EQ(summary.results.size(), 1u);
   EXPECT_TRUE(summary.results[0].self_check_ok);

@@ -93,8 +93,7 @@ TEST_P(TraceDepthSweep, WriteBufferDepthNeverChangesTraceResults) {
   workloads::SyntheticParams p;
   p.num_ops = 20'000;
   p.store_frac = 0.2;  // stress the buffer
-  core::SimConfig cfg;
-  cfg.ecc = EccPolicy::kLaec;
+  core::SimConfig cfg;  // LAEC, the default scheme
   cfg.write_buffer_depth = GetParam();
   workloads::SyntheticTrace t1(p);
   const auto a = core::run_trace(cfg, t1);
@@ -117,7 +116,7 @@ TEST(Sweeps, ShallowerWriteBufferIsNeverFaster) {
   u64 prev = ~u64{0};
   for (unsigned depth : {1u, 4u, 16u}) {
     core::SimConfig cfg;
-    cfg.ecc = EccPolicy::kNoEcc;
+    cfg.set_scheme("no-ecc");
     cfg.write_buffer_depth = depth;
     workloads::SyntheticTrace t(p);
     const auto s = core::run_trace(cfg, t);
@@ -181,9 +180,9 @@ TEST_P(D1ShareSweep, DistanceOneConsumersCostMoreUnderExtraStage) {
   p.num_ops = 40'000;
   p.d1_share = GetParam();
   core::SimConfig base;
-  base.ecc = EccPolicy::kNoEcc;
+  base.set_scheme("no-ecc");
   core::SimConfig es;
-  es.ecc = EccPolicy::kExtraStage;
+  es.set_scheme("extra-stage");
   workloads::SyntheticTrace t1(p);
   const auto b = core::run_trace(base, t1);
   workloads::SyntheticTrace t2(p);

@@ -11,7 +11,7 @@ namespace {
 
 core::RunStats run_synthetic(const SyntheticParams& p, cpu::EccPolicy ecc) {
   core::SimConfig cfg;
-  cfg.ecc = ecc;
+  cfg.deployment = core::HierarchyDeployment::from_policy(ecc);
   SyntheticTrace trace(p);
   return core::run_trace(cfg, trace);
 }

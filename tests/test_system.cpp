@@ -2,6 +2,8 @@
 // (the §II motivation), and final-state flushing.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim_test_util.hpp"
 #include "workloads/eembc.hpp"
 
@@ -122,6 +124,15 @@ TEST(System, KernelUnaffectedArchitecturallyByContention) {
   for (const auto& [addr, expect] : k.expected) {
     ASSERT_EQ(r.system->read_word_final(addr), expect);
   }
+}
+
+TEST(System, ZeroCoresOrZeroDepthWriteBufferIsRejected) {
+  core::SimConfig cfg;
+  cfg.num_cores = 0;
+  EXPECT_THROW(System{core::make_system_config(cfg)}, std::invalid_argument);
+  cfg = core::SimConfig{};
+  cfg.write_buffer_depth = 0;
+  EXPECT_THROW(System{core::make_system_config(cfg)}, std::invalid_argument);
 }
 
 }  // namespace

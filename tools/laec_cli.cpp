@@ -79,6 +79,7 @@
 //                                stitches them into one document
 //                                (sweep / campaign / serve)
 //   --seed=<n>                   base seed for per-point deterministic RNG
+//                                (decimal or 0x-prefixed hex)
 //
 // Campaign options:
 //   --rates=<r>[,<r>...]         rate axis: tech presets (65nm, 40nm, 28nm)
@@ -88,7 +89,7 @@
 //   --confidence=<c>             CI level (default 0.95)
 //   --ci-width=<w>               stop a cell early once the Wilson CI
 //                                half-width on p_fail drops to w
-//   --accel=<a> --exposure=<cyc> fault-process acceleration knobs
+//   --accel=<a>                  fault-process time acceleration
 //   --mbu=s:W,adj2:W,adj3:W,cluster:W
 //                                MBU pattern-probability table; overrides
 //                                every rate's shape mix (without it,
@@ -114,6 +115,7 @@
 //   --socket=PATH                Unix-domain socket (serve/submit/status/stop)
 //   --workers=N                  daemon worker threads (0 = hw concurrency)
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -121,10 +123,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/deployment.hpp"
@@ -183,7 +188,7 @@ struct CliOptions {
   // Campaign mode.
   reliability::CampaignSpec campaign;
   std::vector<std::string> rate_tokens;
-  ecc::MbuPatternTable mbu;       ///< --mbu table for numeric rates
+  reliability::MbuPatternTable mbu;  ///< --mbu table for numeric rates
   bool mbu_explicit = false;
   std::vector<std::string> campaign_only_flags;
 
@@ -218,67 +223,73 @@ std::vector<std::string> split_csv(const std::string& v) {
   return out;
 }
 
-/// Parse a double consuming the WHOLE string ("0.7junk" is an error, not
-/// 0.7). nullopt on any failure.
-std::optional<double> parse_double_strict(const std::string& s) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(s, &used);
-    if (used != s.size()) return std::nullopt;
-    return v;
-  } catch (const std::exception&) {
+/// The one parser behind every numeric flag: the whole string must be a
+/// plain number inside [lo, hi] — no sign, whitespace or trailing text, and
+/// nothing the target type cannot hold ("2abc", "-1" and "4294967297" for
+/// an unsigned are all errors). The range test also rejects NaN. `hex`
+/// additionally admits a 0x prefix on integers. nullopt on any failure.
+template <class T>
+std::optional<T> parse_number(std::string_view s, T lo, T hi,
+                              bool hex = false) {
+  int base = 10;
+  if (hex && (s.starts_with("0x") || s.starts_with("0X"))) {
+    s.remove_prefix(2);
+    base = 16;
+  }
+  if (s.empty() || s.front() == '-' || s.front() == '+') return std::nullopt;
+  T v{};
+  std::from_chars_result res;
+  if constexpr (std::is_floating_point_v<T>) {
+    res = std::from_chars(s.data(), s.data() + s.size(), v);
+  } else {
+    res = std::from_chars(s.data(), s.data() + s.size(), v, base);
+  }
+  if (res.ec != std::errc{} || res.ptr != s.data() + s.size()) {
     return std::nullopt;
   }
+  if (!(v >= lo && v <= hi)) return std::nullopt;
+  return v;
 }
 
-/// Strict unsigned parse: the whole string must be digits ("1e3" is an
-/// error, not 1). nullopt on any failure.
-std::optional<unsigned long> parse_ulong_strict(const std::string& s) {
-  try {
-    std::size_t used = 0;
-    const unsigned long v = std::stoul(s, &used);
-    if (used != s.size()) return std::nullopt;
-    return v;
-  } catch (const std::exception&) {
-    return std::nullopt;
+/// parse_number for a flag: store the value, or report and poison the
+/// options.
+template <class T>
+bool take_number(const std::string& flag, const std::string& v, CliOptions& o,
+                 T& out, T lo = T{}, T hi = std::numeric_limits<T>::max(),
+                 bool hex = false) {
+  if (const auto parsed = parse_number(v, lo, hi, hex); parsed.has_value()) {
+    out = *parsed;
+    return true;
   }
+  const auto text = [](T b) {
+    if constexpr (std::is_floating_point_v<T>) {
+      char buf[32];
+      std::snprintf(buf, sizeof buf, "%g", b);
+      return std::string(buf);
+    } else {
+      return std::to_string(b);
+    }
+  };
+  std::fprintf(stderr, "%s wants %s from %s to %s, not %s\n", flag.c_str(),
+               std::is_floating_point_v<T> ? "a number" : "a whole number",
+               text(lo).c_str(), text(hi).c_str(), v.c_str());
+  o.ok = false;
+  return false;
 }
 
-/// Shared handler shape for the campaign's strict numeric flags: parse or
-/// report and poison the options.
-bool take_ulong(const std::string& flag, const std::string& v, CliOptions& o,
-                unsigned& out) {
-  const auto parsed = parse_ulong_strict(v);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "%s wants a whole number, not %s\n", flag.c_str(),
-                 v.c_str());
-    o.ok = false;
-    return false;
-  }
-  out = static_cast<unsigned>(*parsed);
-  return true;
-}
-
-bool take_double(const std::string& flag, const std::string& v, CliOptions& o,
-                 double& out) {
-  const auto parsed = parse_double_strict(v);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "%s wants a number, not %s\n", flag.c_str(),
-                 v.c_str());
-    o.ok = false;
-    return false;
-  }
-  out = *parsed;
-  return true;
+/// Probabilities and other unit-interval knobs.
+bool take_fraction(const std::string& flag, const std::string& v,
+                   CliOptions& o, double& out) {
+  return take_number(flag, v, o, out, 0.0, 1.0);
 }
 
 /// Split a comma-separated --ecc value into scheme keys and validate each
-/// against EccDeployment::parse. The first key also configures the single-
-/// run config (run/trace/compare use exactly one scheme).
+/// against HierarchyDeployment::parse. The first key also configures the
+/// single-run config (run/trace/compare use exactly one scheme).
 void parse_ecc(const std::string& v, CliOptions& o) {
   for (const std::string& key : split_csv(v)) {
     try {
-      (void)core::EccDeployment::parse(key);
+      (void)core::HierarchyDeployment::parse(key);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "--ecc: %s\n", e.what());
       o.ok = false;
@@ -300,14 +311,15 @@ void parse_ecc(const std::string& v, CliOptions& o) {
 
 /// Parse an --mbu pattern table: comma list of key:weight pairs with keys
 /// single|s, adj2, adj3, cluster|clustered. Returns false on a bad entry.
-bool parse_mbu(const std::string& v, ecc::MbuPatternTable& t) {
+bool parse_mbu(const std::string& v, reliability::MbuPatternTable& t) {
   t = {0.0, 0.0, 0.0, 0.0};
   for (const std::string& item : split_csv(v)) {
     const auto colon = item.find(':');
     if (colon == std::string::npos) return false;
     const std::string key = item.substr(0, colon);
-    const auto w = parse_double_strict(item.substr(colon + 1));
-    if (!w.has_value() || *w < 0.0) return false;
+    const auto w = parse_number(std::string_view(item).substr(colon + 1),
+                                0.0, std::numeric_limits<double>::max());
+    if (!w.has_value()) return false;
     if (key == "single" || key == "s") {
       t.single = *w;
     } else if (key == "adj2") {
@@ -380,29 +392,34 @@ CliOptions parse(int argc, char** argv) {
       o.campaign.fast_forward = true;
       o.campaign_only_flags.push_back(arg);
     } else if (auto se = value("--snapshot-every"); !se.empty()) {
-      (void)take_ulong("--snapshot-every", se, o, o.campaign.snapshot_every);
+      (void)take_number("--snapshot-every", se, o, o.campaign.snapshot_every);
       o.campaign_only_flags.push_back("--snapshot-every");
     } else if (auto sm = value("--snapshot-mem"); !sm.empty()) {
-      (void)take_ulong("--snapshot-mem", sm, o, o.campaign.snapshot_mem_mb);
+      (void)take_number("--snapshot-mem", sm, o, o.campaign.snapshot_mem_mb);
       o.campaign_only_flags.push_back("--snapshot-mem");
     } else if (auto v2 = value("--dl1-kb"); !v2.empty()) {
-      o.cfg.dl1_size_bytes = static_cast<u32>(std::stoul(v2)) * 1024;
+      u32 kb = 0;
+      if (take_number("--dl1-kb", v2, o, kb, u32{0}, ~u32{0} / 1024)) {
+        o.cfg.dl1_size_bytes = kb * 1024;
+      }
     } else if (auto v3 = value("--dl1-ways"); !v3.empty()) {
-      o.cfg.dl1_ways = static_cast<u32>(std::stoul(v3));
+      (void)take_number("--dl1-ways", v3, o, o.cfg.dl1_ways);
     } else if (auto v4 = value("--wbuf"); !v4.empty()) {
-      o.cfg.write_buffer_depth = static_cast<unsigned>(std::stoul(v4));
+      (void)take_number("--wbuf", v4, o, o.cfg.write_buffer_depth);
     } else if (auto v5 = value("--div"); !v5.empty()) {
-      o.cfg.div_latency = static_cast<unsigned>(std::stoul(v5));
+      (void)take_number("--div", v5, o, o.cfg.div_latency);
     } else if (auto v6 = value("--mem"); !v6.empty()) {
-      o.cfg.memory_cycles = static_cast<unsigned>(std::stoul(v6));
+      (void)take_number("--mem", v6, o, o.cfg.memory_cycles);
     } else if (auto v7 = value("--ops"); !v7.empty()) {
-      o.trace_ops = std::stoull(v7);
+      (void)take_number("--ops", v7, o, o.trace_ops);
     } else if (auto is = value("--inject-single"); !is.empty()) {
       if (!o.cfg.faults.has_value()) o.cfg.faults.emplace();
-      o.cfg.faults->single_flip_prob = std::stod(is);
+      (void)take_fraction("--inject-single", is, o,
+                          o.cfg.faults->single_flip_prob);
     } else if (auto id = value("--inject-double"); !id.empty()) {
       if (!o.cfg.faults.has_value()) o.cfg.faults.emplace();
-      o.cfg.faults->double_flip_prob = std::stod(id);
+      (void)take_fraction("--inject-double", id, o,
+                          o.cfg.faults->double_flip_prob);
     } else if (arg == "--inject-adjacent") {
       if (!o.cfg.faults.has_value()) o.cfg.faults.emplace();
       o.cfg.faults->adjacent_doubles = true;
@@ -419,10 +436,10 @@ CliOptions parse(int argc, char** argv) {
     } else if (arg == "--csv") {
       o.csv = true;
     } else if (auto t = value("--threads"); !t.empty()) {
-      o.threads = static_cast<unsigned>(std::stoul(t));
+      (void)take_number("--threads", t, o, o.threads);
       o.sweep_only_flags.push_back("--threads");
     } else if (auto pr = value("--procs"); !pr.empty()) {
-      o.procs = static_cast<unsigned>(std::stoul(pr));
+      (void)take_number("--procs", pr, o, o.procs);
       o.sweep_only_flags.push_back("--procs");
       if (o.procs == 0) {
         std::fprintf(stderr, "--procs wants at least 1 process\n");
@@ -435,9 +452,8 @@ CliOptions parse(int argc, char** argv) {
         std::fprintf(stderr, "--shard wants <index>/<count>\n");
         o.ok = false;
       } else {
-        o.shard_index = static_cast<unsigned>(std::stoul(s.substr(0, slash)));
-        o.shard_count =
-            static_cast<unsigned>(std::stoul(s.substr(slash + 1)));
+        (void)take_number("--shard", s.substr(0, slash), o, o.shard_index);
+        (void)take_number("--shard", s.substr(slash + 1), o, o.shard_count);
       }
     } else if (auto f = value("--format"); !f.empty()) {
       o.format = f;
@@ -446,7 +462,9 @@ CliOptions parse(int argc, char** argv) {
       o.out_path = p;
       o.sweep_only_flags.push_back("--out");
     } else if (auto sd = value("--seed"); !sd.empty()) {
-      o.base_seed = std::stoull(sd);
+      // Hex too: the default seed is conventionally written 0x1aec.
+      (void)take_number("--seed", sd, o, o.base_seed, u64{0}, ~u64{0},
+                        /*hex=*/true);
       o.sweep_only_flags.push_back("--seed");
     } else if (arg == "--trace") {
       o.sweep_trace = true;
@@ -463,26 +481,24 @@ CliOptions parse(int argc, char** argv) {
         o.ok = false;
       }
     } else if (auto tv = value("--trials"); !tv.empty()) {
-      (void)take_ulong("--trials", tv, o, o.campaign.trials);
+      (void)take_number("--trials", tv, o, o.campaign.trials);
       o.campaign_only_flags.push_back("--trials");
     } else if (auto mv = value("--min-trials"); !mv.empty()) {
-      (void)take_ulong("--min-trials", mv, o, o.campaign.min_trials);
+      (void)take_number("--min-trials", mv, o, o.campaign.min_trials);
       o.campaign_only_flags.push_back("--min-trials");
     } else if (auto bv = value("--batch"); !bv.empty()) {
-      (void)take_ulong("--batch", bv, o, o.campaign.batch);
+      (void)take_number("--batch", bv, o, o.campaign.batch);
       o.campaign_only_flags.push_back("--batch");
     } else if (auto cv = value("--confidence"); !cv.empty()) {
-      (void)take_double("--confidence", cv, o, o.campaign.confidence);
+      (void)take_fraction("--confidence", cv, o, o.campaign.confidence);
       o.campaign_only_flags.push_back("--confidence");
     } else if (auto wv = value("--ci-width"); !wv.empty()) {
-      (void)take_double("--ci-width", wv, o, o.campaign.target_half_width);
+      (void)take_fraction("--ci-width", wv, o, o.campaign.target_half_width);
       o.campaign_only_flags.push_back("--ci-width");
     } else if (auto av = value("--accel"); !av.empty()) {
-      (void)take_double("--accel", av, o, o.campaign.accel);
+      (void)take_number("--accel", av, o, o.campaign.accel, 0.0,
+                        std::numeric_limits<double>::max());
       o.campaign_only_flags.push_back("--accel");
-    } else if (auto ev = value("--exposure"); !ev.empty()) {
-      (void)take_ulong("--exposure", ev, o, o.campaign.exposure_cycles);
-      o.campaign_only_flags.push_back("--exposure");
     } else if (auto ck = value("--checkpoint"); !ck.empty()) {
       o.checkpoint_path = ck;
       o.local_campaign_flags.push_back("--checkpoint");
@@ -490,7 +506,7 @@ CliOptions parse(int argc, char** argv) {
       o.resume = true;
       o.local_campaign_flags.push_back("--resume");
     } else if (auto sr = value("--stop-after-rounds"); !sr.empty()) {
-      (void)take_ulong("--stop-after-rounds", sr, o, o.stop_after_rounds);
+      (void)take_number("--stop-after-rounds", sr, o, o.stop_after_rounds);
       o.local_campaign_flags.push_back("--stop-after-rounds");
       if (o.stop_after_rounds == 0) {
         std::fprintf(stderr, "--stop-after-rounds wants at least 1 round\n");
@@ -501,13 +517,13 @@ CliOptions parse(int argc, char** argv) {
       o.local_campaign_flags.push_back("--progress");
     } else if (auto pg = value("--progress"); !pg.empty()) {
       o.progress = true;
-      (void)take_ulong("--progress", pg, o, o.progress_secs);
+      (void)take_number("--progress", pg, o, o.progress_secs);
       o.local_campaign_flags.push_back("--progress");
     } else if (auto sk = value("--socket"); !sk.empty()) {
       o.socket_path = sk;
       o.service_flags.push_back("--socket");
     } else if (auto wk = value("--workers"); !wk.empty()) {
-      (void)take_ulong("--workers", wk, o, o.serve_workers);
+      (void)take_number("--workers", wk, o, o.serve_workers);
       o.workers_explicit = true;
       o.service_flags.push_back("--workers");
     } else if (auto uv = value("--mbu"); !uv.empty()) {
@@ -676,7 +692,7 @@ u64 print_heartbeat(double elapsed, double window_secs, u64 prev_done) {
 
 void print_stats(const CliOptions& o, const core::RunStats& s,
                  int check_failures) {
-  const core::EccDeployment dep = o.cfg.effective_deployment();
+  const core::HierarchyDeployment& dep = o.cfg.deployment;
   if (o.csv) {
     std::printf(
         "%s,%s,%llu,%llu,%.4f,%llu,%llu,%llu,%llu,%llu,%d\n",
@@ -952,7 +968,7 @@ bool build_campaign_inputs(const CliOptions& o,
   // Rate axis: presets carry their own MBU mix, numeric rates default to
   // the 40nm mix — and an explicit --mbu table overrides BOTH (the
   // operator's storm shape always wins).
-  const ecc::MbuPatternTable numeric_patterns =
+  const reliability::MbuPatternTable numeric_patterns =
       o.mbu_explicit ? o.mbu : reliability::tech_preset("40nm")->patterns;
   std::vector<std::string> tokens = o.rate_tokens;
   if (tokens.empty()) tokens.push_back("40nm");
@@ -1343,8 +1359,7 @@ void usage() {
       "campaign mode:\n"
       "  --rates=R[,R...]  (65nm|40nm|28nm or FIT/Mbit)  --trials=N\n"
       "  --min-trials=N  --batch=N  --confidence=C  --ci-width=W\n"
-      "  --accel=A  --exposure=CYCLES  --mbu=single:W,adj2:W,adj3:W,"
-      "cluster:W\n"
+      "  --accel=A  --mbu=single:W,adj2:W,adj3:W,cluster:W\n"
       "  --prune / --no-prune       golden-run residency pruning: classify\n"
       "                             provably-masked trials without\n"
       "                             simulating them (byte-identical rows;\n"
