@@ -1,7 +1,7 @@
 // Leveled stderr logger for the service-side components (daemon, checkpoint
-// writer, multiproc worker diagnostics).
+// writer).
 //
-// Format (one write() per line, so concurrent processes interleave at line
+// Format (one write() per line, so concurrent writers interleave at line
 // granularity):
 //
 //   2026-08-08T14:03:12.481Z info  laec-serve: listening on /tmp/laec.sock

@@ -1,13 +1,12 @@
 #include "reliability/campaign.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <memory>
-#include <ostream>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "core/deployment.hpp"
@@ -16,7 +15,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "reliability/schedule.hpp"
-#include "runner/multiproc.hpp"
 #include "sim/snapshot.hpp"
 #include "workloads/eembc.hpp"
 
@@ -55,19 +53,20 @@ std::optional<RatePoint> tech_preset(std::string_view name) {
 std::optional<RatePoint> parse_rate(
     std::string_view token, const MbuPatternTable& default_patterns) {
   if (auto p = tech_preset(token); p.has_value()) return p;
-  try {
-    std::size_t used = 0;
-    const std::string s(token);
-    const double fit = std::stod(s, &used);
-    if (used != s.size() || !(fit > 0.0)) return std::nullopt;
-    RatePoint r;
-    r.label = s;
-    r.fit_per_mbit = fit;
-    r.patterns = default_patterns;
-    return r;
-  } catch (const std::exception&) {
+  // The whole token must be one plain decimal number: from_chars takes no
+  // whitespace, '+' or hex prefix, and out-of-range values fail outright.
+  double fit = 0.0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] =
+      std::from_chars(token.data(), end, fit, std::chars_format::general);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(fit) || !(fit > 0.0)) {
     return std::nullopt;
   }
+  RatePoint r;
+  r.label = std::string(token);
+  r.fit_per_mbit = fit;
+  r.patterns = default_patterns;
+  return r;
 }
 
 CampaignGrid& CampaignGrid::workloads(std::vector<std::string> names) {
@@ -98,10 +97,11 @@ std::vector<CampaignCell> CampaignGrid::cells() const {
     throw std::invalid_argument("CampaignGrid: the rates axis is empty");
   }
   for (const auto& r : rates_) {
-    if (!(r.fit_per_mbit > 0.0) || !(r.patterns.total() > 0.0)) {
+    if (!std::isfinite(r.fit_per_mbit) || !(r.fit_per_mbit > 0.0) ||
+        !(r.patterns.total() > 0.0)) {
       throw std::invalid_argument("CampaignGrid: rate \"" + r.label +
-                                  "\" needs a positive FIT rate and a "
-                                  "non-empty pattern table");
+                                  "\" needs a positive finite FIT rate and "
+                                  "a non-empty pattern table");
     }
   }
   // Parse every scheme key once up front (throws for unknown keys).
@@ -221,17 +221,13 @@ struct GoldenCell {
   sim::SnapshotStore snapshots;
 };
 
-/// Pass-1 dedup across the rate axis, keyed (workload, scheme).
-using GoldenCache = std::map<std::pair<std::string, std::string>,
-                             std::shared_ptr<const GoldenCell>>;
-
 /// Per-cell running state of the campaign engine.
 struct CellState {
   CellResult res;
   core::SimConfig cfg;  ///< scheme + faults applied, seed left to run_sweep
   unsigned done = 0;
   bool finished = false;
-  std::shared_ptr<const GoldenCell> golden;  ///< lazily built, once per cell
+  std::shared_ptr<const GoldenCell> golden;  ///< shared across rate cells
   double lambda_scale = 0.0;  ///< accelerated upsets per exposure cycle
   unsigned word_bits = 0;     ///< targeted codec's codeword width
 };
@@ -311,29 +307,20 @@ runner::SweepPoint cell_point(const CellState& st, unsigned replicate) {
   return p;
 }
 
-/// Pass 1, lazily: one fault-free run of the (workload, scheme)'s kernel
-/// with the residency recorder on the targeted array, dropping full-state
-/// snapshots at the spec's cadence. Runs at most once per (workload, scheme)
-/// per process — every rate cell reuses the cached artifacts (trials
-/// amortize it further); deterministic, so every process of a sharded
-/// campaign reconstructs the identical windows and snapshots.
-void ensure_golden(CellState& st, const CampaignSpec& spec,
-                   const CampaignOptions& opts, GoldenCache& cache) {
-  if (st.golden != nullptr) return;
-  const auto key =
-      std::make_pair(st.res.cell.workload, st.res.cell.scheme);
-  if (const auto it = cache.find(key); it != cache.end()) {
-    obs::Registry::global().counter("campaign.golden_cache_hits").add();
-    st.golden = it->second;
-    return;
-  }
+/// Pass 1 for one (workload, scheme): a fault-free run of the kernel with
+/// the residency recorder on the targeted array, dropping full-state
+/// snapshots at the spec's cadence. Deterministic, so every shard and every
+/// thread layout reconstructs the identical windows and snapshots.
+std::shared_ptr<const GoldenCell> run_golden(const CellState& st,
+                                             const CampaignSpec& spec,
+                                             u64 base_seed) {
   obs::Span span("golden-run");
   span.arg("workload", st.res.cell.workload);
   span.arg("scheme", st.res.cell.scheme);
   auto g = std::make_shared<GoldenCell>(spec);
   mem::ResidencyRecorder rec;
-  g->result = runner::run_golden_point(cell_point(st, 0), opts.base_seed,
-                                       &rec, &g->snapshots);
+  g->result = runner::run_golden_point(cell_point(st, 0), base_seed, &rec,
+                                       &g->snapshots);
   g->windows = rec.take_windows();
   g->mean_exposure = mem::mean_exposure_cycles(g->windows);
   auto& reg = obs::Registry::global();
@@ -345,8 +332,50 @@ void ensure_golden(CellState& st, const CampaignSpec& spec,
   span.arg("windows", static_cast<u64>(g->windows.size()));
   span.arg("snapshots", static_cast<u64>(g->snapshots.size()));
   span.arg("snapshot_bytes", g->snapshots.bytes());
-  st.golden = g;
-  cache.emplace(key, std::move(g));
+  return g;
+}
+
+/// The golden pass: one run_golden per distinct (workload, scheme) of the
+/// slice, on the trial pool under the same thread budget, before any trial
+/// is planned. Rate cells of a key share its GoldenCell (counted as cache
+/// hits). Returns the distinct golden cells.
+///
+/// The keys are dealt to the workers in sorted order (Schedule::kStatic),
+/// so a key's golden run lands on the same worker in every call, whatever
+/// the cell order or timing. Its snapshots then reuse the heap memory that
+/// worker's thread freed in the previous call. Under a dynamic schedule
+/// they move between per-thread heaps from call to call, and a repeated
+/// campaign's peak memory grows by what one heap keeps while another
+/// needs it.
+std::vector<std::shared_ptr<const GoldenCell>> run_golden_pass(
+    std::vector<CellState>& states, const CampaignSpec& spec,
+    const CampaignOptions& opts) {
+  const auto key = [](const CellState& st) {
+    return std::make_pair(st.res.cell.workload, st.res.cell.scheme);
+  };
+  struct Golden {
+    const CellState* cell = nullptr;  ///< first cell of the key
+    std::shared_ptr<const GoldenCell> built;
+  };
+  std::map<std::pair<std::string, std::string>, Golden> by_key;
+  for (const CellState& st : states) {
+    by_key.try_emplace(key(st), Golden{&st, nullptr});
+  }
+  std::vector<Golden*> order;  // key order: the order they are dealt in
+  for (auto& kv : by_key) order.push_back(&kv.second);
+  obs::Registry::global()
+      .counter("campaign.golden_cache_hits")
+      .add(states.size() - order.size());
+  runner::parallel_for(
+      order.size(), opts.threads,
+      [&](std::size_t k) {
+        order[k]->built = run_golden(*order[k]->cell, spec, opts.base_seed);
+      },
+      runner::Schedule::kStatic);
+  for (CellState& st : states) st.golden = by_key.at(key(st)).built;
+  std::vector<std::shared_ptr<const GoldenCell>> goldens;
+  for (const Golden* g : order) goldens.push_back(g->built);
+  return goldens;
 }
 
 /// One trial's disposition within a round.
@@ -423,7 +452,7 @@ CampaignSummary run_campaign(const std::vector<CampaignCell>& cells,
   }
 
   CampaignSummary summary;
-  GoldenCache golden_cache;
+  std::vector<std::shared_ptr<const GoldenCell>> goldens;
 
   const auto snapshot_progress = [&states] {
     std::vector<CellProgress> out;
@@ -436,7 +465,7 @@ CampaignSummary run_campaign(const std::vector<CampaignCell>& cells,
   // --progress heartbeat (and any other observer) renders purely from a
   // metrics snapshot. Gauges are set, not added: a resumed campaign's
   // restored counts are included because they live in the cursors.
-  const auto publish_metrics = [&states, &golden_cache, &spec] {
+  const auto publish_metrics = [&states, &goldens, &spec] {
     auto& reg = obs::Registry::global();
     u64 finished = 0, trials = 0, pruned = 0, ff = 0, skipped = 0,
         events = 0, snap_bytes = 0, budget_done = 0;
@@ -451,9 +480,7 @@ CampaignSummary run_campaign(const std::vector<CampaignCell>& cells,
       // towards the ETA denominator: its remaining trials never run.
       budget_done += st.finished ? spec.trials : st.done;
     }
-    for (const auto& [key, g] : golden_cache) {
-      snap_bytes += g->snapshots.bytes();
-    }
+    for (const auto& g : goldens) snap_bytes += g->snapshots.bytes();
     reg.gauge("snapshot.bytes_in_use").set(snap_bytes);
     reg.gauge("campaign.cells_total").set(states.size());
     reg.gauge("campaign.cells_finished").set(finished);
@@ -475,20 +502,21 @@ CampaignSummary run_campaign(const std::vector<CampaignCell>& cells,
   // honoured at round boundaries, so every resume cursor sits on the same
   // batch grid an uninterrupted run walks.
   bool any_round = false;
-  for (;;) {
+  for (bool first = true;; first = false) {
     obs::Span round_span("campaign.round");
     // Pass 2, per round: pre-draw every pending trial's storm over the
     // cell's golden windows. A storm with no live delivery is provably
     // masked — under pruning it folds analytically and never simulates;
     // otherwise the trial carries its schedule into the sweep, so the
-    // simulated storm is the drawn storm, event for event.
+    // simulated storm is the drawn storm, event for event. The first
+    // round's plan runs pass 1 for the whole slice first.
     obs::Span plan_span("prune-plan");
+    if (first) goldens = run_golden_pass(states, spec, opts);
     std::vector<runner::SweepPoint> points;
     std::vector<std::pair<std::size_t, std::vector<TrialPlan>>> slices;
     for (std::size_t si = 0; si < states.size(); ++si) {
       CellState& st = states[si];
       if (st.finished) continue;
-      ensure_golden(st, spec, opts, golden_cache);
       const unsigned bn =
           std::min<unsigned>(batch, spec.trials - st.done);
       std::vector<TrialPlan> plans;
@@ -594,9 +622,6 @@ CampaignSummary run_campaign(const std::vector<CampaignCell>& cells,
   summary.cells.reserve(states.size());
   if (opts.sink != nullptr) opts.sink->begin(campaign_row_headers());
   for (CellState& st : states) {
-    // A cell restored fully-finished never entered a round; its exposure
-    // column still comes from the (deterministic) golden run.
-    ensure_golden(st, spec, opts, golden_cache);
     st.res.mean_exposure_cycles = st.golden->mean_exposure;
     st.res.avf = st.res.events == 0
                      ? 0.0
@@ -611,111 +636,6 @@ CampaignSummary run_campaign(const std::vector<CampaignCell>& cells,
     summary.cells.push_back(std::move(st.res));
   }
   if (opts.sink != nullptr) opts.sink->end();
-  return summary;
-}
-
-namespace {
-
-/// The slice worker j runs: the sweep driver's shared subdivision policy,
-/// at cell rather than point granularity.
-CampaignOptions worker_options(const CampaignProcOptions& opts, unsigned j) {
-  CampaignOptions o = opts.worker;
-  const runner::WorkerShard ws = runner::proc_worker_shard(
-      opts.worker.shard_index, opts.worker.shard_count, opts.worker.threads,
-      opts.procs, j);
-  o.shard_index = ws.shard_index;
-  o.shard_count = ws.shard_count;
-  o.threads = ws.threads;
-  o.sink = nullptr;
-  return o;
-}
-
-int run_campaign_worker(const std::vector<CampaignCell>& cells,
-                        const CampaignSpec& spec,
-                        const CampaignProcOptions& opts, unsigned j,
-                        const std::string& rows_path,
-                        const std::string& meta_path) {
-  std::ofstream rows(rows_path, std::ios::trunc);
-  if (!rows) return 2;
-  const auto sink = report::make_row_writer(opts.format, rows);
-  if (sink == nullptr) return 2;
-
-  CampaignOptions o = worker_options(opts, j);
-  o.sink = sink.get();
-  const CampaignSummary sum = run_campaign(cells, spec, o);
-  rows.flush();
-  if (!rows) return 2;
-
-  std::ofstream meta(meta_path, std::ios::trunc);
-  meta << sum.cells_run << ' ' << sum.trials_run << ' ' << sum.failures
-       << '\n';
-  meta.flush();
-  if (!meta) return 2;
-  return 0;
-}
-
-}  // namespace
-
-CampaignProcSummary run_campaign_procs(const std::vector<CampaignCell>& cells,
-                                       const CampaignSpec& spec,
-                                       const CampaignProcOptions& opts,
-                                       std::ostream& rows_out) {
-  if (opts.procs == 0) {
-    throw std::invalid_argument("run_campaign_procs: procs must be >= 1");
-  }
-  if (opts.worker.sink != nullptr) {
-    throw std::invalid_argument(
-        "run_campaign_procs: rows flow through shard files; worker.sink "
-        "must be unset");
-  }
-  if (opts.worker.resume_from != nullptr || opts.worker.on_round ||
-      opts.worker.should_stop) {
-    throw std::invalid_argument(
-        "run_campaign_procs: checkpoint/resume hooks are single-process "
-        "(run the checkpointed campaign with procs=1)");
-  }
-
-  CampaignProcSummary summary;
-
-  if (opts.procs == 1) {
-    // No fork, no scratch files: the classic in-process path.
-    const auto sink = report::make_row_writer(opts.format, rows_out);
-    if (sink == nullptr) {
-      throw std::invalid_argument(
-          "run_campaign_procs: unknown row format \"" + opts.format + "\"");
-    }
-    CampaignOptions o = opts.worker;
-    o.sink = sink.get();
-    const CampaignSummary sum = run_campaign(cells, spec, o);
-    summary.cells_run = sum.cells_run;
-    summary.trials_run = sum.trials_run;
-    summary.failures = sum.failures;
-    return summary;
-  }
-
-  if (report::make_row_writer(opts.format, rows_out) == nullptr) {
-    throw std::invalid_argument("run_campaign_procs: unknown row format \"" +
-                                opts.format + "\"");
-  }
-
-  runner::ForkMergeOptions fm;
-  fm.procs = opts.procs;
-  fm.scratch_prefix = opts.scratch_prefix;
-  fm.csv_header = opts.format == "csv";
-  fm.trace_path = opts.trace_path;
-  const runner::ForkMergeSummary fms = runner::fork_workers_and_merge(
-      fm,
-      [&](unsigned j, const std::string& rows_path,
-          const std::string& meta_path) {
-        return run_campaign_worker(cells, spec, opts, j, rows_path,
-                                   meta_path);
-      },
-      rows_out);
-  summary.cells_run = static_cast<std::size_t>(fms.meta[0]);
-  summary.trials_run = fms.meta[1];
-  summary.failures = fms.meta[2];
-  summary.failed_workers = fms.failed_workers;
-  summary.worker_diagnostics = fms.diagnostics;
   return summary;
 }
 

@@ -29,17 +29,20 @@
 //     event). An optional sequential stopping rule ends a cell early once
 //     its CI is tight enough.
 //
+// Execution: one thread pool (runner::parallel_for) runs everything. The
+// first round's plan first runs the golden pass — one fault-free run per
+// distinct (workload, scheme) of the slice, dealt to the pool's workers in
+// key order — and every round then hands its simulated trials to one
+// run_sweep call.
+//
 // Determinism contract (same as the sweep runner's): rows are identical at
-// any --threads, and run_campaign_procs merges per-process shard files
-// byte-identically to a single-process run. Trial seeds derive from
-// (base_seed, workload identity, trial index) — never from thread or
-// process layout — and the stopping rule sees each cell's own trials only,
-// so sharding cells across machines/processes cannot change any cell's
-// trajectory.
+// any --threads and any --shard split. Trial seeds derive from (base_seed,
+// workload identity, trial index) — never from thread layout — and the
+// stopping rule sees each cell's own trials only, so sharding cells across
+// machines or daemon workers cannot change any cell's trajectory.
 #pragma once
 
 #include <functional>
-#include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -72,7 +75,8 @@ struct RatePoint {
 [[nodiscard]] std::optional<RatePoint> tech_preset(std::string_view name);
 
 /// Parse a rate-axis token: a preset name, or a numeric FIT/Mbit value
-/// (which inherits `default_patterns`). nullopt for an unparsable token.
+/// (which inherits `default_patterns`). A numeric token must be one finite,
+/// positive decimal number with nothing around it. nullopt otherwise.
 [[nodiscard]] std::optional<RatePoint> parse_rate(
     std::string_view token, const MbuPatternTable& default_patterns);
 
@@ -277,7 +281,8 @@ struct CellProgress : CellCounters {
 };
 
 struct CampaignOptions {
-  /// Worker threads of the inner trial sweeps; 0 = hardware concurrency.
+  /// Worker threads of the golden pass and the trial sweeps; 0 = hardware
+  /// concurrency.
   unsigned threads = 0;
   /// Horizontal sharding over CELLS: this process runs cells with
   /// index % shard_count == shard_index.
@@ -321,7 +326,8 @@ struct CampaignSummary {
 [[nodiscard]] std::vector<std::string> campaign_to_row(const CellResult& r);
 
 /// Run `cells` under `spec`. Throws std::invalid_argument for bad shard
-/// options or a spec with no trials.
+/// options, a spec with no trials, or a base configuration no system can
+/// be built from (rethrown from the pool thread that hit it).
 [[nodiscard]] CampaignSummary run_campaign(
     const std::vector<CampaignCell>& cells, const CampaignSpec& spec,
     const CampaignOptions& opts = {});
@@ -332,36 +338,5 @@ struct CampaignSummary {
     const CampaignOptions& opts = {}) {
   return run_campaign(grid.cells(), spec, opts);
 }
-
-/// Multi-process campaign sharding, the runner::run_sweep_procs shape: the
-/// parent forks opts.procs workers, worker j runs the cells of sub-shard
-/// (I + j*N of N*procs), streams its CELL rows to a private shard file,
-/// and the parent round-robin-merges the files byte-identically to a
-/// --procs=1 run of the same slice.
-struct CampaignProcOptions {
-  unsigned procs = 1;
-  /// Per-worker options (threads, base_seed, the parent's own shard).
-  /// `sink` must be null — rows flow through shard files.
-  CampaignOptions worker;
-  std::string format = "csv";  ///< "csv" or "jsonl"/"json"
-  /// Scratch prefix for shard files; empty picks a unique tmp-dir prefix.
-  std::string scratch_prefix;
-  /// Merged Chrome trace output path (see runner::ForkMergeOptions).
-  std::string trace_path;
-};
-
-struct CampaignProcSummary {
-  std::size_t cells_run = 0;
-  u64 trials_run = 0;
-  u64 failures = 0;
-  unsigned failed_workers = 0;
-  /// One human-readable line per failed worker (see ForkMergeSummary).
-  std::vector<std::string> worker_diagnostics;
-};
-
-CampaignProcSummary run_campaign_procs(const std::vector<CampaignCell>& cells,
-                                       const CampaignSpec& spec,
-                                       const CampaignProcOptions& opts,
-                                       std::ostream& rows_out);
 
 }  // namespace laec::reliability

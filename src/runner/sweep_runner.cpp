@@ -9,6 +9,7 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 
 #include "ecc/injector.hpp"
@@ -330,6 +331,51 @@ std::vector<std::string> to_row(const PointResult& r) {
           r.self_check_ok ? "ok" : "FAIL"};
 }
 
+void parallel_for(std::size_t n, unsigned threads,
+                  const std::function<void(std::size_t)>& body,
+                  Schedule schedule) {
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned requested = threads == 0 ? hw : threads;
+  const unsigned n_threads = static_cast<unsigned>(
+      std::min<std::size_t>(requested, std::max<std::size_t>(1, n)));
+
+  std::atomic<std::size_t> cursor{0};
+  std::atomic<bool> stop{false};
+  std::mutex failure_mutex;
+  std::exception_ptr failure;  // first body exception
+  const auto worker = [&](unsigned w) {
+    try {
+      for (std::size_t k = 0;; ++k) {
+        const std::size_t i =
+            schedule == Schedule::kStatic
+                ? k * n_threads + (k % 2 == 0 ? w : n_threads - 1 - w)
+                : cursor.fetch_add(1, std::memory_order_relaxed);
+        if (i >= n || stop.load(std::memory_order_relaxed)) return;
+        body(i);
+      }
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(failure_mutex);
+      if (failure == nullptr) failure = std::current_exception();
+      stop.store(true, std::memory_order_relaxed);
+    }
+  };
+
+  // The calling thread is worker 0.
+  std::vector<std::thread> pool;
+  pool.reserve(n_threads - 1);
+  try {
+    for (unsigned t = 1; t < n_threads; ++t) pool.emplace_back(worker, t);
+  } catch (const std::system_error&) {
+    // No more threads to be had: the caller runs the missing workers' share.
+  }
+  worker(0);
+  for (auto t = static_cast<unsigned>(pool.size()) + 1; t < n_threads; ++t) {
+    worker(t);
+  }
+  for (auto& t : pool) t.join();
+  if (failure != nullptr) std::rethrow_exception(failure);
+}
+
 SweepSummary run_sweep(const std::vector<SweepPoint>& points,
                        const SweepOptions& opts) {
   if (opts.shard_count == 0 || opts.shard_index >= opts.shard_count) {
@@ -392,59 +438,32 @@ SweepSummary run_sweep(const std::vector<SweepPoint>& points,
     }
   };
 
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned requested = opts.threads == 0 ? hw : opts.threads;
-  const unsigned n_threads = static_cast<unsigned>(
-      std::min<std::size_t>(requested, std::max<std::size_t>(1, mine.size())));
-
-  std::atomic<std::size_t> cursor{0};
-  std::exception_ptr failure;  // first worker exception, under emit_mutex
   // Per-point wall time feeds the heartbeat's p50/p99 (tracer on or off);
   // the clock reads sit at point granularity, never inside the sim loop.
   obs::Histogram& point_us =
       obs::Registry::global().histogram("sweep.point_us");
-  const auto worker = [&] {
-    try {
-      for (;;) {
-        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= mine.size()) return;
-        const SweepPoint& p = *mine[i];
-        obs::Span span("trial");
-        if (span.live()) {
-          span.arg("workload", p.workload);
-          span.arg("replicate", static_cast<u64>(p.replicate));
-          if (p.resume_from != nullptr) {
-            span.arg("ff_ordinal", p.resume_from->ordinal);
-          }
-        }
-        const auto t0 = std::chrono::steady_clock::now();
-        PointResult r = run_point(p, opts.base_seed);
-        point_us.record(static_cast<u64>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()));
-        span.close();
-        std::lock_guard<std::mutex> lock(emit_mutex);
-        summary.results[i] = std::move(r);
-        done[i] = 1;
-        drain();
+  parallel_for(mine.size(), opts.threads, [&](std::size_t i) {
+    const SweepPoint& p = *mine[i];
+    obs::Span span("trial");
+    if (span.live()) {
+      span.arg("workload", p.workload);
+      span.arg("replicate", static_cast<u64>(p.replicate));
+      if (p.resume_from != nullptr) {
+        span.arg("ff_ordinal", p.resume_from->ordinal);
       }
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(emit_mutex);
-      if (failure == nullptr) failure = std::current_exception();
-      cursor.store(mine.size(), std::memory_order_relaxed);
     }
-  };
-
-  if (n_threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(n_threads);
-    for (unsigned t = 0; t < n_threads; ++t) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
-  if (failure != nullptr) std::rethrow_exception(failure);
+    const auto t0 = std::chrono::steady_clock::now();
+    PointResult r = run_point(p, opts.base_seed);
+    point_us.record(static_cast<u64>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count()));
+    span.close();
+    std::lock_guard<std::mutex> lock(emit_mutex);
+    summary.results[i] = std::move(r);
+    done[i] = 1;
+    drain();
+  });
 
   if (opts.sink != nullptr) opts.sink->end();
   return summary;

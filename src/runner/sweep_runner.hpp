@@ -8,9 +8,9 @@
 //
 //   * a SweepGrid builder expands the cross product into a deterministic,
 //     stable list of SweepPoints (grid order never depends on threading);
-//   * run_sweep() shards the points over a std::thread pool — workers pull
-//     indices from an atomic cursor, so load-imbalanced kernels do not
-//     leave threads idle;
+//   * run_sweep() shards the points over a std::thread pool (parallel_for)
+//     — workers pull indices from an atomic cursor, so load-imbalanced
+//     kernels do not leave threads idle;
 //   * each point gets a deterministic RNG seed derived from (base_seed,
 //     grid index) by splitmix64, so trace generation and fault injection
 //     reproduce bit-for-bit at any thread count and on any shard;
@@ -186,6 +186,28 @@ struct SweepSummary {
 [[nodiscard]] PointResult run_golden_point(
     const SweepPoint& point, u64 base_seed, mem::ResidencyRecorder* recorder,
     sim::SnapshotStore* snapshots = nullptr);
+
+/// How parallel_for hands indices to its T workers.
+enum class Schedule {
+  /// Each worker pulls the next index from an atomic cursor: uneven bodies
+  /// balance out, and which thread runs an index follows timing.
+  kDynamic,
+  /// Indices are dealt out in rounds of T, back and forth: worker w runs
+  /// w, 2T-1-w, 2T+w, 4T-1-w, ... Which worker runs an index never depends
+  /// on timing, so neither does which thread allocates what; dealing back
+  /// and forth spreads runs of similar neighbours over all workers.
+  kStatic,
+};
+
+/// The one thread pool behind run_sweep and the campaign's golden pass:
+/// call body(i) for every i in [0, n) on up to `threads` threads (0 =
+/// hardware concurrency; the caller is worker 0), handing out indices by
+/// `schedule`. The first exception a body throws stops the pool from
+/// starting new indices and is rethrown here after every worker has
+/// returned.
+void parallel_for(std::size_t n, unsigned threads,
+                  const std::function<void(std::size_t)>& body,
+                  Schedule schedule = Schedule::kDynamic);
 
 /// Run `points` under `opts`. Throws std::out_of_range for unknown
 /// workload names and std::invalid_argument for bad shard options.

@@ -250,80 +250,4 @@ u64 read_columnar(std::istream& in, report::RowWriter& out) {
   return rows;
 }
 
-u64 csv_to_rows(std::istream& csv, report::RowWriter& out) {
-  // Character-level parser for CsvWriter's canonical output: fields with
-  // ',', '"', '\n' or '\r' arrive quoted with '"' doubled; rows end in a
-  // bare '\n'. A quoted field may therefore span physical lines.
-  std::vector<std::string> cells;
-  std::string field;
-  bool in_quotes = false;
-  bool field_open = false;  // any char (or quote) seen for current field
-  bool header_done = false;
-  bool row_open = false;  // current row has at least one field started
-  u64 rows = 0;
-
-  const auto finish_row = [&] {
-    cells.push_back(std::move(field));
-    field.clear();
-    field_open = false;
-    row_open = false;
-    if (!header_done) {
-      out.begin(cells);
-      header_done = true;
-    } else {
-      out.row(cells);
-      rows += 1;
-    }
-    cells.clear();
-  };
-
-  char c = 0;
-  while (csv.get(c)) {
-    if (in_quotes) {
-      if (c == '"') {
-        char next = 0;
-        if (csv.get(next)) {
-          if (next == '"') {
-            field += '"';  // doubled quote -> literal
-          } else {
-            in_quotes = false;
-            csv.unget();
-          }
-        } else {
-          in_quotes = false;  // closing quote at EOF
-        }
-      } else {
-        field += c;
-      }
-      continue;
-    }
-    if (c == '"' && !field_open) {
-      in_quotes = true;
-      field_open = true;
-      row_open = true;
-    } else if (c == ',') {
-      cells.push_back(std::move(field));
-      field.clear();
-      field_open = false;
-      row_open = true;
-    } else if (c == '\n') {
-      finish_row();
-    } else {
-      field += c;
-      field_open = true;
-      row_open = true;
-    }
-  }
-  if (in_quotes) {
-    throw WireError("csv: unterminated quoted field (torn row?)");
-  }
-  if (row_open || field_open || !field.empty() || !cells.empty()) {
-    // RowWriters terminate every row with '\n'; a trailing fragment is a
-    // torn tail, and silently absorbing it would corrupt the conversion.
-    throw WireError("csv: final row not newline-terminated (torn row?)");
-  }
-  out.end();
-  return rows;
-}
-
 }  // namespace laec::service

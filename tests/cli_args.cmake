@@ -25,7 +25,7 @@ set(cases
   "run puwmod --inject-double=nan"
   "trace puwmod --ops=12k"
   "sweep puwmod --threads=1.5"
-  "sweep puwmod --procs=-1"
+  "sweep puwmod --threads=-1"
   "sweep puwmod --shard=0/x"
   "sweep puwmod --seed=12abc"
   "sweep puwmod --seed=0x"
@@ -36,6 +36,8 @@ set(cases
   "campaign puwmod --confidence=1.5"
   "campaign puwmod --accel=inf"
   "campaign puwmod --mbu=s:nan"
+  "campaign puwmod --rates=inf"
+  "campaign puwmod --threads=2 --dl1-ways=0"
 )
 
 set(failures 0)

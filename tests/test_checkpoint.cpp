@@ -338,16 +338,5 @@ TEST(CheckpointResume, RejectsInconsistentCursors) {
                std::invalid_argument);
 }
 
-TEST(CheckpointResume, ProcsEngineRefusesResumeHooks) {
-  const auto s = small_campaign();
-  reliability::CampaignProcOptions po;
-  po.procs = 2;
-  po.worker.on_round = [](const std::vector<CellProgress>&) {};
-  std::ostringstream out;
-  EXPECT_THROW(
-      (void)reliability::run_campaign_procs(s.cells, s.spec, po, out),
-      std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace laec::service

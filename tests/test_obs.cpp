@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -183,13 +181,6 @@ class JsonValidator {
 };
 
 bool is_valid_json(std::string_view s) { return JsonValidator(s).valid(); }
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 // --------------------------------------------------------------- histogram --
 
@@ -449,9 +440,9 @@ TEST(Tracer, EventJsonIsStrictlyValidEvenWithHostileStrings) {
   ev.tid = 2;
   ev.args.push_back({"arg \"key\"", "va\\lue\x02", 0, false});
   ev.args.push_back({"n", "", 99, true});
-  const std::string json = event_to_json(ev, 7);
+  const std::string json = event_to_json(ev);
   EXPECT_TRUE(is_valid_json(json)) << json;
-  EXPECT_NE(json.find("\"pid\":7"), std::string::npos);
+  EXPECT_NE(json.find("\"pid\":0,\"tid\":2"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
 }
 
@@ -464,40 +455,13 @@ TEST(Tracer, ChromeTraceDocumentIsValidJson) {
   }
   t.instant("beta", {{"why", "because", 0, false}});
   std::ostringstream out;
-  t.write_chrome_trace(out, /*pid=*/0);
+  t.write_chrome_trace(out);
   const std::string doc = out.str();
   EXPECT_TRUE(is_valid_json(doc)) << doc;
   EXPECT_NE(doc.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(doc.find("\"alpha\""), std::string::npos);
   EXPECT_NE(doc.find("\"beta\""), std::string::npos);
   t.disable();
-}
-
-TEST(Tracer, ShardMergeStitchesValidDocumentAndSkipsMissingShards) {
-  namespace fs = std::filesystem;
-  const std::string dir =
-      (fs::temp_directory_path() / "laec_obs_merge_test").string();
-  fs::create_directories(dir);
-  const std::string shard0 = dir + "/t.shard0.events";
-  const std::string shard_missing = dir + "/t.shard1.events";
-  const std::string out_path = dir + "/t.json";
-  std::remove(shard_missing.c_str());
-
-  Tracer& t = Tracer::global();
-  t.enable();
-  t.instant("from-shard");
-  ASSERT_TRUE(write_shard_events_file(shard0, /*pid=*/1));
-  t.disable();
-
-  const std::vector<std::string> parent = {
-      event_to_json({"from-parent", 'i', 1, 0, 0, {}}, 0)};
-  ASSERT_TRUE(merge_trace_files({shard0, shard_missing}, parent, out_path));
-  const std::string doc = slurp(out_path);
-  EXPECT_TRUE(is_valid_json(doc)) << doc;
-  EXPECT_NE(doc.find("from-shard"), std::string::npos);
-  EXPECT_NE(doc.find("from-parent"), std::string::npos);
-  std::remove(shard0.c_str());
-  std::remove(out_path.c_str());
 }
 
 // --------------------------------------------------------------------- log --
@@ -608,7 +572,7 @@ TEST(TracedCampaign, RowsAreByteIdenticalTracedOrNot) {
   Tracer::global().enable();
   const std::string hot = run_once();
   std::ostringstream doc_out;
-  Tracer::global().write_chrome_trace(doc_out, 0);
+  Tracer::global().write_chrome_trace(doc_out);
   Tracer::global().disable();
 
   EXPECT_EQ(hot, cold);
@@ -620,6 +584,43 @@ TEST(TracedCampaign, RowsAreByteIdenticalTracedOrNot) {
                            "trial", "snapshot-capture"}) {
     EXPECT_NE(doc.find(span), std::string::npos) << span;
   }
+}
+
+TEST(TracedCampaign, GoldenPassDealsSortedKeysToThePool) {
+  // The cells arrive out of key order (dealt as they come, the keys would
+  // land on workers 1, 0, 0, 1 in key order); the golden pass deals the
+  // sorted keys to workers 0, 1, 1, 0, and the caller is worker 0.
+  reliability::CampaignGrid grid;
+  grid.workloads({"puwmod", "a2time"})
+      .schemes({"laec", "sec-daec-39-32"})
+      .rates({*reliability::tech_preset("28nm")});
+  reliability::CampaignSpec spec;
+  spec.trials = 1;
+  spec.base.dl1_size_bytes = 2 * 1024;
+  reliability::CampaignOptions opts;
+  opts.threads = 2;
+  Tracer::global().enable();
+  (void)run_campaign(grid, spec, opts);
+  const std::vector<TraceEvent> evs = Tracer::global().events();
+  Tracer::global().disable();
+
+  std::map<std::pair<std::string, std::string>, u32> tid_of;
+  for (const TraceEvent& e : evs) {
+    if (e.name != "golden-run") continue;
+    std::string workload, scheme;
+    for (const TraceArg& a : e.args) {
+      if (a.key == "workload") workload = a.str;
+      if (a.key == "scheme") scheme = a.str;
+    }
+    tid_of[{workload, scheme}] = e.tid;
+  }
+  ASSERT_EQ(tid_of.size(), 4u);
+  std::vector<u32> tids;  // in key order
+  for (const auto& kv : tid_of) tids.push_back(kv.second);
+  EXPECT_EQ(tids[0], trace_thread_id());
+  EXPECT_EQ(tids[3], tids[0]);
+  EXPECT_NE(tids[1], tids[0]);
+  EXPECT_EQ(tids[2], tids[1]);
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 //  * trial outcome classification and its severity precedence;
 //  * the storm's flip universe: the targeted codec's codeword width;
 //  * campaign grid expansion and validation;
-//  * determinism: identical FIT/CI rows at any thread count and across
-//    the multi-process driver (--procs), the sweep-runner contract
-//    extended to campaigns;
+//  * determinism: identical FIT/CI rows at any thread count, the
+//    sweep-runner contract extended to campaigns, with one golden run per
+//    (workload, scheme) shared by its rate cells;
 //  * CI width monotonically shrinking with the trial count, and the
 //    sequential stopping rule ending cells early.
 #include "reliability/campaign.hpp"
@@ -14,8 +14,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
+#include "obs/metrics.hpp"
 #include "reliability/stats.hpp"
 #include "report/sink.hpp"
 
@@ -253,6 +255,20 @@ TEST(RateParsing, PresetsAndNumbers) {
   EXPECT_FALSE(parse_rate("13nm", mix).has_value());
   EXPECT_FALSE(parse_rate("-4", mix).has_value());
   EXPECT_FALSE(parse_rate("12x", mix).has_value());
+  // The numeric branch takes one finite plain decimal, nothing else.
+  for (const char* bad : {"inf", "infinity", " 900", "0x3e8", "1e999"}) {
+    EXPECT_FALSE(parse_rate(bad, mix).has_value()) << '"' << bad << '"';
+  }
+  const auto sci = parse_rate("1.5e3", mix);
+  ASSERT_TRUE(sci.has_value());
+  EXPECT_DOUBLE_EQ(sci->fit_per_mbit, 1500.0);
+  EXPECT_EQ(sci->label, "1.5e3");
+
+  // A RatePoint built by hand must be finite too.
+  CampaignGrid grid;
+  grid.workloads({"rspeed"}).rates(
+      {{"inf", std::numeric_limits<double>::infinity(), mix}});
+  EXPECT_THROW((void)grid.cells(), std::invalid_argument);
 }
 
 // -------------------------------------------------- campaign execution --
@@ -288,30 +304,41 @@ std::string campaign_csv(const CampaignGrid& grid, const CampaignSpec& spec,
 }
 
 TEST(Campaign, RowsAreByteIdenticalAtOneAndEightThreads) {
-  const auto grid = small_grid();
+  // Two rate points: the rate cells of each (workload, scheme) share one
+  // golden run, which the golden pass runs on the pool.
+  CampaignGrid grid = small_grid();
+  const MbuPatternTable mix{0.2, 0.6, 0.15, 0.05};
+  grid.rates({{"hot", 1000.0, mix}, {"warm", 300.0, mix}});
+  const std::size_t cells = grid.cells().size();
+  const std::size_t keys = 2;  // rspeed x {laec, sec-daec-39-32}
+  ASSERT_EQ(cells, 2 * keys);
   const auto spec = small_spec(10);
-  const std::string t1 = campaign_csv(grid, spec, 1);
-  const std::string t8 = campaign_csv(grid, spec, 8);
-  EXPECT_FALSE(t1.empty());
-  EXPECT_EQ(t1, t8);
+  auto& reg = obs::Registry::global();
+  std::vector<std::string> csv;
+  for (const unsigned threads : {1u, 8u}) {
+    const u64 runs = reg.counter("campaign.golden_runs").value();
+    const u64 hits = reg.counter("campaign.golden_cache_hits").value();
+    csv.push_back(campaign_csv(grid, spec, threads));
+    EXPECT_EQ(reg.counter("campaign.golden_runs").value() - runs, keys)
+        << "threads=" << threads;
+    EXPECT_EQ(reg.counter("campaign.golden_cache_hits").value() - hits,
+              cells - keys)
+        << "threads=" << threads;
+  }
+  EXPECT_FALSE(csv[0].empty());
+  EXPECT_EQ(csv[0], csv[1]);
 }
 
-TEST(Campaign, ProcsMergeByteIdenticalToSingleProcess) {
-  const auto cells = small_grid().cells();
-  const auto spec = small_spec(10);
-  std::string out[2];
-  for (int i = 0; i < 2; ++i) {
-    CampaignProcOptions popts;
-    popts.procs = i == 0 ? 1 : 4;
-    popts.worker.threads = 1;
-    std::ostringstream os;
-    const auto sum = run_campaign_procs(cells, spec, popts, os);
-    EXPECT_EQ(sum.failed_workers, 0u);
-    EXPECT_EQ(sum.cells_run, cells.size());
-    out[i] = os.str();
-  }
-  EXPECT_FALSE(out[0].empty());
-  EXPECT_EQ(out[0], out[1]);
+TEST(Campaign, ImpossibleGeometryReachesTheCallerFromThePool) {
+  // The golden pass builds the first systems on pool threads; a geometry
+  // the cache refuses must surface as the caller's exception, not as
+  // std::terminate on a worker.
+  CampaignSpec spec = small_spec(4);
+  spec.base.dl1_ways = 3;
+  CampaignOptions opts;
+  opts.threads = 4;
+  EXPECT_THROW((void)run_campaign(small_grid(), spec, opts),
+               std::invalid_argument);
 }
 
 TEST(Campaign, ShardsPartitionTheCells) {

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <sstream>
+#include <thread>
 
 #include "report/sink.hpp"
 
@@ -275,6 +277,42 @@ TEST(SweepRunner, UnknownWorkloadThrowsBeforeRunning) {
   SweepGrid g;
   g.workloads({"no-such-kernel"}).mode(RunMode::kTrace);
   EXPECT_THROW((void)run_sweep(g, {}), std::out_of_range);
+}
+
+TEST(ParallelFor, VisitsEveryIndexOnceAndRethrowsTheFirstFailure) {
+  std::vector<std::atomic<int>> hits(97);
+  parallel_for(hits.size(), 4, [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  parallel_for(0, 4, [](std::size_t) { FAIL() << "no index to visit"; });
+  EXPECT_THROW(parallel_for(64, 4,
+                            [](std::size_t i) {
+                              if (i == 5) throw std::invalid_argument("bad");
+                            }),
+               std::invalid_argument);
+}
+
+TEST(ParallelFor, StaticScheduleDealsIndicesBackAndForth) {
+  constexpr unsigned kThreads = 3;
+  std::vector<std::thread::id> ran_on(31);
+  parallel_for(
+      ran_on.size(), kThreads,
+      [&](std::size_t i) { ran_on[i] = std::this_thread::get_id(); },
+      Schedule::kStatic);
+  // Round r hands index r*T + w to worker w (r even) or T-1-w (r odd);
+  // worker w runs index w of round 0, and the caller is worker 0.
+  EXPECT_EQ(ran_on[0], std::this_thread::get_id());
+  for (std::size_t i = 0; i < ran_on.size(); ++i) {
+    const std::size_t round = i / kThreads, slot = i % kThreads;
+    const std::size_t worker = round % 2 == 0 ? slot : kThreads - 1 - slot;
+    EXPECT_EQ(ran_on[i], ran_on[worker]) << "index " << i;
+  }
+  EXPECT_THROW(parallel_for(
+                   64, 4,
+                   [](std::size_t i) {
+                     if (i == 5) throw std::invalid_argument("bad");
+                   },
+                   Schedule::kStatic),
+               std::invalid_argument);
 }
 
 TEST(RowSinks, CsvEscapesAndJsonPairsUpHeaders) {

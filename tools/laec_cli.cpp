@@ -14,17 +14,17 @@
 //       Run the full (workload x scheme) experiment grid N-way parallel
 //       through runner::run_sweep and stream one row per point. Without a
 //       kernel argument this is the Fig. 8 grid (16 kernels x 4 schemes).
-//       --procs=N forks one worker process per shard on top of the thread
-//       pool; rows merge deterministically (byte-identical to --procs=1).
+//       Rows are byte-identical at any --threads.
 //   laec_cli campaign [kernel] [options]
 //       Monte Carlo reliability campaign: run N fault-injection trials per
 //       (workload x scheme x rate) cell and emit one row per cell with
 //       FIT / MTTF / AVF estimates and Wilson confidence intervals.
-//       Composes with --threads / --shard / --procs exactly like sweep
-//       (byte-identical row merges at any layout). With --checkpoint=FILE
-//       the campaign persists per-cell trial cursors every round; an
-//       interrupted run (SIGINT/SIGTERM, exit code 3) resumes with
-//       --resume and emits rows byte-identical to an uninterrupted run.
+//       Composes with --threads / --shard exactly like sweep (byte-identical
+//       rows at any layout; the golden runs share the trial thread pool).
+//       With --checkpoint=FILE the campaign persists per-cell trial cursors
+//       every round; an interrupted run (SIGINT/SIGTERM, exit code 3)
+//       resumes with --resume and emits rows byte-identical to an
+//       uninterrupted run.
 //   laec_cli serve --socket=PATH [--workers=N]
 //       Campaign work-queue daemon over a Unix-domain socket: worker
 //       threads pull cells from an MPMC queue; each connection submits a
@@ -63,8 +63,6 @@
 //
 // Sweep/campaign options:
 //   --threads=<n>                worker threads (0 = hardware concurrency)
-//   --procs=<n>                  fork n worker processes (shards the grid,
-//                                merges rows byte-identically)
 //   --shard=<i>/<n>              run shard i of n (results union to the grid)
 //   --format=<csv|jsonl>         row format (default csv)
 //   --out=<file>                 write rows to a file instead of stdout
@@ -74,10 +72,8 @@
 //                                trials, snapshot restores, checkpoint
 //                                writes ...) viewable in chrome://tracing /
 //                                Perfetto. Rows stay byte-identical with
-//                                tracing on or off. With --procs=N each
-//                                worker records its own ring; the parent
-//                                stitches them into one document
-//                                (sweep / campaign / serve)
+//                                tracing on or off (sweep / campaign /
+//                                serve)
 //   --seed=<n>                   base seed for per-point deterministic RNG
 //                                (decimal or 0x-prefixed hex)
 //
@@ -126,7 +122,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -141,7 +136,6 @@
 #include "reliability/campaign.hpp"
 #include "report/sink.hpp"
 #include "report/table.hpp"
-#include "runner/multiproc.hpp"
 #include "runner/sweep_runner.hpp"
 #include "service/checkpoint.hpp"
 #include "service/columnar.hpp"
@@ -171,7 +165,6 @@ struct CliOptions {
   std::vector<std::string> ecc_schemes;  ///< parsed --ecc comma list
   bool sweep_trace = false;
   unsigned threads = 0;
-  unsigned procs = 1;
   unsigned shard_index = 0;
   unsigned shard_count = 1;
   u64 base_seed = 0x1aec;
@@ -438,13 +431,6 @@ CliOptions parse(int argc, char** argv) {
     } else if (auto t = value("--threads"); !t.empty()) {
       (void)take_number("--threads", t, o, o.threads);
       o.sweep_only_flags.push_back("--threads");
-    } else if (auto pr = value("--procs"); !pr.empty()) {
-      (void)take_number("--procs", pr, o, o.procs);
-      o.sweep_only_flags.push_back("--procs");
-      if (o.procs == 0) {
-        std::fprintf(stderr, "--procs wants at least 1 process\n");
-        o.ok = false;
-      }
     } else if (auto s = value("--shard"); !s.empty()) {
       o.sweep_only_flags.push_back("--shard");
       const auto slash = s.find('/');
@@ -623,13 +609,6 @@ struct OutputTarget {
     return 0;
   }
 };
-
-void print_worker_diagnostics(const char* cmd,
-                              const std::vector<std::string>& diagnostics) {
-  for (const auto& d : diagnostics) {
-    std::fprintf(stderr, "%s: %s\n", cmd, d.c_str());
-  }
-}
 
 /// Render one --progress heartbeat from the metrics registry. run_campaign
 /// publishes its cursor totals as gauges every round (so a resumed run's
@@ -888,44 +867,22 @@ int cmd_sweep(const CliOptions& o) {
 
   OutputTarget target;
   if (!target.open(o)) return 2;
-  std::ostream& out = *target.stream;
-  const bool columnar = o.format == "col";
-  if (!columnar && report::make_row_writer(o.format, out) == nullptr) {
+  const auto writer = make_any_writer(o.format, *target.stream);
+  if (writer == nullptr) {
     std::fprintf(stderr, "unknown --format=%s (want csv, jsonl or col)\n",
                  o.format.c_str());
     return 2;
   }
 
-  // One driver for both scales: --procs=1 runs the classic in-process
-  // sweep; --procs=N forks workers over sub-shards and merges their row
-  // files back into `out`, byte-identical either way. Columnar output
-  // buffers the merged CSV and re-encodes it — csv_to_rows is the exact
-  // inverse of CsvWriter, so the .col file holds exactly the CSV rows.
-  runner::ProcOptions opts;
-  opts.procs = o.procs;
-  opts.format = columnar ? "csv" : o.format;
-  opts.worker.threads = o.threads;
-  opts.worker.shard_index = o.shard_index;
-  opts.worker.shard_count = o.shard_count;
-  opts.worker.base_seed = o.base_seed;
-  opts.trace_path = o.trace_path;
-  if (!o.out_path.empty()) opts.scratch_prefix = o.out_path;
+  runner::SweepOptions opts;
+  opts.threads = o.threads;
+  opts.shard_index = o.shard_index;
+  opts.shard_count = o.shard_count;
+  opts.base_seed = o.base_seed;
+  opts.sink = writer.get();
   if (!o.trace_path.empty()) obs::Tracer::global().enable();
-
-  std::ostringstream csv_buffer;
-  std::ostream& engine_out = columnar ? csv_buffer : out;
-  const auto summary = runner::run_sweep_procs(grid.points(), opts,
-                                               engine_out);
-  if (columnar) {
-    std::istringstream csv_in(csv_buffer.str());
-    service::ColumnarWriter writer(out);
-    (void)service::csv_to_rows(csv_in, writer);
-    writer.end();
-  }
-  // With --procs>1 the fork/merge engine stitched the shard rings into the
-  // trace file already; single-process runs dump the in-process ring here.
-  if (!o.trace_path.empty() && o.procs == 1 &&
-      !obs::write_trace_file(o.trace_path)) {
+  const auto summary = runner::run_sweep(grid.points(), opts);
+  if (!o.trace_path.empty() && !obs::write_trace_file(o.trace_path)) {
     std::fprintf(stderr, "cannot write trace file %s\n",
                  o.trace_path.c_str());
   }
@@ -934,14 +891,8 @@ int cmd_sweep(const CliOptions& o) {
                "sweep: %zu points, %llu cycles simulated, "
                "%zu self-check failures\n",
                summary.points_run,
-               static_cast<unsigned long long>(summary.cycles),
+               static_cast<unsigned long long>(summary.totals.value("cycles")),
                summary.self_check_failures);
-  if (summary.failed_workers != 0) {
-    print_worker_diagnostics("sweep", summary.worker_diagnostics);
-    std::fprintf(stderr, "sweep: %u worker process(es) failed\n",
-                 summary.failed_workers);
-    return 2;
-  }
   if (const int rc = target.finish(); rc != 0) return rc;
   return summary.self_check_failures == 0 ? 0 : 1;
 }
@@ -978,7 +929,7 @@ bool build_campaign_inputs(const CliOptions& o,
     if (!r.has_value()) {
       std::fprintf(stderr,
                    "--rates: \"%s\" is neither a tech preset (65nm, 40nm, "
-                   "28nm) nor a positive FIT/Mbit number\n",
+                   "28nm) nor a positive finite FIT/Mbit number\n",
                    tok.c_str());
       return false;
     }
@@ -1018,174 +969,115 @@ int cmd_campaign(const CliOptions& o) {
     std::fprintf(stderr, "--resume needs --checkpoint=FILE\n");
     return 2;
   }
-  if ((checkpointing || o.stop_after_rounds != 0 || o.progress) &&
-      o.procs != 1) {
-    std::fprintf(stderr,
-                 "--checkpoint/--stop-after-rounds/--progress need "
-                 "--procs=1 (cursors live in the campaign loop)\n");
-    return 2;
-  }
 
   OutputTarget target;
   if (!target.open(o)) return 2;
-  std::ostream& out = *target.stream;
-  const bool columnar = o.format == "col";
-
-  if (o.procs == 1) {
-    // Single-process path: drive run_campaign directly so the checkpoint
-    // cursors, heartbeat and graceful-stop hooks see every round. Byte-
-    // identical to the procs engine's in-process path (same engine, same
-    // sink discipline).
-    const auto writer = make_any_writer(o.format, out);
-    if (writer == nullptr) {
-      std::fprintf(stderr, "unknown --format=%s (want csv, jsonl or col)\n",
-                   o.format.c_str());
-      return 2;
-    }
-
-    const u64 identity =
-        service::campaign_identity(campaign_job_from(o, spec, cells));
-    std::vector<reliability::CellProgress> restored;
-    reliability::CampaignOptions copts;
-    copts.threads = o.threads;
-    copts.shard_index = o.shard_index;
-    copts.shard_count = o.shard_count;
-    copts.base_seed = o.base_seed;
-    copts.sink = writer.get();
-
-    if (checkpointing) {
-      if (o.resume) {
-        try {
-          restored = service::load_checkpoint(o.checkpoint_path, identity);
-        } catch (const std::exception& e) {
-          std::fprintf(stderr, "cannot resume from %s: %s\n",
-                       o.checkpoint_path.c_str(), e.what());
-          return 2;
-        }
-        copts.resume_from = &restored;
-      } else if (std::filesystem::exists(o.checkpoint_path)) {
-        std::fprintf(stderr,
-                     "checkpoint %s already exists; pass --resume to "
-                     "continue it or remove the file\n",
-                     o.checkpoint_path.c_str());
-        return 2;
-      }
-    }
-
-    install_stop_handlers();
-    if (!o.trace_path.empty()) obs::Tracer::global().enable();
-    unsigned rounds = 0;
-    const auto start = std::chrono::steady_clock::now();
-    auto last_beat = start;
-    u64 last_done = 0;
-    copts.on_round = [&](const std::vector<reliability::CellProgress>& p) {
-      ++rounds;
-      if (checkpointing) {
-        service::save_checkpoint(o.checkpoint_path, identity, p);
-      }
-      if (o.progress) {
-        const auto now = std::chrono::steady_clock::now();
-        if (now - last_beat >= std::chrono::seconds(o.progress_secs) ||
-            rounds == 1) {
-          const double elapsed =
-              std::chrono::duration<double>(now - start).count();
-          // On the first beat last_beat == start, so the "window" spans
-          // the whole run so far — still a measured rate, never stale.
-          const double window =
-              std::chrono::duration<double>(now - last_beat).count();
-          last_done = print_heartbeat(elapsed, window, last_done);
-          last_beat = now;
-        }
-      }
-    };
-    copts.should_stop = [&] {
-      return g_stop_requested.load(std::memory_order_acquire) ||
-             (o.stop_after_rounds != 0 && rounds >= o.stop_after_rounds);
-    };
-
-    const auto summary = reliability::run_campaign(cells, spec, copts);
-    // Dump the flight recorder even for interrupted runs — a trace of the
-    // rounds that DID happen is exactly what a post-mortem wants.
-    if (!o.trace_path.empty() &&
-        !obs::write_trace_file(o.trace_path)) {
-      std::fprintf(stderr, "cannot write trace file %s\n",
-                   o.trace_path.c_str());
-    }
-    if (summary.interrupted) {
-      if (checkpointing) {
-        std::fprintf(stderr,
-                     "campaign: interrupted after %u round(s); cursors "
-                     "saved to %s — rerun with --resume to finish\n",
-                     rounds, o.checkpoint_path.c_str());
-      } else {
-        std::fprintf(stderr,
-                     "campaign: interrupted after %u round(s); no "
-                     "--checkpoint given, progress was discarded\n",
-                     rounds);
-      }
-      return 3;
-    }
-    writer->end();
-    if (!writer->ok()) {
-      std::fprintf(stderr,
-                   "error: writing rows to %s failed (disk full or I/O "
-                   "error); the output is incomplete\n",
-                   target.label.c_str());
-      return 2;
-    }
-    if (const int rc = target.finish(); rc != 0) return rc;
-    std::fprintf(stderr,
-                 "campaign: %zu cells, %llu trials, %llu failing trials "
-                 "(SDC + data-loss)\n",
-                 summary.cells_run,
-                 static_cast<unsigned long long>(summary.trials_run),
-                 static_cast<unsigned long long>(summary.failures));
-    return 0;
-  }
-
-  // Multi-process path. Columnar output buffers the merged CSV and
-  // re-encodes it, like cmd_sweep.
-  reliability::CampaignProcOptions popts;
-  popts.procs = o.procs;
-  popts.format = columnar ? "csv" : o.format;
-  popts.worker.threads = o.threads;
-  popts.worker.shard_index = o.shard_index;
-  popts.worker.shard_count = o.shard_count;
-  popts.worker.base_seed = o.base_seed;
-  popts.trace_path = o.trace_path;
-  if (!o.out_path.empty()) popts.scratch_prefix = o.out_path;
-  if (!o.trace_path.empty()) obs::Tracer::global().enable();
-  if (!columnar &&
-      report::make_row_writer(popts.format, out) == nullptr) {
+  const auto writer = make_any_writer(o.format, *target.stream);
+  if (writer == nullptr) {
     std::fprintf(stderr, "unknown --format=%s (want csv, jsonl or col)\n",
                  o.format.c_str());
     return 2;
   }
 
-  std::ostringstream csv_buffer;
-  std::ostream& engine_out = columnar ? csv_buffer : out;
-  const auto summary =
-      reliability::run_campaign_procs(cells, spec, popts, engine_out);
-  if (columnar) {
-    std::istringstream csv_in(csv_buffer.str());
-    service::ColumnarWriter writer(out);
-    (void)service::csv_to_rows(csv_in, writer);
-    writer.end();
+  // Drive run_campaign directly so the checkpoint cursors, heartbeat and
+  // graceful-stop hooks see every round.
+  const u64 identity =
+      service::campaign_identity(campaign_job_from(o, spec, cells));
+  std::vector<reliability::CellProgress> restored;
+  reliability::CampaignOptions copts;
+  copts.threads = o.threads;
+  copts.shard_index = o.shard_index;
+  copts.shard_count = o.shard_count;
+  copts.base_seed = o.base_seed;
+  copts.sink = writer.get();
+
+  if (checkpointing) {
+    if (o.resume) {
+      try {
+        restored = service::load_checkpoint(o.checkpoint_path, identity);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "cannot resume from %s: %s\n",
+                     o.checkpoint_path.c_str(), e.what());
+        return 2;
+      }
+      copts.resume_from = &restored;
+    } else if (std::filesystem::exists(o.checkpoint_path)) {
+      std::fprintf(stderr,
+                   "checkpoint %s already exists; pass --resume to "
+                   "continue it or remove the file\n",
+                   o.checkpoint_path.c_str());
+      return 2;
+    }
   }
 
+  install_stop_handlers();
+  if (!o.trace_path.empty()) obs::Tracer::global().enable();
+  unsigned rounds = 0;
+  const auto start = std::chrono::steady_clock::now();
+  auto last_beat = start;
+  u64 last_done = 0;
+  copts.on_round = [&](const std::vector<reliability::CellProgress>& p) {
+    ++rounds;
+    if (checkpointing) {
+      service::save_checkpoint(o.checkpoint_path, identity, p);
+    }
+    if (o.progress) {
+      const auto now = std::chrono::steady_clock::now();
+      if (now - last_beat >= std::chrono::seconds(o.progress_secs) ||
+          rounds == 1) {
+        const double elapsed =
+            std::chrono::duration<double>(now - start).count();
+        // On the first beat last_beat == start, so the "window" spans
+        // the whole run so far — still a measured rate, never stale.
+        const double window =
+            std::chrono::duration<double>(now - last_beat).count();
+        last_done = print_heartbeat(elapsed, window, last_done);
+        last_beat = now;
+      }
+    }
+  };
+  copts.should_stop = [&] {
+    return g_stop_requested.load(std::memory_order_acquire) ||
+           (o.stop_after_rounds != 0 && rounds >= o.stop_after_rounds);
+  };
+
+  const auto summary = reliability::run_campaign(cells, spec, copts);
+  // Dump the flight recorder even for interrupted runs — a trace of the
+  // rounds that DID happen is exactly what a post-mortem wants.
+  if (!o.trace_path.empty() && !obs::write_trace_file(o.trace_path)) {
+    std::fprintf(stderr, "cannot write trace file %s\n",
+                 o.trace_path.c_str());
+  }
+  if (summary.interrupted) {
+    if (checkpointing) {
+      std::fprintf(stderr,
+                   "campaign: interrupted after %u round(s); cursors "
+                   "saved to %s — rerun with --resume to finish\n",
+                   rounds, o.checkpoint_path.c_str());
+    } else {
+      std::fprintf(stderr,
+                   "campaign: interrupted after %u round(s); no "
+                   "--checkpoint given, progress was discarded\n",
+                   rounds);
+    }
+    return 3;
+  }
+  writer->end();
+  if (!writer->ok()) {
+    std::fprintf(stderr,
+                 "error: writing rows to %s failed (disk full or I/O "
+                 "error); the output is incomplete\n",
+                 target.label.c_str());
+    return 2;
+  }
+  if (const int rc = target.finish(); rc != 0) return rc;
   std::fprintf(stderr,
                "campaign: %zu cells, %llu trials, %llu failing trials "
                "(SDC + data-loss)\n",
                summary.cells_run,
                static_cast<unsigned long long>(summary.trials_run),
                static_cast<unsigned long long>(summary.failures));
-  if (summary.failed_workers != 0) {
-    print_worker_diagnostics("campaign", summary.worker_diagnostics);
-    std::fprintf(stderr, "campaign: %u worker process(es) failed\n",
-                 summary.failed_workers);
-    return 2;
-  }
-  return target.finish();
+  return 0;
 }
 
 int cmd_serve(const CliOptions& o) {
@@ -1350,7 +1242,7 @@ void usage() {
       "  --inject-single=P  --inject-double=P  --inject-adjacent\n"
       "  --inject-target=dl1|l1i|l2\n"
       "sweep/campaign mode:\n"
-      "  --threads=N  --procs=N  --shard=I/N  --format=csv|jsonl|col\n"
+      "  --threads=N  --shard=I/N  --format=csv|jsonl|col\n"
       "  --out=FILE  --trace  --seed=N\n"
       "  --trace=FILE               flight recorder: Chrome trace-event\n"
       "                             JSON of the run (open in Perfetto /\n"
@@ -1415,7 +1307,7 @@ int main(int argc, char** argv) {
     }
     if (o.command == "submit") {
       for (const auto& f : o.sweep_only_flags) {
-        if (f == "--threads" || f == "--procs" || f == "--trace") {
+        if (f == "--threads" || f == "--trace") {
           std::fprintf(stderr,
                        "%s does not apply to submit (the daemon owns its "
                        "own worker pool)\n",
