@@ -55,10 +55,15 @@ SetAssocCache::SetAssocCache(const CacheConfig& cfg)
     encode_fn_ = codec_->encode_thunk();
     if (cfg_.use_lut_decode) lut_ = codec_->decode_lut();
   }
-  ways_.resize(static_cast<std::size_t>(cfg_.num_sets()) * cfg_.ways);
-  for (Way& w : ways_) {
-    w.words.assign(cfg_.line_bytes / 4, 0);
-    w.check.assign(cfg_.line_bytes / 4, 0);
+  const std::size_t nways =
+      static_cast<std::size_t>(cfg_.num_sets()) * cfg_.ways;
+  const std::size_t nwords = cfg_.line_bytes / 4;
+  ways_.resize(nways);
+  words_.assign(nways * nwords, 0);
+  check_.assign(nways * nwords, 0);
+  for (std::size_t i = 0; i < nways; ++i) {
+    ways_[i].words = std::span<u32>(words_).subspan(i * nwords, nwords);
+    ways_[i].check = std::span<u16>(check_).subspan(i * nwords, nwords);
   }
   n_read_ = &stats_.counter("reads");
   n_write_ = &stats_.counter("writes");

@@ -8,7 +8,9 @@
 //
 // Hot-path structure (the simulator spends most of its time here):
 //  * the array stores 32-bit words directly, so a word read is one indexed
-//    load — no per-access byte reassembly;
+//    load — no per-access byte reassembly; all ways share one flat word
+//    buffer and one flat check buffer, so building a cache is a handful of
+//    allocations however many ways it has;
 //  * controllers locate a line once via find_line() and then read/write
 //    through the returned LineRef, instead of re-walking the set for every
 //    contains()/read()/line_dirty() question about the same access;
@@ -29,6 +31,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -133,12 +136,18 @@ class SetAssocCache {
     bool dirty = false;
     Addr tag_addr = 0;  ///< line base address
     u64 lru_stamp = 0;
-    std::vector<u32> words;  ///< line data, one 32-bit word per entry
-    std::vector<u16> check;  ///< per-32-bit-word check bits
+    std::span<u32> words;  ///< line data: this way's slice of words_
+    std::span<u16> check;  ///< per-32-bit-word check bits: slice of check_
 
+    /// An invalid way's other fields are dead: victim choice takes the
+    /// first invalid way, every dirty/tag_addr read sits behind `valid`, and
+    /// a fill rewrites them all. The list stops there, so snapshots, digests
+    /// and diffs hold only state a run can observe, and a restore leaves an
+    /// invalid way's leftovers as they are.
     template <class V>
     void visit_state(V& v) {
       v("valid", valid);
+      if (!valid) return;
       v("dirty", dirty);
       v("tag_addr", tag_addr);
       v("lru_stamp", lru_stamp);
@@ -154,6 +163,12 @@ class SetAssocCache {
   static constexpr u32 kMaxLineWords = kMaxLineBytes / 4;
 
   explicit SetAssocCache(const CacheConfig& cfg);
+  // Every Way views the flat arrays through spans: a copy would alias the
+  // source's storage. A move keeps the buffers, so the spans stay valid.
+  SetAssocCache(const SetAssocCache&) = delete;
+  SetAssocCache& operator=(const SetAssocCache&) = delete;
+  SetAssocCache(SetAssocCache&&) = default;
+  SetAssocCache& operator=(SetAssocCache&&) = default;
 
   [[nodiscard]] const CacheConfig& config() const { return cfg_; }
 
@@ -339,6 +354,10 @@ class SetAssocCache {
   /// via CacheConfig::use_lut_decode or the codec has no table.
   const ecc::DecodeLut* lut_ = nullptr;
   std::vector<Way> ways_;
+  /// Every way's words and check bits, way after way; each Way's spans
+  /// view its own slice.
+  std::vector<u32> words_;
+  std::vector<u16> check_;
   u64 lru_clock_ = 1;
   ecc::FaultInjector* injector_ = nullptr;
   ResidencyRecorder* recorder_ = nullptr;  ///< golden-run observer; usually null

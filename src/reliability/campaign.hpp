@@ -123,7 +123,12 @@ struct CampaignSpec {
   /// 0 disables capture (and therefore fast-forwarding). The default is a
   /// measured balance: finer strides shave a little more fault-free prefix
   /// per trial but the golden run pays capture cost per snapshot, and past
-  /// ~stride 256 the capture savings dominate on every EEMBC-class kernel.
+  /// ~stride 256 the capture savings dominated on every EEMBC-class
+  /// kernel. That knee was measured with ~555 KB snapshots that carried
+  /// every cache way; they now carry only the valid ways (~21 KB on these
+  /// kernels) and capture costs over 10x less, so the knee has likely
+  /// moved; it is not re-measured. The default stays: the cadence decides
+  /// the fast_forwarded column, so changing it changes rows.
   unsigned snapshot_every = 256;
   /// Per-(workload, scheme) snapshot byte budget in MiB; keep-every-k
   /// thinning halves snapshot density whenever it would be exceeded.

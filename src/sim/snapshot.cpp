@@ -27,9 +27,9 @@ constexpr char kMagic[8] = {'L', 'A', 'E', 'C', 'S', 'N', 'P', '1'};
 // FNV-1a folded over 8-byte little-endian chunks instead of single bytes
 // (tail bytes one at a time). NOT the canonical byte-wise service::fnv1a —
 // this frame has its own checksum definition, pinned by kSnapshotVersion.
-// The golden run serializes hundreds of half-megabyte snapshots; a
-// byte-at-a-time hash was the single largest capture cost, and corruption
-// detection only needs mixing, not the canonical constant walk.
+// The golden run serializes hundreds of snapshots; a byte-at-a-time hash
+// was the single largest capture cost, and corruption detection only needs
+// mixing, not the canonical constant walk.
 u64 chunked_fnv1a(std::string_view data) {
   u64 h = 1469598103934665603ull;
   const std::size_t whole = data.size() / 8;

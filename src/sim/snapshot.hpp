@@ -10,14 +10,17 @@
 // restoring it and fast-forwarding the injector cursor to C simulates only
 // the suffix, and the rows stay byte-identical with fast-forward on or off.
 //
-// A snapshot covers everything that evolves during a run: cache arrays
-// (words, check bits, tags, valid/dirty, LRU state) for DL1/L1I/L2, the
-// write buffer, bus slots/queues, main-memory pages, pipeline slots and
-// registers, the stride predictor, traffic generators, the cycle counter,
-// and every per-component stat counter. It deliberately excludes wiring
-// that the constructor re-derives from the config (codecs, LUTs, hot
-// counter pointers) and the injector/recorder attachments, which the
-// resume path re-attaches after restore.
+// A snapshot covers everything that evolves during a run: the cache arrays
+// of DL1/L1I/L2 (every way's valid bit, plus the dirty bit, tag, LRU stamp,
+// words and check bits of each valid way), the write buffer, bus
+// slots/queues, main-memory pages, pipeline slots and registers, the stride
+// predictor, traffic generators, the cycle counter, and every per-component
+// stat counter. An invalid way's other fields are left out: no run reads
+// them before a fill rewrites them, so a restore leaves them as they are.
+// A snapshot deliberately excludes wiring that the constructor re-derives
+// from the config (codecs, LUTs, hot counter pointers) and the
+// injector/recorder attachments, which the resume path re-attaches after
+// restore.
 //
 // Field-list protocol. Each component describes its state once, in
 //
@@ -58,7 +61,7 @@ class System;
 /// from any other version. Part of the service-job identity so a daemon
 /// never resumes a campaign across a layout change. test_snapshot pins the
 /// bytes of reference blobs, so a layout change fails there first.
-inline constexpr u32 kSnapshotVersion = 1;
+inline constexpr u32 kSnapshotVersion = 2;
 
 /// Serialize the full deterministic state of `system` into a framed blob
 /// (magic + version + checksum + payload). Throws std::logic_error when the

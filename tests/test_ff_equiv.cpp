@@ -11,8 +11,11 @@
 #include <vector>
 
 #include "ecc/registry.hpp"
+#include "mem/residency.hpp"
 #include "reliability/campaign.hpp"
 #include "report/sink.hpp"
+#include "runner/sweep_runner.hpp"
+#include "sim/snapshot.hpp"
 
 namespace laec::reliability {
 namespace {
@@ -173,8 +176,24 @@ TEST(FfEquiv, SnapshotCadenceDoesNotChangeRows) {
   // A tiny byte budget forces keep-every-k thinning mid-run; still
   // identical rows (fewer restores, same statistics).
   CampaignSpec s = spec;
-  s.snapshot_every = 64;
+  s.snapshot_every = 4;
   s.snapshot_mem_mb = 1;
+  {
+    // Precondition: the golden run really thins under this budget, and
+    // keeps more than the single-entry guard's one snapshot.
+    runner::SweepPoint p;
+    p.workload = "rspeed";
+    p.config = s.base;
+    p.config.set_scheme("laec");
+    p.config.inject_target = s.target;
+    p.mode = runner::RunMode::kProgram;
+    sim::SnapshotStore store(s.snapshot_every, u64{s.snapshot_mem_mb} << 20);
+    mem::ResidencyRecorder rec;
+    (void)runner::run_golden_point(p, CampaignOptions{}.base_seed, &rec,
+                                   &store);
+    ASSERT_GT(store.stride(), 1u);
+    ASSERT_GT(store.size(), 1u);
+  }
   EXPECT_EQ(campaign_csv(grid, s, true), ref);
 }
 
