@@ -6,12 +6,14 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "core/deployment.hpp"
 #include "ecc/registry.hpp"
 #include "mem/residency.hpp"
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "reliability/schedule.hpp"
@@ -230,6 +232,7 @@ struct CellState {
   std::shared_ptr<const GoldenCell> golden;  ///< shared across rate cells
   double lambda_scale = 0.0;  ///< accelerated upsets per exposure cycle
   unsigned word_bits = 0;     ///< targeted codec's codeword width
+  bool overrun_warned = false;  ///< a runaway trial was logged for the cell
 };
 
 CellProgress cell_progress(const CellState& st) {
@@ -283,6 +286,28 @@ void fold_trial(CellState& st, const runner::PointResult& r,
                r.stats.cycles, spec);
 }
 
+/// Make a runaway trial visible: one that ran past twice its golden run's
+/// cycles is counted, traced and logged (once per cell). Rows are untouched.
+void note_overrun(CellState& st, const runner::PointResult& r) {
+  const u64 golden_cycles = st.golden->result.stats.cycles;
+  if (r.stats.cycles <= 2 * golden_cycles) return;
+  obs::Registry::global().counter("campaign.trials_over_2x_golden").add();
+  obs::Tracer::global().instant(
+      "trial-overrun", {{"workload", st.res.cell.workload, 0, false},
+                        {"scheme", st.res.cell.scheme, 0, false},
+                        {"replicate", {}, r.point.replicate, true},
+                        {"cycles", {}, r.stats.cycles, true},
+                        {"golden_cycles", {}, golden_cycles, true}});
+  if (st.overrun_warned) return;
+  st.overrun_warned = true;
+  obs::log_warn("campaign",
+                "cell " + std::to_string(st.res.cell.index) + " (" +
+                    st.res.cell.workload + ", " + st.res.cell.scheme +
+                    "): trial " + std::to_string(r.point.replicate) + " ran " +
+                    std::to_string(r.stats.cycles) + " cycles, over twice " +
+                    "its golden run's " + std::to_string(golden_cycles));
+}
+
 /// Fold a pruned trial: every event is provably masked, so the trial's
 /// classification, cycle count and device-hours are the golden run's. The
 /// storm's events still count (they are real upsets the AVF denominator
@@ -305,6 +330,13 @@ runner::SweepPoint cell_point(const CellState& st, unsigned replicate) {
   p.mode = runner::RunMode::kProgram;
   p.replicate = replicate;
   return p;
+}
+
+/// The cycle a trial's simulation starts from: its resume snapshot's, or
+/// nullopt (ordered before every cycle) when it runs from reset.
+std::optional<Cycle> resume_cycle(const runner::SweepPoint& p) {
+  if (p.resume_from == nullptr) return std::nullopt;
+  return p.resume_from->cycle;
 }
 
 /// Pass 1 for one (workload, scheme): a fault-free run of the kernel with
@@ -512,48 +544,87 @@ CampaignSummary run_campaign(const std::vector<CampaignCell>& cells,
     // round's plan runs pass 1 for the whole slice first.
     obs::Span plan_span("prune-plan");
     if (first) goldens = run_golden_pass(states, spec, opts);
+    // The round's pending trials in trial order (cell-major). Their storms
+    // are drawn on the pool, each into its own slot; a draw depends only on
+    // its trial's seed, so the slots are the same under any thread layout.
+    struct Draw {
+      std::size_t si = 0;  ///< index into states
+      unsigned replicate = 0;
+      runner::SweepPoint point;
+      std::shared_ptr<ecc::TrialSchedule> sched;
+    };
+    std::vector<Draw> draws;
+    for (std::size_t si = 0; si < states.size(); ++si) {
+      const CellState& st = states[si];
+      if (st.finished) continue;
+      const unsigned bn = std::min<unsigned>(batch, spec.trials - st.done);
+      for (unsigned t = 0; t < bn; ++t) {
+        draws.push_back(Draw{si, st.done + t, {}, nullptr});
+      }
+    }
+    runner::parallel_for(draws.size(), opts.threads, [&](std::size_t i) {
+      Draw& d = draws[i];
+      const CellState& st = states[d.si];
+      d.point = cell_point(st, d.replicate);
+      d.sched = std::make_shared<ecc::TrialSchedule>(draw_trial_schedule(
+          st.golden->windows, st.lambda_scale, st.res.cell.rate.patterns,
+          st.word_bits, runner::fault_seed(opts.base_seed, d.point)));
+    });
     std::vector<runner::SweepPoint> points;
     std::vector<std::pair<std::size_t, std::vector<TrialPlan>>> slices;
-    for (std::size_t si = 0; si < states.size(); ++si) {
-      CellState& st = states[si];
-      if (st.finished) continue;
-      const unsigned bn =
-          std::min<unsigned>(batch, spec.trials - st.done);
-      std::vector<TrialPlan> plans;
-      plans.reserve(bn);
-      for (unsigned t = 0; t < bn; ++t) {
-        runner::SweepPoint p = cell_point(st, st.done + t);
-        auto sched = std::make_shared<ecc::TrialSchedule>(draw_trial_schedule(
-            st.golden->windows, st.lambda_scale, st.res.cell.rate.patterns,
-            st.word_bits, runner::fault_seed(opts.base_seed, p)));
-        TrialPlan plan;
-        plan.prunable = !sched->has_live();
-        if (!plan.prunable) {
-          plan.snapshot = st.golden->snapshots.best_at_or_before(
-              sched->deliveries.front().first);
-        }
-        if (spec.prune && plan.prunable) {
-          plan.schedule = std::move(sched);
-        } else {
-          if (spec.fast_forward) {
-            // Skip the fault-free prefix. A dead-storm trial simulated in
-            // no-prune mode delivers nothing at all, so ANY snapshot is
-            // before its (nonexistent) first delivery — resume from the
-            // last one. Such restores are pure speed: they are NOT counted
-            // as fast_forwarded, keeping the column prune-mode-invariant.
-            p.resume_from =
-                plan.prunable
-                    ? st.golden->snapshots.best_at_or_before(~u64{0})
-                    : plan.snapshot;
-          }
-          p.config.faults->schedule = std::move(sched);
-          p.index = points.size();
-          plan.result_index = points.size();
-          points.push_back(std::move(p));
-        }
-        plans.push_back(std::move(plan));
+    for (Draw& d : draws) {
+      const CellState& st = states[d.si];
+      if (slices.empty() || slices.back().first != d.si) {
+        slices.emplace_back(d.si, std::vector<TrialPlan>{});
       }
-      slices.emplace_back(si, std::move(plans));
+      TrialPlan plan;
+      plan.prunable = !d.sched->has_live();
+      if (!plan.prunable) {
+        plan.snapshot = st.golden->snapshots.best_at_or_before(
+            d.sched->deliveries.front().first);
+      }
+      if (spec.prune && plan.prunable) {
+        plan.schedule = std::move(d.sched);
+      } else {
+        runner::SweepPoint& p = d.point;
+        if (spec.fast_forward) {
+          // Skip the fault-free prefix. A dead-storm trial simulated in
+          // no-prune mode delivers nothing at all, so ANY snapshot is
+          // before its (nonexistent) first delivery — resume from the
+          // last one. Such restores are pure speed: they are NOT counted
+          // as fast_forwarded, keeping the column prune-mode-invariant.
+          p.resume_from =
+              plan.prunable ? st.golden->snapshots.best_at_or_before(~u64{0})
+                            : plan.snapshot;
+        }
+        p.config.faults->schedule = std::move(d.sched);
+        p.index = points.size();
+        plan.result_index = points.size();
+        points.push_back(std::move(p));
+      }
+      slices.back().second.push_back(std::move(plan));
+    }
+    // Hand the pool its longest trials first. A trial simulates from its
+    // resume snapshot's cycle to the end of the program (one with no
+    // snapshot runs it whole), so the dynamic schedule starts the long
+    // suffixes early and fills in behind them with the short ones. A
+    // point's index keeps its trial-order position; the fold still runs
+    // in trial order, through the remapped result_index.
+    std::stable_sort(points.begin(), points.end(),
+                     [](const runner::SweepPoint& a,
+                        const runner::SweepPoint& b) {
+                       return resume_cycle(a) < resume_cycle(b);
+                     });
+    std::vector<std::size_t> sorted_at(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      sorted_at[points[i].index] = i;
+    }
+    for (auto& [si, plans] : slices) {
+      for (TrialPlan& plan : plans) {
+        if (plan.schedule == nullptr) {
+          plan.result_index = sorted_at[plan.result_index];
+        }
+      }
     }
     if (plan_span.live()) {
       u64 planned = 0;
@@ -582,7 +653,9 @@ CampaignSummary run_campaign(const std::vector<CampaignCell>& cells,
         if (plan.schedule != nullptr) {
           fold_pruned(st, *plan.schedule, spec);
         } else {
-          fold_trial(st, sum.results[plan.result_index], spec);
+          const runner::PointResult& r = sum.results[plan.result_index];
+          fold_trial(st, r, spec);
+          note_overrun(st, r);
           // Unpruned reference mode still REPORTS the prunable count, so
           // the column is byte-identical across modes.
           if (plan.prunable) st.res.pruned += 1;

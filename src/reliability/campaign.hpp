@@ -32,8 +32,10 @@
 // Execution: one thread pool (runner::parallel_for) runs everything. The
 // first round's plan first runs the golden pass — one fault-free run per
 // distinct (workload, scheme) of the slice, dealt to the pool's workers in
-// key order — and every round then hands its simulated trials to one
-// run_sweep call.
+// key order. Every round's plan then draws its pending trials' storms on
+// the pool, and the round hands its simulated trials to one run_sweep
+// call, longest suffix first (from-reset trials, then by resume-snapshot
+// cycle); results fold in trial order.
 //
 // Determinism contract (same as the sweep runner's): rows are identical at
 // any --threads and any --shard split. Trial seeds derive from (base_seed,
@@ -286,8 +288,8 @@ struct CellProgress : CellCounters {
 };
 
 struct CampaignOptions {
-  /// Worker threads of the golden pass and the trial sweeps; 0 = hardware
-  /// concurrency.
+  /// Worker threads of the golden pass, each round's storm draws and its
+  /// trial sweep; 0 = hardware concurrency. Rows do not depend on it.
   unsigned threads = 0;
   /// Horizontal sharding over CELLS: this process runs cells with
   /// index % shard_count == shard_index.

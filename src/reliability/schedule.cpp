@@ -83,15 +83,30 @@ bool draw_pattern_event(Rng& rng, const MbuPatternTable& t,
 ecc::TrialSchedule draw_trial_schedule(
     const std::vector<mem::AccessWindow>& windows, double lambda_scale,
     const MbuPatternTable& patterns, unsigned word_bits, u64 seed) {
+  // Margin of the lazy hit test: p = -expm1(-lam) < lam for every lam > 0,
+  // and expm1 is accurate to well under 2^-40 relative, so a uniform at or
+  // above lam * kLazyMargin misses the exact comparison too.
+  constexpr double kLazyMargin = 1.0 + 0x1.0p-40;
   ecc::TrialSchedule s;
   Rng rng(seed);
   u64 consult = 0;
   for (const mem::AccessWindow& w : windows) {
     const double lam = lambda_scale * static_cast<double>(w.gap_cycles);
-    // Zero-gap windows (back-to-back touches in one cycle) draw nothing and
-    // consume no RNG: Rng::chance(0) is a no-draw false, so the stream stays
-    // aligned no matter how many such windows the trace produces.
-    if (rng.chance(-std::expm1(-lam))) {
+    // The window is hit with p = 1 - exp(-lam). For 0 < lam < 0.5, p lies
+    // strictly inside (0, 1), so Rng::chance(p) would draw exactly one
+    // uniform u and hit iff u < p: draw u here and call expm1 only for the
+    // rare u that the cheap bound cannot reject. Every other lam keeps
+    // chance's own no-draw cases: zero-gap windows (back-to-back touches in
+    // one cycle) and p rounding to 1 consume no RNG, so the stream stays
+    // aligned with the one chance walk over the same windows.
+    bool hit;
+    if (lam > 0.0 && lam < 0.5) {
+      const double u = rng.uniform();
+      hit = u < lam * kLazyMargin && u < -std::expm1(-lam);
+    } else {
+      hit = rng.chance(-std::expm1(-lam));
+    }
+    if (hit) {
       const unsigned events = draw_event_count(rng, lam);
       if (w.live) {
         ecc::FlipSet flips;

@@ -16,6 +16,15 @@
 // provably masked end to end and needs no simulation; anything else is
 // replayed through the full simulator with the pre-drawn schedule, so the
 // classification (and every CSV byte) is identical with pruning on or off.
+//
+// Cost: the hit test of a window draws one uniform u when its hit
+// probability p is strictly between 0 and 1, and none otherwise (a zero
+// gap, or p rounding to 1 at lambda >= ~37.4). For 0 < lambda < 0.5, p is
+// below lambda, so a u at or above lambda (plus a 2^-40 relative margin)
+// is a miss without evaluating p; expm1 runs only for the rare near-hit.
+// The RNG stream and every comparison are those of Rng::chance(p), so the
+// schedules are the same bit for bit. The campaign draws a round's storms
+// on its thread pool: a draw depends only on its arguments.
 #pragma once
 
 #include <vector>

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -621,6 +622,178 @@ TEST(TracedCampaign, GoldenPassDealsSortedKeysToThePool) {
   EXPECT_EQ(tids[3], tids[0]);
   EXPECT_NE(tids[1], tids[0]);
   EXPECT_EQ(tids[2], tids[1]);
+}
+
+/// The event's argument named `key`, or null.
+const TraceArg* find_arg(const TraceEvent& e, std::string_view key) {
+  for (const TraceArg& a : e.args) {
+    if (a.key == key) return &a;
+  }
+  return nullptr;
+}
+
+/// A trial span's fast-forward ordinal; -1 when it ran from reset.
+i64 ff_ordinal_of(const TraceEvent& e) {
+  const TraceArg* a = find_arg(e, "ff_ordinal");
+  return a == nullptr ? -1 : static_cast<i64>(a->num);
+}
+
+/// Longest suffix first: every from-reset trial before any resumed one,
+/// then each golden's snapshots in ascending order. A golden's ordinals
+/// ascend with its cycles; the trace carries no cycle to order two
+/// goldens' snapshots against each other.
+bool longest_suffix_first(const std::vector<const TraceEvent*>& trials) {
+  bool resumed = false;
+  std::map<std::string, i64> last;  // per workload (one golden each)
+  for (const TraceEvent* e : trials) {
+    const i64 ord = ff_ordinal_of(*e);
+    if (ord < 0) {
+      if (resumed) return false;
+      continue;
+    }
+    resumed = true;
+    const auto [it, fresh] =
+        last.try_emplace(find_arg(*e, "workload")->str, ord);
+    if (!fresh && ord < it->second) return false;
+    it->second = ord;
+  }
+  return true;
+}
+
+TEST(TracedCampaign, RoundHandsLongestSuffixFirst) {
+  // Saturated point: most trials simulate, from snapshots at many
+  // different ordinals. One thread runs the trials in hand-off order and
+  // its spans close in that order, so the ring holds them as handed off;
+  // each round's trials precede its campaign.round span.
+  const std::vector<std::string> workloads = {"puwmod", "iirflt"};
+  reliability::CampaignGrid grid;
+  grid.workloads(workloads)
+      .schemes({"laec"})
+      .rates({*reliability::tech_preset("28nm")});
+  reliability::CampaignSpec spec;
+  spec.accel = 1e16;
+  spec.trials = 24;
+  spec.batch = 12;
+  spec.base.dl1_size_bytes = 2 * 1024;
+  reliability::CampaignOptions opts;
+  opts.threads = 1;
+  Tracer::global().enable();
+  (void)run_campaign(grid, spec, opts);
+  const std::vector<TraceEvent> evs = Tracer::global().events();
+  Tracer::global().disable();
+
+  std::vector<std::vector<const TraceEvent*>> rounds(1);
+  for (const TraceEvent& e : evs) {
+    if (e.name == "trial") rounds.back().push_back(&e);
+    if (e.name == "campaign.round") rounds.emplace_back();
+  }
+  std::size_t trials = 0;
+  bool listed_in_order = true;
+  for (const auto& round : rounds) {
+    trials += round.size();
+    EXPECT_TRUE(longest_suffix_first(round));
+    // The order the round listed its trials in: cell-major, then replicate.
+    std::vector<const TraceEvent*> listed = round;
+    const auto trial_key = [&](const TraceEvent* e) {
+      const auto cell = std::find(workloads.begin(), workloads.end(),
+                                  find_arg(*e, "workload")->str);
+      return std::make_pair(cell, find_arg(*e, "replicate")->num);
+    };
+    std::sort(listed.begin(), listed.end(),
+              [&](const TraceEvent* a, const TraceEvent* b) {
+                return trial_key(a) < trial_key(b);
+              });
+    listed_in_order = listed_in_order && longest_suffix_first(listed);
+  }
+  EXPECT_EQ(std::count_if(rounds.begin(), rounds.end(),
+                          [](const auto& r) { return !r.empty(); }),
+            2);
+  EXPECT_GE(trials, 24u);
+  // Precondition: the listing order alone would not have passed.
+  EXPECT_FALSE(listed_in_order);
+}
+
+/// What one runaway-prone campaign left behind: its rows, the overrun
+/// counter's increment, its trial-overrun instants and its warnings.
+struct RunawayRun {
+  std::string csv;
+  u64 overruns = 0;
+  std::vector<TraceEvent> instants;
+  std::string log_text;
+};
+
+/// rspeed x dec-bch-45-32 with adjacent doubles striking the L1I: an
+/// undetected double in its parity array can send the kernel into a loop,
+/// and the cycle cap then ends the trial far past twice its golden run.
+RunawayRun run_runaway_campaign(unsigned trials, double accel, bool hot) {
+  reliability::MbuPatternTable adj2;
+  adj2.single = 0.0;
+  adj2.adjacent_double = 1.0;
+  reliability::CampaignGrid grid;
+  grid.workloads({"rspeed"})
+      .schemes({"dec-bch-45-32"})
+      .rates({{"1000", 1000.0, adj2}});
+  reliability::CampaignSpec spec;
+  spec.accel = accel;
+  spec.trials = trials;
+  spec.target = core::InjectTarget::kL1i;
+  spec.base.dl1_size_bytes = 2 * 1024;
+  spec.base.max_cycles = 300'000;
+  std::ostringstream out;
+  report::CsvWriter sink(out);
+  reliability::CampaignOptions opts;
+  opts.threads = 2;
+  opts.sink = &sink;
+  Counter& overruns =
+      Registry::global().counter("campaign.trials_over_2x_golden");
+  const u64 before = overruns.value();
+  const LogLevel threshold = log_threshold();
+  set_log_threshold(hot ? LogLevel::kWarn : LogLevel::kOff);
+  if (hot) Tracer::global().enable();
+  testing::internal::CaptureStderr();
+  (void)run_campaign(grid, spec, opts);
+  RunawayRun r;
+  r.log_text = testing::internal::GetCapturedStderr();
+  for (TraceEvent& e : Tracer::global().events()) {
+    if (e.name == "trial-overrun") r.instants.push_back(std::move(e));
+  }
+  Tracer::global().disable();
+  set_log_threshold(threshold);
+  r.csv = out.str();
+  r.overruns = overruns.value() - before;
+  return r;
+}
+
+std::size_t count_lines(const std::string& text) {
+  return static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n'));
+}
+
+TEST(TracedCampaign, RunawayTrialIsCountedTracedAndWarnedOnce) {
+  const RunawayRun hot = run_runaway_campaign(6, 3e15, true);
+  EXPECT_EQ(hot.overruns, 1u);
+  ASSERT_EQ(hot.instants.size(), 1u);
+  const TraceEvent& e = hot.instants.front();
+  EXPECT_EQ(e.phase, 'i');
+  EXPECT_EQ(find_arg(e, "workload")->str, "rspeed");
+  EXPECT_EQ(find_arg(e, "scheme")->str, "dec-bch-45-32");
+  ASSERT_NE(find_arg(e, "replicate"), nullptr);
+  EXPECT_LT(find_arg(e, "replicate")->num, 6u);
+  EXPECT_EQ(find_arg(e, "cycles")->num, 300'000u);  // stopped at the cap
+  EXPECT_GT(find_arg(e, "cycles")->num, 2 * find_arg(e, "golden_cycles")->num);
+  EXPECT_EQ(count_lines(hot.log_text), 1u) << hot.log_text;
+  EXPECT_NE(hot.log_text.find("warn"), std::string::npos);
+  EXPECT_NE(hot.log_text.find("rspeed"), std::string::npos);
+  // Rows do not change with the tracer and the warning on.
+  const RunawayRun cold = run_runaway_campaign(6, 3e15, false);
+  EXPECT_EQ(cold.csv, hot.csv);
+  EXPECT_EQ(cold.overruns, 1u);
+  EXPECT_TRUE(cold.log_text.empty());
+
+  // Two runaways in one cell: both counted and traced, one warning.
+  const RunawayRun twice = run_runaway_campaign(48, 1e16, true);
+  EXPECT_EQ(twice.overruns, 2u);
+  EXPECT_EQ(twice.instants.size(), 2u);
+  EXPECT_EQ(count_lines(twice.log_text), 1u) << twice.log_text;
 }
 
 }  // namespace

@@ -145,5 +145,48 @@ TEST(PruneEquiv, StoppingRuleFiresIdenticallyUnderPruning) {
   EXPECT_EQ(a.cells[0].trials, 4u);
 }
 
+TEST(PruneEquiv, StaggeredStopsAreLayoutInvariant) {
+  // Three cells whose stopping rule fires in three different rounds: each
+  // round draws and hands off a different mix of cells, and the rows must
+  // not depend on how the pool splits that mix.
+  CampaignGrid grid;
+  grid.workloads({"rspeed", "a2time", "iirflt"})
+      .schemes({"laec"})
+      .rates({*tech_preset("28nm")});
+  CampaignSpec spec = spec_for(core::InjectTarget::kDl1, 1e16, 32);
+  spec.min_trials = 4;
+  spec.batch = 4;
+  spec.target_half_width = 0.15;
+  std::vector<u64> simulated;  // running total after each round
+  const auto csv = [&](unsigned threads) {
+    std::ostringstream out;
+    report::CsvWriter sink(out);
+    CampaignOptions opts;
+    opts.threads = threads;
+    opts.sink = &sink;
+    simulated.clear();
+    opts.on_round = [&](const std::vector<CellProgress>& cells) {
+      u64 n = 0;
+      for (const CellProgress& c : cells) n += c.trials - c.pruned;
+      simulated.push_back(n);
+    };
+    const CampaignSummary sum = run_campaign(grid, spec, opts);
+    return std::make_pair(out.str(), sum);
+  };
+  const auto [ref, sum] = csv(1);
+  ASSERT_EQ(sum.cells.size(), 3u);
+  const u64 t0 = sum.cells[0].trials, t1 = sum.cells[1].trials,
+            t2 = sum.cells[2].trials;
+  EXPECT_TRUE(t0 != t1 && t1 != t2 && t0 != t2) << t0 << " " << t1 << " " << t2;
+  for (const CellResult& c : sum.cells) EXPECT_LT(c.trials, spec.trials);
+  // Every round hands the sweep at least two trials to split.
+  for (std::size_t r = 0; r < simulated.size(); ++r) {
+    EXPECT_GE(simulated[r] - (r == 0 ? 0 : simulated[r - 1]), 2u)
+        << "round " << r;
+  }
+  EXPECT_EQ(csv(3).first, ref);
+  EXPECT_EQ(csv(8).first, ref);
+}
+
 }  // namespace
 }  // namespace laec::reliability

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "ecc/registry.hpp"
@@ -274,6 +277,87 @@ TEST(TrialSchedule, DeterministicPerSeed) {
   const auto c = draw_trial_schedule(w, 0.5, seu_only(), 39, 42);
   const auto d = draw_trial_schedule(w, 0.5, seu_only(), 39, 43);
   EXPECT_TRUE(c.events != d.events || c.deliveries.size() != d.deliveries.size());
+}
+
+/// The drawer as it stood before its lazy hit test: one
+/// Rng::chance(1 - exp(-lambda)) per window, expm1 called every time.
+ecc::TrialSchedule expm1_walk(const std::vector<AccessWindow>& windows,
+                              double lambda_scale,
+                              const MbuPatternTable& patterns,
+                              unsigned word_bits, u64 seed) {
+  ecc::TrialSchedule s;
+  Rng rng(seed);
+  u64 consult = 0;
+  for (const AccessWindow& w : windows) {
+    const double lam = lambda_scale * static_cast<double>(w.gap_cycles);
+    if (rng.chance(-std::expm1(-lam))) {
+      const unsigned events = draw_event_count(rng, lam);
+      if (w.live) {
+        ecc::FlipSet flips;
+        for (unsigned e = 0; e < events; ++e) {
+          if (flips.size() + 4u <= ecc::FlipSet::kMax) {
+            if (draw_pattern_event(rng, patterns, word_bits, flips)) {
+              ++s.events;
+            }
+          } else {
+            ++s.dropped_events;
+          }
+        }
+        if (!flips.empty()) s.deliveries.emplace_back(consult, flips);
+      } else {
+        s.events += events;
+      }
+    }
+    if (w.live) ++consult;
+  }
+  return s;
+}
+
+TEST(TrialSchedule, LazyHitTestMatchesTheExpm1Walk) {
+  // With scale 1e-3 the gaps below give lambda = 0, 1e-3, 0.1, 0.4, 0.499,
+  // 0.5, 0.501, 0.6, 2, 38 and 1e9; a window whose lambda is 38 or more has
+  // p = 1 - exp(-lambda) rounding to 1, which draws no uniform at all.
+  ASSERT_EQ(-std::expm1(-38.0), 1.0);
+  const std::vector<u64> gaps = {0,   1,   100,  400,   499,          500,
+                                 501, 600, 2000, 38000, 1'000'000'000'000};
+  std::vector<AccessWindow> windows;
+  for (int rep = 0; rep < 3; ++rep) {
+    for (const u64 g : gaps) {
+      windows.push_back({g, true});
+      windows.push_back({g, false});
+    }
+  }
+  const double scales[] = {
+      1e-3,                                       // the lambda ladder above
+      std::numeric_limits<double>::denorm_min(),  // subnormal lambda
+      1e-310,                                     // subnormal, then normal
+      0.6e-3,                                     // 0.5 falls between gaps
+      -1e-3,                                      // negative lambda
+      std::numeric_limits<double>::quiet_NaN(),
+  };
+  const MbuPatternTable tables[] = {seu_only(),
+                                    tech_preset("28nm")->patterns};
+  u64 live_trials = 0;
+  for (const MbuPatternTable& table : tables) {
+    for (const double scale : scales) {
+      for (u64 seed = 1; seed <= 1000; ++seed) {
+        const auto want = expm1_walk(windows, scale, table, 39, seed);
+        const auto got = draw_trial_schedule(windows, scale, table, 39, seed);
+        const std::string at =
+            "scale " + std::to_string(scale) + " seed " + std::to_string(seed);
+        ASSERT_EQ(got.events, want.events) << at;
+        ASSERT_EQ(got.dropped_events, want.dropped_events) << at;
+        ASSERT_EQ(got.deliveries.size(), want.deliveries.size()) << at;
+        for (std::size_t i = 0; i < want.deliveries.size(); ++i) {
+          ASSERT_EQ(got.deliveries[i].first, want.deliveries[i].first) << at;
+          ASSERT_TRUE(got.deliveries[i].second == want.deliveries[i].second)
+              << at << " delivery " << i;
+        }
+        if (want.has_live()) ++live_trials;
+      }
+    }
+  }
+  EXPECT_GT(live_trials, 0u);
 }
 
 TEST(TrialSchedule, WindowLambdaScaleMatchesClosedForm) {
