@@ -2,6 +2,8 @@
 
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "ecc/registry.hpp"
 #include "mem/residency.hpp"
@@ -73,6 +75,50 @@ sim::SystemConfig make_system_config(const SimConfig& cfg, bool trace_mode) {
   return sc;
 }
 
+namespace {
+
+double cpi_of(const RunStats& r) {
+  return r.instructions == 0 ? 0.0
+                             : static_cast<double>(r.cycles) /
+                                   static_cast<double>(r.instructions);
+}
+
+/// into += plus - minus, counter by counter (StatSets by name), and cpi
+/// recomputed from the sums.
+void add_difference(RunStats& into, const RunStats& plus,
+                    const RunStats& minus) {
+  visit_run_counters([&](auto field) {
+    auto& x = into.*field;
+    if constexpr (std::is_same_v<std::remove_cvref_t<decltype(x)>, StatSet>) {
+      for (const auto& [name, v] : (plus.*field).items()) x.counter(name) += v;
+      for (const auto& [name, v] : (minus.*field).items()) x.counter(name) -= v;
+    } else {
+      x += plus.*field - minus.*field;
+    }
+  });
+  into.cpi = cpi_of(into);
+}
+
+/// The golden snapshot at which a trial checks whether it has rejoined the
+/// golden run, after the delivery at ordinal `last` (`next`: the next
+/// delivery's ordinal, ~0 when none is left), or null for no check. It is
+/// the first snapshot past `last`, while the trial (at cycle `now`) has not
+/// passed its cycle. With a delivery left, a match only pays when a later
+/// snapshot still precedes that delivery to jump to, so there is no check
+/// otherwise.
+std::shared_ptr<const sim::SnapshotStore::Entry> rejoin_check(
+    const sim::SnapshotStore& golden, u64 last, u64 next, Cycle now) {
+  const auto at = golden.first_after(last);
+  if (at == nullptr || at->cycle < now) return nullptr;
+  if (next != ~u64{0}) {
+    const auto jump = golden.best_at_or_before(next);
+    if (jump == nullptr || jump->ordinal <= at->ordinal) return nullptr;
+  }
+  return at;
+}
+
+}  // namespace
+
 RunStats collect_stats(sim::System& system, bool completed) {
   RunStats r;
   r.completed = completed;
@@ -83,10 +129,7 @@ RunStats collect_stats(sim::System& system, bool completed) {
 
   r.cycles = ps.value("cycles");
   r.instructions = ps.value("instructions");
-  r.cpi = r.instructions == 0
-              ? 0.0
-              : static_cast<double>(r.cycles) /
-                    static_cast<double>(r.instructions);
+  r.cpi = cpi_of(r);
   r.loads = ps.value("loads");
   r.load_hits = ps.value("load_hits");
   r.stores = ps.value("stores");
@@ -248,25 +291,84 @@ ProgramRun run_program_keep_system(const SimConfig& cfg,
   return r;
 }
 
-ProgramRun run_program_resume(const SimConfig& cfg, const std::string& blob,
-                              u64 consult_ordinal) {
+std::shared_ptr<const sim::SnapshotStore::Entry> replay_start(
+    const sim::SnapshotStore& golden, const ecc::TrialSchedule& schedule) {
+  return golden.best_at_or_before(schedule.deliveries.empty()
+                                      ? ~u64{0}
+                                      : schedule.deliveries.front().first);
+}
+
+ProgramRun run_program_replay(const SimConfig& cfg,
+                              const isa::Program& program,
+                              const sim::SnapshotStore& golden,
+                              const RunStats& golden_stats) {
+  const auto& deliveries = cfg.faults->schedule->deliveries;
+  // Ordinal of delivery k; past every ordinal once the storm is spent.
+  const auto delivery = [&](std::size_t k) {
+    return k < deliveries.size() ? deliveries[k].first : ~u64{0};
+  };
   ProgramRun r;
   r.system =
       std::make_unique<sim::System>(make_system_config(cfg, /*trace_mode=*/false));
+  sim::System& sys = *r.system;
+  const auto restore = [&](const sim::SnapshotStore::Entry& e) {
+    obs::Span span("snapshot-restore");
+    span.arg("ordinal", e.ordinal);
+    span.arg("bytes", static_cast<u64>(e.blob->size()));
+    sim::restore_system_state(sys, *e.blob);
+    obs::Registry::global().counter("snapshot.restores").add();
+  };
   // Restore first, THEN attach the injector: set_injector marks the array's
   // sticky ever_injected_ flag, and the replay-mode injector consumes no RNG,
-  // so attachment order cannot perturb the simulated suffix.
-  {
-    obs::Span span("snapshot-restore");
-    span.arg("ordinal", consult_ordinal);
-    span.arg("bytes", static_cast<u64>(blob.size()));
-    sim::restore_system_state(*r.system, blob);
-    obs::Registry::global().counter("snapshot.restores").add();
+  // so attachment order cannot perturb the simulated suffix. The program
+  // image is already inside a snapshot.
+  const auto start = replay_start(golden, *cfg.faults->schedule);
+  if (start != nullptr) {
+    restore(*start);
+  } else {
+    sys.load_program(program);
   }
-  r.injector = attach_injector(*r.system, cfg);
-  if (r.injector != nullptr) r.injector->fast_forward(consult_ordinal);
-  const auto run = r.system->run();
-  r.stats = collect_stats(*r.system, run.completed);
+  r.injector = attach_injector(sys, cfg);
+  if (start != nullptr) r.injector->fast_forward(start->ordinal);
+
+  RunStats excess;  // trial minus golden counters, summed over the matches
+  std::shared_ptr<const sim::SnapshotStore::Entry> check;
+  std::size_t delivered = 0;
+  while (!sys.core(0).halted() && sys.now() < cfg.max_cycles) {
+    sys.tick();
+    if (r.injector->deliveries_done() != delivered) {
+      delivered = r.injector->deliveries_done();
+      check = rejoin_check(golden, delivery(delivered - 1), delivery(delivered),
+                           sys.now());
+    }
+    if (check == nullptr || sys.now() != check->cycle) continue;
+    const auto at = std::exchange(check, nullptr);
+    if (r.injector->consults() != at->ordinal ||
+        !sim::state_matches(sys, *at->blob)) {
+      continue;  // a miss: simulate on, unchecked until the next delivery
+    }
+    // Only the counters differ; restoring the snapshot reads golden's.
+    const RunStats trial = collect_stats(sys, false);
+    restore(*at);
+    add_difference(excess, trial, collect_stats(sys, false));
+    if (delivered == deliveries.size()) {
+      r.rejoin.at_end = true;
+      r.rejoin.cycles += golden_stats.cycles - at->cycle;
+      break;
+    }
+    const auto jump = golden.best_at_or_before(delivery(delivered));
+    restore(*jump);
+    r.injector->fast_forward(jump->ordinal);
+    ++r.rejoin.jumps;
+    r.rejoin.cycles += jump->cycle - at->cycle;
+  }
+  if (r.rejoin.at_end) {
+    r.stats.completed = golden_stats.completed;
+    add_difference(r.stats, golden_stats, RunStats{});
+  } else {
+    r.stats = collect_stats(sys, sys.core(0).halted());
+  }
+  add_difference(r.stats, excess, RunStats{});
   return r;
 }
 

@@ -16,14 +16,11 @@
 #include "cpu/trace_source.hpp"
 #include "ecc/injector.hpp"
 #include "isa/program.hpp"
+#include "sim/snapshot.hpp"
 #include "sim/system.hpp"
 
 namespace laec::mem {
 class ResidencyRecorder;
-}
-
-namespace laec::sim {
-class SnapshotStore;
 }
 
 namespace laec::core {
@@ -186,6 +183,49 @@ struct RunStats {
   StatSet bus_stats;
 };
 
+/// Call v(&RunStats::field) on every counter of RunStats: the u64 fields,
+/// then the StatSets. Member pointers, so one list walks several RunStats
+/// in step (a replay trial's counter splice). `completed` and `cpi` are
+/// not counters.
+template <class V>
+void visit_run_counters(V&& v) {
+  v(&RunStats::cycles);
+  v(&RunStats::instructions);
+  v(&RunStats::loads);
+  v(&RunStats::load_hits);
+  v(&RunStats::stores);
+  v(&RunStats::dep_loads);
+  v(&RunStats::laec_anticipated);
+  v(&RunStats::laec_data_hazard);
+  v(&RunStats::laec_resource_hazard);
+  v(&RunStats::ecc_corrected);
+  v(&RunStats::ecc_corrected_adjacent);
+  v(&RunStats::ecc_detected_uncorrectable);
+  v(&RunStats::parity_refetches);
+  v(&RunStats::data_loss_events);
+  v(&RunStats::dl1_fill_words);
+  v(&RunStats::bus_transactions);
+  v(&RunStats::bus_wait_cycles);
+  v(&RunStats::l1i_fetches);
+  v(&RunStats::l1i_fill_words);
+  v(&RunStats::l1i_corrected);
+  v(&RunStats::l1i_detected_uncorrectable);
+  v(&RunStats::l1i_refetches);
+  v(&RunStats::l2_reads);
+  v(&RunStats::l2_writes);
+  v(&RunStats::l2_fill_words);
+  v(&RunStats::l2_corrected);
+  v(&RunStats::l2_corrected_adjacent);
+  v(&RunStats::l2_detected_uncorrectable);
+  v(&RunStats::l2_refetches);
+  v(&RunStats::l2_data_loss_events);
+  v(&RunStats::pipeline_stats);
+  v(&RunStats::dl1_stats);
+  v(&RunStats::l1i_stats);
+  v(&RunStats::l2_stats);
+  v(&RunStats::bus_stats);
+}
+
 /// Assemble, run `program` on core 0 of a fresh system, digest the stats.
 /// A fault injector described by cfg.faults is attached to the array named
 /// by cfg.inject_target (core 0's DL1 or L1I, or the shared L2).
@@ -214,6 +254,18 @@ struct RunStats {
 void attach_recorder(sim::System& system, const SimConfig& cfg,
                      mem::ResidencyRecorder* recorder);
 
+/// How a replay trial used its golden run (run_program_replay).
+struct Rejoin {
+  /// The trial matched the golden run after its last delivery and was
+  /// completed from the golden result; its system stopped at that snapshot,
+  /// so its final-memory self-check is the golden run's too.
+  bool at_end = false;
+  /// Matches between two deliveries that jumped to a later snapshot.
+  u64 jumps = 0;
+  /// Golden cycles the matches spared the trial from simulating.
+  u64 cycles = 0;
+};
+
 /// run_program, but keep the finished system alive for post-mortem
 /// inspection (final-memory self-checks, chronograms). run_program and the
 /// sweep runner both build on this so the wiring cannot diverge.
@@ -221,6 +273,7 @@ struct ProgramRun {
   std::unique_ptr<sim::System> system;
   std::unique_ptr<ecc::FaultInjector> injector;  ///< when cfg.faults set
   RunStats stats;
+  Rejoin rejoin;  ///< run_program_replay only
 };
 /// `recorder`, when non-null, observes the targeted array for the whole run
 /// (attached before the first cycle, finalized after the last).
@@ -233,15 +286,39 @@ struct ProgramRun {
     mem::ResidencyRecorder* recorder = nullptr,
     sim::SnapshotStore* snapshots = nullptr);
 
-/// Resume a replay trial from a golden snapshot: build the system from
-/// `cfg`, restore `blob` (a sim::save_system_state frame), attach the replay
-/// injector fast-forwarded to `consult_ordinal`, and run to completion. The
-/// program image is already inside the snapshot, so none is loaded. Sound
-/// only for cfg.faults with a pre-drawn schedule whose first delivery is at
-/// or after `consult_ordinal` (the campaign engine guarantees this).
-[[nodiscard]] ProgramRun run_program_resume(const SimConfig& cfg,
-                                            const std::string& blob,
-                                            u64 consult_ordinal);
+/// The golden snapshot a replay trial of `schedule` starts from: the last
+/// one at or before its first delivery (the last of all for a storm with
+/// none), or null when it must run from reset.
+[[nodiscard]] std::shared_ptr<const sim::SnapshotStore::Entry> replay_start(
+    const sim::SnapshotStore& golden, const ecc::TrialSchedule& schedule);
+
+/// Run a replay trial (cfg.faults with a pre-drawn schedule) alongside its
+/// cell's golden run: `golden` holds the golden run's snapshots and
+/// `golden_stats` its final stats. The trial simulates only the stretches
+/// the golden run cannot stand in for:
+///
+///   * it restores replay_start and fast-forwards the injector there (or
+///     loads `program` and runs from reset when there is none);
+///   * after each delivery it checks, once, the first golden snapshot E
+///     past it: when its cycle reaches E's, the trial has rejoined the
+///     golden run iff its consultation count is E's and
+///     sim::state_matches holds. With a delivery left (and a golden
+///     snapshot later than E at or before it), a match restores that
+///     snapshot and fast-forwards the injector to it; with none left, the
+///     trial stops and is completed from `golden_stats`. A storm with no
+///     delivery is never checked;
+///   * a match restores E into the trial's own system to read the golden
+///     counters there; trial minus golden at each match is carried to the
+///     end and added to the final counters (StatSets by name, `cpi`
+///     recomputed). Unsigned wrap-around keeps every sum exact.
+///
+/// The stats equal a from-reset run of the same storm, field for field.
+/// Sound only while every trial of the cell replays the golden run's
+/// instruction stream, which the campaign engine guarantees.
+[[nodiscard]] ProgramRun run_program_replay(const SimConfig& cfg,
+                                            const isa::Program& program,
+                                            const sim::SnapshotStore& golden,
+                                            const RunStats& golden_stats);
 
 /// Same, but feed core 0 from a synthetic trace (oracle DL1 outcomes).
 [[nodiscard]] RunStats run_trace(const SimConfig& cfg,

@@ -23,8 +23,8 @@ void FaultInjector::script_flip(u64 word_index, unsigned bit) {
 void FaultInjector::fast_forward(u64 consults) {
   assert(cfg_.schedule != nullptr && "fast_forward is replay-mode only");
   consults_ = consults;
-  // The snapshot contract guarantees no delivery below the target ordinal;
-  // the scan is defensive (and O(deliveries), which is tiny).
+  // Every delivery below the target ordinal was made before a rejoin's
+  // jump; a first restore has none below it. O(deliveries), which is tiny.
   const auto& d = cfg_.schedule->deliveries;
   next_delivery_ = 0;
   while (next_delivery_ < d.size() && d[next_delivery_].first < consults_) {

@@ -116,10 +116,15 @@ class FaultInjector {
   /// delivering anything, as if the fault-free prefix had been consulted.
   /// Used by snapshot fast-forward — the restored golden state at ordinal C
   /// already IS the state after C clean consultations, and the snapshot is
-  /// chosen at-or-before the schedule's first delivery so nothing can be
+  /// chosen at-or-before the schedule's next delivery so nothing can be
   /// skipped over. Event totals (pre-seeded from the schedule) are
   /// untouched.
   void fast_forward(u64 consults);
+
+  /// Replay mode: consultations so far, fast-forwarded ones included.
+  [[nodiscard]] u64 consults() const { return consults_; }
+  /// Replay mode: schedule entries delivered (or fast-forwarded past).
+  [[nodiscard]] std::size_t deliveries_done() const { return next_delivery_; }
 
   [[nodiscard]] bool enabled() const {
     return cfg_.schedule != nullptr || cfg_.single_flip_prob > 0 ||

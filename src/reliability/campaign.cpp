@@ -206,21 +206,23 @@ namespace {
 /// Pass-1 artifacts of one (workload, scheme), produced once by a fault-free
 /// run: the recorded exposure windows every trial's storm is drawn over, the
 /// golden result a provably-masked trial is classified/accounted from, and
-/// the full-state snapshots fast-forwarded trials resume from. Rate cells of
-/// the same (workload, scheme) SHARE one GoldenCell — the golden run clears
-/// faults and the point seed excludes the rate label, so the pass-1 run (and
-/// everything derived from it) is rate-invariant by construction.
-struct GoldenCell {
+/// the full-state snapshots fast-forwarded trials restore and rejoin (the
+/// runner::GoldenRun a trial point carries). Rate cells of the same
+/// (workload, scheme) SHARE one GoldenCell — the golden run clears faults
+/// and the point seed excludes the rate label, so the pass-1 run (and
+/// everything derived from it) is rate-invariant by construction. The
+/// snapshots are captured unconditionally (with fast-forward on OR off, as
+/// long as snapshot_every > 0) so the fast_forwarded column counts
+/// identically in both modes; --no-ff differs only in whether trials use
+/// them.
+struct GoldenCell : runner::GoldenRun {
   explicit GoldenCell(const CampaignSpec& spec)
-      : snapshots(spec.snapshot_every,
-                  static_cast<u64>(spec.snapshot_mem_mb) << 20) {}
+      : runner::GoldenRun{
+            sim::SnapshotStore(spec.snapshot_every,
+                               static_cast<u64>(spec.snapshot_mem_mb) << 20),
+            {}} {}
   std::vector<mem::AccessWindow> windows;
-  runner::PointResult result;
   double mean_exposure = 0.0;
-  /// Captured unconditionally (with fast-forward on OR off, as long as
-  /// snapshot_every > 0) so the fast_forwarded column counts identically in
-  /// both modes; --no-ff differs only in whether trials actually restore.
-  sim::SnapshotStore snapshots;
 };
 
 /// Per-cell running state of the campaign engine.
@@ -286,6 +288,15 @@ void fold_trial(CellState& st, const runner::PointResult& r,
                r.stats.cycles, spec);
 }
 
+/// Count how a fast-forwarded trial rejoined its golden run. Rows are
+/// untouched: the rejoin only decides how much of the trial simulated.
+void note_rejoin(const runner::PointResult& r) {
+  auto& reg = obs::Registry::global();
+  if (r.rejoin.at_end) reg.counter("campaign.trials_rejoined").add();
+  reg.counter("campaign.rejoin_jumps").add(r.rejoin.jumps);
+  reg.counter("campaign.cycles_rejoined").add(r.rejoin.cycles);
+}
+
 /// Make a runaway trial visible: one that ran past twice its golden run's
 /// cycles is counted, traced and logged (once per cell). Rows are untouched.
 void note_overrun(CellState& st, const runner::PointResult& r) {
@@ -332,11 +343,14 @@ runner::SweepPoint cell_point(const CellState& st, unsigned replicate) {
   return p;
 }
 
-/// The cycle a trial's simulation starts from: its resume snapshot's, or
-/// nullopt (ordered before every cycle) when it runs from reset.
+/// The cycle a trial's simulation starts from: its first golden snapshot's,
+/// or nullopt (ordered before every cycle) when it runs from reset.
 std::optional<Cycle> resume_cycle(const runner::SweepPoint& p) {
-  if (p.resume_from == nullptr) return std::nullopt;
-  return p.resume_from->cycle;
+  if (p.golden == nullptr) return std::nullopt;
+  const auto start =
+      core::replay_start(p.golden->snapshots, *p.config.faults->schedule);
+  if (start == nullptr) return std::nullopt;
+  return start->cycle;
 }
 
 /// Pass 1 for one (workload, scheme): a fault-free run of the kernel with
@@ -580,22 +594,20 @@ CampaignSummary run_campaign(const std::vector<CampaignCell>& cells,
       TrialPlan plan;
       plan.prunable = !d.sched->has_live();
       if (!plan.prunable) {
-        plan.snapshot = st.golden->snapshots.best_at_or_before(
-            d.sched->deliveries.front().first);
+        plan.snapshot = core::replay_start(st.golden->snapshots, *d.sched);
       }
       if (spec.prune && plan.prunable) {
         plan.schedule = std::move(d.sched);
       } else {
         runner::SweepPoint& p = d.point;
         if (spec.fast_forward) {
-          // Skip the fault-free prefix. A dead-storm trial simulated in
-          // no-prune mode delivers nothing at all, so ANY snapshot is
-          // before its (nonexistent) first delivery — resume from the
-          // last one. Such restores are pure speed: they are NOT counted
-          // as fast_forwarded, keeping the column prune-mode-invariant.
-          p.resume_from =
-              plan.prunable ? st.golden->snapshots.best_at_or_before(~u64{0})
-                            : plan.snapshot;
+          // Skip the fault-free prefix, and every later stretch the trial
+          // spends back on the golden run. A dead-storm trial simulated in
+          // no-prune mode delivers nothing at all, so it resumes from the
+          // last snapshot and runs to the end. Such restores are pure
+          // speed: they are NOT counted as fast_forwarded, keeping the
+          // column prune-mode-invariant.
+          p.golden = st.golden;
         }
         p.config.faults->schedule = std::move(d.sched);
         p.index = points.size();
@@ -605,11 +617,12 @@ CampaignSummary run_campaign(const std::vector<CampaignCell>& cells,
       slices.back().second.push_back(std::move(plan));
     }
     // Hand the pool its longest trials first. A trial simulates from its
-    // resume snapshot's cycle to the end of the program (one with no
-    // snapshot runs it whole), so the dynamic schedule starts the long
-    // suffixes early and fills in behind them with the short ones. A
-    // point's index keeps its trial-order position; the fold still runs
-    // in trial order, through the remapped result_index.
+    // first snapshot's cycle on (one with no snapshot from reset; where it
+    // rejoins the golden run is only known once it runs), so the dynamic
+    // schedule starts the long suffixes early and fills in behind them
+    // with the short ones. A point's index keeps its trial-order position;
+    // the fold still runs in trial order, through the remapped
+    // result_index.
     std::stable_sort(points.begin(), points.end(),
                      [](const runner::SweepPoint& a,
                         const runner::SweepPoint& b) {
@@ -656,6 +669,7 @@ CampaignSummary run_campaign(const std::vector<CampaignCell>& cells,
           const runner::PointResult& r = sum.results[plan.result_index];
           fold_trial(st, r, spec);
           note_overrun(st, r);
+          note_rejoin(r);
           // Unpruned reference mode still REPORTS the prunable count, so
           // the column is byte-identical across modes.
           if (plan.prunable) st.res.pruned += 1;

@@ -34,8 +34,9 @@
 // distinct (workload, scheme) of the slice, dealt to the pool's workers in
 // key order. Every round's plan then draws its pending trials' storms on
 // the pool, and the round hands its simulated trials to one run_sweep
-// call, longest suffix first (from-reset trials, then by resume-snapshot
-// cycle); results fold in trial order.
+// call, longest suffix first (from-reset trials, then by first-snapshot
+// cycle); results fold in trial order. Each trial point carries its
+// cell's golden run, so it can rejoin it (CampaignSpec::fast_forward).
 //
 // Determinism contract (same as the sweep runner's): rows are identical at
 // any --threads and any --shard split. Trial seeds derive from (base_seed,
@@ -113,10 +114,15 @@ struct CampaignSpec {
   /// Snapshot fast-forward (the default): the golden run drops full-state
   /// snapshots every `snapshot_every` injector consultations (under the
   /// `snapshot_mem_mb` budget, keep-every-k thinned), and every simulated
-  /// trial restores the latest snapshot at-or-before its first delivery
-  /// ordinal instead of re-simulating the fault-free prefix. Rows are
-  /// byte-identical with fast-forward on or off — `fast_forward = false` is
-  /// the simulate-everything reference path, same contract shape as `prune`
+  /// trial skips each stretch of its run that is the golden run's
+  /// (core::run_program_replay): it restores the latest snapshot
+  /// at-or-before its first delivery ordinal instead of re-simulating the
+  /// fault-free prefix, and after a delivery, where its state equals the
+  /// next golden snapshot's exactly, it jumps to the last snapshot before
+  /// its next delivery, or, with none left, stops and takes the golden
+  /// run's result plus its own counter excess. Rows are byte-identical with
+  /// fast-forward on or off — `fast_forward = false` is the
+  /// simulate-everything reference path, same contract shape as `prune`
   /// and CacheConfig::use_lut_decode. Composes multiplicatively with
   /// pruning: pruning kills dead-storm trials, fast-forward shrinks the
   /// live ones.
@@ -230,9 +236,10 @@ struct CellCounters {
   /// HAPPENS differs, so rows stay byte-identical across modes.
   u64 fast_forwarded = 0;
   /// Simulated cycles those snapshots cover (the sum of each fast-forwarded
-  /// trial's snapshot cycle): the heartbeat's estimate of simulation work
-  /// the restores avoid. Not a CSV column — identical across modes but an
-  /// estimate, not a measurement.
+  /// trial's snapshot cycle): the heartbeat's estimate of the prefix work
+  /// the first restores avoid. Not a CSV column — identical across modes
+  /// but an estimate, not a measurement; the cycles a rejoin spares are
+  /// counted in campaign.cycles_rejoined instead.
   u64 cycles_skipped = 0;
   /// De-accelerated real device-hours the trials represent. Must round-trip
   /// bit-exactly through a checkpoint to keep resumed rows byte-identical.

@@ -78,20 +78,26 @@ PointResult run_point(const SweepPoint& point, u64 base_seed,
   }
 
   const auto built = entry.build();
-  // Fast-forward: a replay trial with a golden snapshot at-or-before its
-  // first delivery restores it and simulates only the suffix. The restored
-  // state already contains the program image and the full fault-free prefix,
-  // so the rows are byte-identical with the from-reset path (the ff-equiv
-  // suite and CI gate hold this contract).
-  auto run = point.resume_from != nullptr
-                 ? core::run_program_resume(cfg, *point.resume_from->blob,
-                                            point.resume_from->ordinal)
+  // Fast-forward: a replay trial with a golden run simulates only the
+  // stretches of its storm that are not the golden run's. The rows are
+  // byte-identical with the from-reset path (the ff-equiv suite and CI gate
+  // hold this contract).
+  auto run = point.golden != nullptr
+                 ? core::run_program_replay(cfg, built.program,
+                                            point.golden->snapshots,
+                                            point.golden->result.stats)
                  : core::run_program_keep_system(cfg, built.program, recorder,
                                                  snapshots);
   r.stats = std::move(run.stats);
+  r.rejoin = run.rejoin;
   if (run.injector != nullptr) {
     r.faults_injected = run.injector->injected_total();
     r.faults_dropped = run.injector->faults_dropped();
+  }
+  // A trial completed from its golden run ends in the golden run's state.
+  if (run.rejoin.at_end) {
+    r.self_check_ok = point.golden->result.self_check_ok;
+    return r;
   }
   for (const auto& [addr, expect] : built.expected) {
     if (run.system->read_word_final(addr) != expect) {
@@ -267,7 +273,7 @@ PointResult run_golden_point(const SweepPoint& point, u64 base_seed,
   SweepPoint golden = point;
   golden.config.faults.reset();
   golden.replicate = 0;  // the shared trace; replicates differ only in storms
-  golden.resume_from = nullptr;
+  golden.golden = nullptr;
   return run_point(golden, base_seed, recorder, snapshots);
 }
 
@@ -398,13 +404,13 @@ SweepSummary run_sweep(const std::vector<SweepPoint>& points,
             " combines trace mode with fault injection, which requires "
             "program mode (the oracle keeps no arrays to inject into)");
       }
-      if (p.resume_from != nullptr &&
+      if (p.golden != nullptr &&
           (p.mode != RunMode::kProgram || !p.config.faults.has_value() ||
            p.config.faults->schedule == nullptr)) {
         throw std::invalid_argument(
             "run_sweep: point " + std::to_string(p.index) +
-            " carries a fast-forward snapshot without a program-mode replay "
-            "schedule (snapshots are only sound for pre-drawn storms)");
+            " carries a golden run without a program-mode replay schedule "
+            "(fast-forward is only sound for pre-drawn storms)");
       }
     }
   }
@@ -448,8 +454,11 @@ SweepSummary run_sweep(const std::vector<SweepPoint>& points,
     if (span.live()) {
       span.arg("workload", p.workload);
       span.arg("replicate", static_cast<u64>(p.replicate));
-      if (p.resume_from != nullptr) {
-        span.arg("ff_ordinal", p.resume_from->ordinal);
+      if (p.golden != nullptr) {
+        if (const auto start = core::replay_start(
+                p.golden->snapshots, *p.config.faults->schedule)) {
+          span.arg("ff_ordinal", start->ordinal);
+        }
       }
     }
     const auto t0 = std::chrono::steady_clock::now();
@@ -458,6 +467,10 @@ SweepSummary run_sweep(const std::vector<SweepPoint>& points,
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - t0)
             .count()));
+    if (span.live() && p.golden != nullptr) {
+      span.arg("rejoined", static_cast<u64>(r.rejoin.at_end));
+      span.arg("jumps", r.rejoin.jumps);
+    }
     span.close();
     std::lock_guard<std::mutex> lock(emit_mutex);
     summary.results[i] = std::move(r);

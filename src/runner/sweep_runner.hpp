@@ -44,6 +44,8 @@ enum class RunMode {
   return m == RunMode::kProgram ? "program" : "trace";
 }
 
+struct GoldenRun;
+
 /// One experiment: a workload under one fully-specified configuration.
 struct SweepPoint {
   std::size_t index = 0;   ///< position in the expanded grid (stable)
@@ -61,12 +63,12 @@ struct SweepPoint {
   /// recovery paths differ). 0 (the default) reproduces the pre-replicate
   /// seeding exactly.
   u64 replicate = 0;
-  /// Fast-forward: restore this golden snapshot instead of simulating the
-  /// fault-free prefix. Program-mode replay points only (config.faults with
-  /// a pre-drawn schedule whose first delivery ordinal is >= the snapshot's
-  /// ordinal — the campaign engine picks entries that satisfy this). Null =
-  /// run from reset.
-  std::shared_ptr<const sim::SnapshotStore::Entry> resume_from;
+  /// Fast-forward: the fault-free golden run of this point's workload and
+  /// configuration. A program-mode replay point (config.faults with a
+  /// pre-drawn schedule) that carries one simulates only the stretches of
+  /// its storm the golden run cannot stand in for
+  /// (core::run_program_replay). Null = simulate everything from reset.
+  std::shared_ptr<const GoldenRun> golden;
 };
 
 struct PointResult {
@@ -80,6 +82,16 @@ struct PointResult {
   /// Fault events the injector sampled but could not deliver (per-access
   /// flip budget exhausted under extreme acceleration).
   u64 faults_dropped = 0;
+  /// How a point with a golden run rejoined it (never, for one without).
+  core::Rejoin rejoin;
+};
+
+/// A point's fault-free golden run (run_golden_point with snapshots): what
+/// a replay point needs to skip the stretches of its trial that are the
+/// golden run's.
+struct GoldenRun {
+  sim::SnapshotStore snapshots;
+  PointResult result;
 };
 
 /// Named SimConfig mutation (geometry / latency variants for ablations).

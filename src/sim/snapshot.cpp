@@ -23,42 +23,64 @@ namespace {
 // 8-byte frame magic; distinct from the checkpoint magic ("LAECCKP1") so a
 // mixed-up file path fails loudly rather than parsing as garbage.
 constexpr char kMagic[8] = {'L', 'A', 'E', 'C', 'S', 'N', 'P', '1'};
+/// Magic, version, checksum: the payload starts here.
+constexpr std::size_t kFrameHead = sizeof(kMagic) + sizeof(u32) + sizeof(u64);
+
+/// Little-endian value of the sizeof(W) bytes at `p`.
+template <class W>
+W load_le(const char* p) {
+  W v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof v);
+  } else {
+    for (std::size_t b = 0; b < sizeof v; ++b) {
+      v |= static_cast<W>(static_cast<W>(static_cast<u8>(p[b])) << (8 * b));
+    }
+  }
+  return v;
+}
 
 // FNV-1a folded over 8-byte little-endian chunks instead of single bytes
-// (tail bytes one at a time). NOT the canonical byte-wise service::fnv1a —
-// this frame has its own checksum definition, pinned by kSnapshotVersion.
-// The golden run serializes hundreds of snapshots; a byte-at-a-time hash
-// was the single largest capture cost, and corruption detection only needs
-// mixing, not the canonical constant walk.
-u64 chunked_fnv1a(std::string_view data) {
+// (tail bytes one at a time), each chunk passed through `mix` first. NOT
+// the canonical byte-wise service::fnv1a. The golden run serializes
+// hundreds of snapshots; a byte-at-a-time hash was the single largest
+// capture cost.
+template <class Mix>
+u64 chunked_fnv1a(std::string_view data, Mix mix) {
   u64 h = 1469598103934665603ull;
   const std::size_t whole = data.size() / 8;
-  const char* p = data.data();
   for (std::size_t i = 0; i < whole; ++i) {
-    u64 chunk;
-    if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(&chunk, p + i * 8, 8);
-    } else {
-      chunk = 0;
-      for (int j = 0; j < 8; ++j) {
-        chunk |= static_cast<u64>(static_cast<u8>(p[i * 8 + j])) << (8 * j);
-      }
-    }
-    h ^= chunk;
+    h ^= mix(load_le<u64>(data.data() + i * 8));
     h *= 1099511628211ull;
   }
   for (std::size_t i = whole * 8; i < data.size(); ++i) {
-    h ^= static_cast<u8>(data[i]);
+    h ^= mix(static_cast<u8>(data[i]));
     h *= 1099511628211ull;
   }
   return h;
 }
 
+/// The frame checksum, pinned by kSnapshotVersion: chunks fold in as they
+/// are. Corruption detection only needs mixing, but a flip of bit 63 only
+/// ever flips bit 63 of the hash (the multiplier is odd), so two such
+/// flips cancel.
+u64 frame_checksum(std::string_view payload) {
+  return chunked_fnv1a(payload, [](u64 chunk) { return chunk; });
+}
+
+/// splitmix64's finalizer: every input bit reaches every output bit, so no
+/// pair of flips in two chunks cancels in the fold (state_digest).
+u64 mix64(u64 x) {
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 // ------------------------------------------------------------------------
 // The field-list walker (protocol: snapshot.hpp). It owns every structural
 // rule — containers, presence, key order, field paths — and hands each
-// leaf to an archive, which only encodes (Saver), decodes (Loader) or
-// records (Flattener) it.
+// leaf to an archive, which only encodes (Saver), decodes (Loader),
+// records (Flattener) or compares (Matcher) it.
 
 template <class T>
 concept Scalar = std::is_integral_v<T> || std::is_enum_v<T>;
@@ -78,6 +100,7 @@ class Walker {
 
   template <class T>
   void operator()(std::string_view name, T& x) {
+    if (a_.stopped()) return;
     a_.enter(name);
     visit(x);
     a_.leave();
@@ -192,6 +215,19 @@ class Walker {
         a_.scalar(key);
         visit(m[key]);
       }
+    } else if constexpr (Archive::kMatching) {
+      // The blob lists the keys ascending. With the counts equal, n
+      // strictly ascending keys that are all in `m` are m's keys.
+      K prev{};
+      for (u32 i = 0; i < n && !a_.stopped(); ++i) {
+        Wire<K> wire = 0;
+        if (!a_.take(wire)) return;
+        const K key = static_cast<K>(wire);
+        const auto it = m.find(key);
+        if (it == m.end() || (i > 0 && key <= prev)) return a_.differ();
+        prev = key;
+        visit(it->second);
+      }
     } else {
       // Ascending keys: the bytes must not depend on hash-map iteration
       // order.
@@ -216,6 +252,7 @@ class Walker {
     } else {
       u64 i = 0;
       for (E& e : c) {
+        if (a_.stopped()) return;
         a_.enter(i++);
         visit(e);
         a_.leave();
@@ -226,14 +263,17 @@ class Walker {
   Archive& a_;
 };
 
-/// What every archive shares: stats selection and no-op path hooks (only
-/// the Flattener tracks paths).
+/// What every archive shares: stats selection, no-op path hooks (only
+/// the Flattener tracks paths) and a walk that never stops early (only the
+/// Matcher stops, at its first difference).
 struct ArchiveBase {
+  static constexpr bool kMatching = false;
   bool with_stats = true;  ///< false skips stats fields (state_digest)
   int stats_depth = 0;     ///< > 0 while inside a stats field
   void enter(std::string_view) {}
   void enter(u64) {}
   void leave() {}
+  static constexpr bool stopped() { return false; }
 };
 
 class Saver : public ArchiveBase {
@@ -349,6 +389,80 @@ class Flattener : public Saver {
   std::vector<std::string> path_;  ///< full path of each open scope
 };
 
+/// Compares a system with a save_system_state payload, reading the payload
+/// in step with the walk: every state leaf must equal its encoding, and
+/// statistics are read past. The first difference stops the walk, and so
+/// does a payload too short for the next leaf, which is never read past.
+class Matcher : public ArchiveBase {
+ public:
+  static constexpr bool kRestoring = false;
+  static constexpr bool kMatching = true;
+
+  explicit Matcher(std::string_view payload) : rest_(payload) {}
+
+  template <Scalar T>
+  void scalar(const T& x) {
+    Wire<T> v = 0;
+    if (take(v) && stats_depth == 0 && v != static_cast<Wire<T>>(x)) {
+      differ();
+    }
+  }
+  template <class T>
+  void block(const T* p, std::size_t n) {
+    const char* at = skip(n * sizeof(T));
+    if (at == nullptr || stats_depth > 0) return;
+    if constexpr (std::endian::native == std::endian::little) {
+      if (n != 0 && std::memcmp(at, p, n * sizeof(T)) != 0) differ();
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        if (load_le<T>(at + i * sizeof(T)) != p[i]) return differ();
+      }
+    }
+  }
+  /// Statistics: (name, value) pairs, read past.
+  void stat_set(const StatSet&) {
+    u32 n = 0;
+    if (!take(n)) return;
+    for (u32 i = 0; i < n; ++i) {
+      u32 len = 0;
+      if (!take(len) || skip(std::size_t{len} + sizeof(u64)) == nullptr) {
+        return;
+      }
+    }
+  }
+
+  /// Read the next little-endian W into `v`; false (a difference) when the
+  /// payload is too short or the walk has stopped.
+  template <class W>
+  bool take(W& v) {
+    const char* at = skip(sizeof v);
+    if (at == nullptr) return false;
+    v = load_le<W>(at);
+    return true;
+  }
+
+  void differ() { differs_ = true; }
+  [[nodiscard]] bool stopped() const { return differs_; }
+  /// Every leaf matched and the payload is used up.
+  [[nodiscard]] bool matched() const { return !differs_ && rest_.empty(); }
+
+ private:
+  /// Consume `n` bytes and return where they start, or null.
+  const char* skip(std::size_t n) {
+    if (differs_) return nullptr;
+    if (rest_.size() < n) {
+      differ();
+      return nullptr;
+    }
+    const char* at = rest_.data();
+    rest_.remove_prefix(n);
+    return at;
+  }
+
+  std::string_view rest_;
+  bool differs_ = false;
+};
+
 // The field lists serve both directions, so visit_state is non-const; the
 // saving archives only ever read through the references it hands out.
 template <class Archive>
@@ -396,7 +510,7 @@ std::string save_system_state(const System& system) {
 
   service::ByteWriter head;
   head.put_u32(kSnapshotVersion);
-  head.put_u64(chunked_fnv1a(payload.w.bytes()));
+  head.put_u64(frame_checksum(payload.w.bytes()));
 
   std::string out;
   out.reserve(sizeof(kMagic) + head.bytes().size() + payload.w.bytes().size());
@@ -419,9 +533,8 @@ void restore_system_state(System& system, std::string_view blob) {
                              std::to_string(kSnapshotVersion) + ")");
   }
   const u64 checksum = head.get_u64();
-  const std::string_view payload =
-      blob.substr(sizeof(kMagic) + sizeof(u32) + sizeof(u64));
-  if (chunked_fnv1a(payload) != checksum) {
+  const std::string_view payload = blob.substr(kFrameHead);
+  if (frame_checksum(payload) != checksum) {
     throw service::WireError("snapshot: checksum mismatch (corrupt blob)");
   }
   Loader loader(payload);
@@ -433,7 +546,18 @@ u64 state_digest(const System& system) {
   Saver state;
   state.with_stats = false;
   walk(system, state);
-  return chunked_fnv1a(state.w.bytes());
+  return chunked_fnv1a(state.w.bytes(), mix64);
+}
+
+bool state_matches(const System& system, std::string_view blob) {
+  if (blob.size() < kFrameHead ||
+      std::memcmp(blob.data(), kMagic, sizeof(kMagic)) != 0 ||
+      load_le<u32>(blob.data() + sizeof(kMagic)) != kSnapshotVersion) {
+    return false;
+  }
+  Matcher matcher(blob.substr(kFrameHead));
+  walk(system, matcher);
+  return matcher.matched();
 }
 
 std::vector<FieldDiff> diff_system_state(const System& a, const System& b) {
@@ -494,14 +618,25 @@ void SnapshotStore::add(u64 ordinal, Cycle cycle, std::string blob) {
   }
 }
 
-std::shared_ptr<const SnapshotStore::Entry> SnapshotStore::best_at_or_before(
-    u64 ordinal) const {
-  // Entries are ordinal-ascending; find the last one at or before.
-  auto it = std::upper_bound(
+std::vector<std::shared_ptr<const SnapshotStore::Entry>>::const_iterator
+SnapshotStore::first_past(u64 ordinal) const {
+  // Entries are ordinal-ascending.
+  return std::upper_bound(
       entries_.begin(), entries_.end(), ordinal,
       [](u64 v, const std::shared_ptr<const Entry>& e) { return v < e->ordinal; });
+}
+
+std::shared_ptr<const SnapshotStore::Entry> SnapshotStore::best_at_or_before(
+    u64 ordinal) const {
+  const auto it = first_past(ordinal);
   if (it == entries_.begin()) return nullptr;
   return *std::prev(it);
+}
+
+std::shared_ptr<const SnapshotStore::Entry> SnapshotStore::first_after(
+    u64 ordinal) const {
+  const auto it = first_past(ordinal);
+  return it == entries_.end() ? nullptr : *it;
 }
 
 }  // namespace laec::sim

@@ -9,6 +9,11 @@
 // the state of any trial whose first delivery ordinal d satisfies C <= d:
 // restoring it and fast-forwarding the injector cursor to C simulates only
 // the suffix, and the rows stay byte-identical with fast-forward on or off.
+// The same holds after a delivery: a trial that reaches a golden
+// snapshot's cycle with the snapshot's consultation count and exactly its
+// state (state_matches) is the golden run again until its next delivery,
+// so it may jump ahead, or stop and take the golden run's result, and only
+// its counters differ (core::run_program_replay).
 //
 // A snapshot covers everything that evolves during a run: the cache arrays
 // of DL1/L1I/L2 (every way's valid bit, plus the dirty bit, tag, LRU stamp,
@@ -26,8 +31,10 @@
 //
 //   template <class V> void visit_state(V& v);
 //
-// and save, restore, state_digest and diff_system_state all walk that one
-// list, so they cannot disagree about what the state is. The list names
+// and save, restore, state_matches, state_digest and diff_system_state all
+// walk that one list, so they cannot disagree about what the state is. One
+// walker drives four archives over it: save, restore, the exact
+// state_matches comparison, and the diff's path recorder. The list names
 // every field through the visitor:
 //
 //   v(name, field)        state: scalars, strings, std::array, vector and
@@ -36,7 +43,8 @@
 //                         unique_ptr (presence must match on restore), or
 //                         any type with its own visit_state;
 //   v.stats(name, field)  a statistic (StatSet or counter): saved and
-//                         restored like state, left out of state_digest;
+//                         restored like state, left out of state_matches
+//                         and state_digest;
 //   v.fixed(name, c)      a container the configuration sizes: its
 //                         elements, no length (unique_ptr elements are
 //                         dereferenced);
@@ -49,6 +57,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -74,10 +83,21 @@ inline constexpr u32 kSnapshotVersion = 2;
 /// version mismatch, checksum mismatch, or layout/geometry mismatch.
 void restore_system_state(System& system, std::string_view blob);
 
+/// Does `system` hold exactly the state `blob` (a save_system_state frame)
+/// holds? Every state leaf is compared, the cycle counter included;
+/// statistics are not. One walk in step with the blob, no allocation,
+/// stopping at the first difference. A short, foreign or other-geometry
+/// blob is a difference: false, never an exception or a read past its end.
+/// The checksum is not verified (a caller that acts on a match restores
+/// the blob next, and restore verifies it). This is the test a replay
+/// trial rejoins its golden run by; a digest would only make a match
+/// likely.
+[[nodiscard]] bool state_matches(const System& system, std::string_view blob);
+
 /// 64-bit hash of the state fields of `system`, statistics excluded (the
 /// cycle counter is state). Two systems built from the same configuration
 /// with equal digests hold the same state, barring a hash collision,
-/// whatever their counters say.
+/// whatever their counters say. For diagnostics; state_matches decides.
 [[nodiscard]] u64 state_digest(const System& system);
 
 /// One leaf field that differs between two systems.
@@ -138,6 +158,9 @@ class SnapshotStore {
   [[nodiscard]] std::shared_ptr<const Entry> best_at_or_before(
       u64 ordinal) const;
 
+  /// Earliest entry with entry->ordinal > ordinal, or null when none exists.
+  [[nodiscard]] std::shared_ptr<const Entry> first_after(u64 ordinal) const;
+
   /// Surviving entries, ordinal-ascending (tests and diagnostics walk this).
   [[nodiscard]] const std::vector<std::shared_ptr<const Entry>>& entries()
       const {
@@ -150,6 +173,10 @@ class SnapshotStore {
   [[nodiscard]] u64 stride() const { return stride_; }
 
  private:
+  /// First entry with entry->ordinal > ordinal (end() when none).
+  [[nodiscard]] std::vector<std::shared_ptr<const Entry>>::const_iterator
+  first_past(u64 ordinal) const;
+
   u64 every_ = 0;
   u64 budget_ = 0;
   u64 seq_ = 0;     // capture sequence counter (counts every gate call)

@@ -6,6 +6,7 @@
 // snapshot frame itself is covered by test_snapshot.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "ecc/registry.hpp"
 #include "mem/residency.hpp"
 #include "reliability/campaign.hpp"
+#include "reliability/schedule.hpp"
 #include "report/sink.hpp"
 #include "runner/sweep_runner.hpp"
 #include "sim/snapshot.hpp"
@@ -205,6 +207,123 @@ TEST(FfEquiv, CsvBytesIdenticalAcrossThreadCounts) {
   EXPECT_FALSE(ref.empty());
   EXPECT_EQ(campaign_csv(grid, spec, true, 1), ref);
   EXPECT_EQ(campaign_csv(grid, spec, true, 8), ref);
+}
+
+/// Every counter of two StatSets, by name (a name one set lacks reads 0).
+void expect_same_counters(const StatSet& a, const StatSet& b,
+                          const std::string& at) {
+  for (const auto& [name, v] : a.items()) {
+    EXPECT_EQ(v, b.value(name)) << at << name;
+  }
+  for (const auto& [name, v] : b.items()) {
+    EXPECT_EQ(a.value(name), v) << at << name;
+  }
+}
+
+TEST(FfEquiv, RejoinedTrialsMatchFullSimulation) {
+  // Trial by trial, below the rows: every live trial of a cell runs once
+  // with its golden run (restored, rejoined and spliced where it can be)
+  // and once from reset without it, and the two results must agree on
+  // everything a PointResult carries.
+  struct Cell {
+    const char* workload;
+    const char* scheme;
+    core::InjectTarget target;
+    double accel;
+    u64 max_cycles;  ///< 0: the default
+  };
+  const Cell cells[] = {
+      {"puwmod", "laec", core::InjectTarget::kDl1, 1e16, 0},
+      {"puwmod", "sec-daec-39-32", core::InjectTarget::kDl1, 1e16, 0},
+      {"iirflt", "sec-daec-taec-45-32", core::InjectTarget::kDl1, 1e16, 0},
+      // pntrch's chase outgrows the 2 KB DL1, so its L2 words are read
+      // again; most kernels' L2 windows all prune.
+      {"pntrch", "laec", core::InjectTarget::kL2, 1e15, 0},
+      // An undetected L1I upset can send a kernel into a loop: the cap
+      // keeps such a trial short (it never rejoins).
+      {"puwmod", "laec", core::InjectTarget::kL1i, 1e16, 300'000},
+  };
+  const RatePoint rate = *tech_preset("28nm");
+  const u64 seed = CampaignOptions{}.base_seed;
+  u64 live = 0, rejoined = 0, jumped = 0, never = 0;
+  for (const Cell& c : cells) {
+    CampaignSpec spec = spec_for(c.target, c.accel);
+    if (c.max_cycles != 0) spec.base.max_cycles = c.max_cycles;
+    runner::SweepPoint base;
+    base.workload = c.workload;
+    base.config = spec.base;
+    base.config.set_scheme(c.scheme);
+    base.config.inject_target = c.target;
+    base.mode = runner::RunMode::kProgram;
+    auto golden = std::make_shared<runner::GoldenRun>(runner::GoldenRun{
+        sim::SnapshotStore(spec.snapshot_every,
+                           u64{spec.snapshot_mem_mb} << 20),
+        {}});
+    mem::ResidencyRecorder rec;
+    golden->result =
+        runner::run_golden_point(base, seed, &rec, &golden->snapshots);
+    const auto windows = rec.take_windows();
+    const unsigned bits = target_codeword_bits(base.config);
+    const double scale = window_lambda_scale(spec, rate.fit_per_mbit, bits);
+
+    std::vector<runner::SweepPoint> spliced, full;
+    for (unsigned t = 0; t < 32; ++t) {
+      runner::SweepPoint p = base;
+      p.replicate = t;
+      p.config.faults.emplace();
+      auto sched = draw_trial_schedule(windows, scale, rate.patterns, bits,
+                                       runner::fault_seed(seed, p));
+      if (!sched.has_live()) continue;
+      p.config.faults->schedule =
+          std::make_shared<const ecc::TrialSchedule>(std::move(sched));
+      p.index = full.size();
+      full.push_back(p);
+      p.golden = golden;
+      spliced.push_back(std::move(p));
+    }
+    runner::SweepOptions opts;
+    opts.threads = 2;
+    opts.base_seed = seed;
+    const auto a = runner::run_sweep(spliced, opts).results;
+    const auto b = runner::run_sweep(full, opts).results;
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const runner::PointResult& x = a[i];
+      const runner::PointResult& y = b[i];
+      const std::string at = std::string(c.workload) + "/" + c.scheme + "/" +
+                             std::string(core::to_string(c.target)) +
+                             " trial " + std::to_string(x.point.replicate) +
+                             ": ";
+      EXPECT_EQ(runner::to_row(x), runner::to_row(y)) << at;
+      // The RunStats fields the row leaves out.
+      EXPECT_EQ(x.stats.data_loss_events, y.stats.data_loss_events) << at;
+      EXPECT_EQ(x.stats.dl1_fill_words, y.stats.dl1_fill_words) << at;
+      EXPECT_EQ(x.stats.l1i_fetches, y.stats.l1i_fetches) << at;
+      EXPECT_EQ(x.stats.l1i_fill_words, y.stats.l1i_fill_words) << at;
+      EXPECT_EQ(x.stats.l2_reads, y.stats.l2_reads) << at;
+      EXPECT_EQ(x.stats.l2_writes, y.stats.l2_writes) << at;
+      EXPECT_EQ(x.stats.l2_fill_words, y.stats.l2_fill_words) << at;
+      expect_same_counters(x.stats.pipeline_stats, y.stats.pipeline_stats,
+                           at + "pipeline.");
+      expect_same_counters(x.stats.dl1_stats, y.stats.dl1_stats, at + "dl1.");
+      expect_same_counters(x.stats.l1i_stats, y.stats.l1i_stats, at + "l1i.");
+      expect_same_counters(x.stats.l2_stats, y.stats.l2_stats, at + "l2.");
+      expect_same_counters(x.stats.bus_stats, y.stats.bus_stats, at + "bus.");
+      EXPECT_EQ(x.self_check_ok, y.self_check_ok) << at;
+      EXPECT_EQ(x.faults_injected, y.faults_injected) << at;
+      EXPECT_EQ(x.faults_dropped, y.faults_dropped) << at;
+      EXPECT_FALSE(y.rejoin.at_end || y.rejoin.jumps > 0) << at;
+      ++live;
+      if (x.rejoin.at_end) ++rejoined;
+      if (x.rejoin.jumps > 0) ++jumped;
+      if (!x.rejoin.at_end && x.rejoin.jumps == 0) ++never;
+    }
+  }
+  // Every way through the replay loop ran: a rejoin at the end, a jump
+  // between two deliveries, and a trial simulated to its end.
+  EXPECT_GE(rejoined, 1u) << live << " live trials";
+  EXPECT_GE(jumped, 1u) << live << " live trials";
+  EXPECT_GE(never, 1u) << live << " live trials";
 }
 
 }  // namespace

@@ -16,8 +16,11 @@
 // see exactly the fields they should.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/simulator.hpp"
@@ -162,7 +165,13 @@ TEST(Snapshot, ResumeFromEverySnapshotMatchesGoldenCompletion) {
   replay.faults = inj;
 
   for (const auto& e : store.entries()) {
-    auto r = core::run_program_resume(replay, *e->blob, e->ordinal);
+    // A golden run that kept only this snapshot: the replay restores it
+    // and, with nothing to deliver, simulates the whole suffix unchecked.
+    SnapshotStore only(store.every(), 0);
+    ASSERT_TRUE(only.begin_capture());
+    only.add(e->ordinal, e->cycle, *e->blob);
+    auto r = core::run_program_replay(replay, built.program, only,
+                                      golden.stats);
     ASSERT_TRUE(r.stats.completed) << "ordinal " << e->ordinal;
     const auto diffs = diff_system_state(*golden.system, *r.system);
     EXPECT_TRUE(diffs.empty()) << "ordinal " << e->ordinal << describe(diffs);
@@ -324,6 +333,234 @@ TEST(Snapshot, DigestExcludesStatisticsAndDiffNamesTheField) {
   const u64 before = state_digest(*a);
   a->tick();
   EXPECT_NE(state_digest(*a), before);
+}
+
+/// Where a frame's payload starts: the 8-byte magic, the u32 version and
+/// the u64 checksum come first.
+constexpr std::size_t kPayloadAt = 8 + 4 + 8;
+
+/// A resident word of `cache` at or after `from`.
+Addr resident_word(const mem::SetAssocCache& cache, Addr from) {
+  for (Addr a = from; a < from + (1u << 16); a += 4) {
+    if (cache.contains(a)) return a;
+  }
+  ADD_FAILURE() << "no resident word past " << from;
+  return from;
+}
+
+/// The state leaves (statistics left out) on which two systems differ.
+std::vector<std::string> state_diff_paths(const System& a, const System& b) {
+  std::vector<std::string> out;
+  for (const auto& d : diff_system_state(a, b)) {
+    if (!d.stats) out.push_back(d.path);
+  }
+  return out;
+}
+
+TEST(Snapshot, StateMatchesIsExact) {
+  const Golden g = make_golden("puwmod", "laec", 2048);
+  ASSERT_GE(g.store->size(), 1u);
+  const std::string& blob = *g.store->entries().front()->blob;
+  const auto restored = [&] {
+    auto s = std::make_unique<System>(
+        core::make_system_config(g.cfg, /*trace_mode=*/false));
+    restore_system_state(*s, blob);
+    return s;
+  };
+  const auto a = restored();
+  EXPECT_TRUE(state_matches(*a, blob));
+  const auto busy = contended_system("laec", 14990);
+  EXPECT_TRUE(state_matches(*busy, save_system_state(*busy)));
+
+  // A statistic is not state.
+  {
+    const auto b = restored();
+    ++b->core(0).pipeline().stats().counter("loads");
+    ++b->memsys().l2().stats().counter("reads");
+    EXPECT_TRUE(state_matches(*b, blob));
+  }
+
+  // The cycle counter leads the payload.
+  {
+    std::string bad = blob;
+    u64 now = 0;
+    std::memcpy(&now, bad.data() + kPayloadAt, sizeof now);
+    ASSERT_EQ(now, a->now());
+    bad[kPayloadAt] ^= 0x01;
+    EXPECT_FALSE(state_matches(*a, bad));
+  }
+
+  const Addr data =
+      workloads::kernel_by_name("puwmod").build().program.data_base;
+  // One state leaf changed on the system's side.
+  const auto expect_miss = [&](const std::string& what, const System& b,
+                               const std::string& leaf) {
+    const auto paths = state_diff_paths(*a, b);
+    ASSERT_FALSE(paths.empty()) << what;
+    EXPECT_EQ(paths.front().substr(paths.front().size() - leaf.size()), leaf)
+        << what;
+    EXPECT_FALSE(state_matches(b, blob)) << what;
+  };
+  {
+    const auto b = restored();
+    cpu::Pipeline& pipe = b->core(0).pipeline();
+    pipe.set_reg(5, pipe.reg(5) ^ 0x10);
+    ASSERT_EQ(state_diff_paths(*a, *b).size(), 1u);
+    expect_miss("pipeline register", *b, "pipeline.regs[5]");
+  }
+  {
+    const auto b = restored();
+    mem::MainMemory& m = b->memsys().memory();
+    const Addr at = data + 3;
+    m.write_u8(at, static_cast<u8>(m.read_u8(at) ^ 0x04));
+    ASSERT_EQ(state_diff_paths(*a, *b).size(), 1u);
+    expect_miss("memory byte", *b,
+                "pages[" + std::to_string(at >> mem::MainMemory::kPageBits) +
+                    "].bytes[" +
+                    std::to_string(at & (mem::MainMemory::kPageSize - 1)) +
+                    "]");
+  }
+  {
+    // The invalid way's other fields drop out of the list with it.
+    const auto b = restored();
+    mem::SetAssocCache& dl1 = b->core(0).dl1().cache();
+    ASSERT_TRUE(dl1.invalidate(resident_word(dl1, data)));
+    expect_miss("valid bit", *b, ".valid");
+  }
+
+  // Both sides changed alike but for one leaf, compared against a save of
+  // the first.
+  {
+    const auto x = restored();
+    const auto y = restored();
+    mem::PendingStore st{data, 4, 0x1234, false, true};
+    x->core(0).wbuf().push(st);
+    st.value ^= 0x100;
+    y->core(0).wbuf().push(st);
+    ASSERT_EQ(state_diff_paths(*x, *y).size(), 1u);
+    EXPECT_TRUE(state_matches(*x, save_system_state(*x)));
+    EXPECT_FALSE(state_matches(*y, save_system_state(*x)))
+        << "write-buffer entry";
+  }
+  // A cache write changes a word and its check bits. Patching only the
+  // first differing payload byte (the word comes first in a way's list) or
+  // only the last (its check bits) into a save changes one leaf.
+  const auto patch_one = [&](const std::string& what,
+                             mem::SetAssocCache& (*cache)(System&),
+                             bool word) {
+    const auto x = restored();
+    const auto y = restored();
+    const Addr at = resident_word(cache(*x), data);
+    cache(*x).write(at, 4, 0x5a5a'0f0f, /*mark_dirty=*/true);
+    cache(*y).write(at, 4, 0x5a5a'0f0f ^ 0x0100, /*mark_dirty=*/true);
+    const auto paths = state_diff_paths(*x, *y);
+    ASSERT_EQ(paths.size(), 2u) << what;
+    EXPECT_NE(paths[0].find(".words["), std::string::npos) << paths[0];
+    EXPECT_NE(paths[1].find(".check["), std::string::npos) << paths[1];
+    const std::string sx = save_system_state(*x);
+    const std::string sy = save_system_state(*y);
+    ASSERT_EQ(sx.size(), sy.size());
+    std::size_t first = sx.size(), last = 0;
+    for (std::size_t i = kPayloadAt; i < sx.size(); ++i) {
+      if (sx[i] != sy[i]) {
+        first = std::min(first, i);
+        last = i;
+      }
+    }
+    ASSERT_LT(first, last) << what;
+    std::string patched = sx;
+    const std::size_t i = word ? first : last;
+    patched[i] = sy[i];
+    EXPECT_TRUE(state_matches(*x, sx)) << what;
+    EXPECT_FALSE(state_matches(*x, patched)) << what;
+  };
+  patch_one("DL1 word",
+            [](System& s) -> mem::SetAssocCache& {
+              return s.core(0).dl1().cache();
+            },
+            /*word=*/true);
+  patch_one("L2 check bits",
+            [](System& s) -> mem::SetAssocCache& { return s.memsys().l2(); },
+            /*word=*/false);
+
+  // A blob that lists a page twice has as many pages as the system, all of
+  // them the system's, yet lacks one of the system's pages. Two twins with
+  // two fresh zero pages each differ in the last page's key alone; writing
+  // the previous page's key over it yields such a blob.
+  {
+    const auto with_pages = [&](Addr second) {
+      auto s = restored();
+      s->memsys().memory().write_u8(0x7000'0000, 0);
+      s->memsys().memory().write_u8(second, 0);
+      return s;
+    };
+    const auto x = with_pages(0x7000'1000);
+    const std::string sx = save_system_state(*x);
+    const std::string sy = save_system_state(*with_pages(0x7000'2000));
+    ASSERT_EQ(sx.size(), sy.size());
+    std::size_t at = kPayloadAt;
+    while (at < sx.size() && sx[at] == sy[at]) ++at;
+    ASSERT_LT(at, sx.size());
+    ASSERT_EQ(sx[at], 0x01);  // low byte of page 0x70001
+    std::string twice = sx;
+    twice[at] = 0x00;  // page 0x70000, listed just before it
+    EXPECT_TRUE(state_matches(*x, sx));
+    EXPECT_FALSE(state_matches(*x, twice));
+  }
+
+  // Short, foreign and other-geometry blobs: false, without throwing or
+  // reading past the end (each cut lives in a buffer of exactly its size,
+  // so the sanitizer job sees any over-read).
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{7}, std::size_t{8}, std::size_t{19},
+        kPayloadAt, kPayloadAt + 1, std::size_t{100}, blob.size() / 2,
+        blob.size() - 1}) {
+    const auto cut = std::make_unique<char[]>(n);
+    std::memcpy(cut.get(), blob.data(), n);
+    EXPECT_FALSE(state_matches(*a, std::string_view(cut.get(), n))) << n;
+  }
+  EXPECT_FALSE(state_matches(*a, blob + std::string(1, '\0')));
+  {
+    std::string bad = blob;
+    bad[0] ^= 0x40;  // magic
+    EXPECT_FALSE(state_matches(*a, bad));
+    bad = blob;
+    bad[8] ^= 0x01;  // version
+    EXPECT_FALSE(state_matches(*a, bad));
+  }
+  core::SimConfig wide = g.cfg;
+  wide.dl1_size_bytes = 4 * 1024;
+  System other(core::make_system_config(wide, /*trace_mode=*/false));
+  other.load_program(workloads::kernel_by_name("puwmod").build().program);
+  for (int i = 0; i < 2000; ++i) other.tick();
+  EXPECT_FALSE(state_matches(*a, save_system_state(other)));
+  EXPECT_FALSE(state_matches(other, blob));
+}
+
+TEST(Snapshot, DigestSeesPairedTopBitFlips) {
+  // state_digest folds 8-byte chunks. Unmixed, a flip of bit 63 of a chunk
+  // only ever flips bit 63 of the hash, so two of them cancel: flipping
+  // bit 7 of two memory bytes 8 apart collides at one of the 8 byte
+  // phases. Each chunk is mixed before it is folded in.
+  const Golden g = make_golden("puwmod", "laec", 2048);
+  ASSERT_GE(g.store->size(), 1u);
+  System s(core::make_system_config(g.cfg, /*trace_mode=*/false));
+  restore_system_state(s, *g.store->entries().front()->blob);
+  const u64 clean = state_digest(s);
+  const Addr data =
+      workloads::kernel_by_name("puwmod").build().program.data_base;
+  mem::MainMemory& m = s.memsys().memory();
+  const auto flip = [&](Addr a) {
+    m.write_u8(a, static_cast<u8>(m.read_u8(a) ^ 0x80));
+  };
+  for (Addr phase = 0; phase < 8; ++phase) {
+    flip(data + phase);
+    flip(data + phase + 8);
+    EXPECT_NE(state_digest(s), clean) << "phase " << phase;
+    flip(data + phase);
+    flip(data + phase + 8);
+    ASSERT_EQ(state_digest(s), clean);
+  }
 }
 
 TEST(Snapshot, CorruptAndSkewedBlobsAreRejected) {

@@ -95,9 +95,11 @@
 //   --prune | --no-prune         golden-run residency pruning on (default)
 //                                or off; rows are byte-identical either
 //                                way, --no-prune simulates every trial
-//   --ff | --no-ff               snapshot fast-forward on (default) or off;
-//                                rows are byte-identical either way,
-//                                --no-ff simulates every fault-free prefix
+//   --ff | --no-ff               snapshot fast-forward on (default) or off:
+//                                skip every fault-free stretch of a trial
+//                                (its prefix, and wherever it rejoins the
+//                                golden run); rows are byte-identical
+//                                either way, --no-ff simulates everything
 //   --snapshot-every=N           golden snapshot cadence, in injector
 //                                consultations (default 256, 0 disables)
 //   --snapshot-mem=MB            snapshot memory budget per golden run
@@ -638,7 +640,7 @@ u64 print_heartbeat(double elapsed, double window_secs, u64 prev_done) {
   }
   std::fprintf(stderr,
                "campaign: %llu/%llu cells, %llu trials (%llu pruned, %llu "
-               "fast-forwarded, ~%llu cycles skipped), %llu "
+               "fast-forwarded, ~%llu cycles skipped, %llu rejoined), %llu "
                "faults injected, %.0fs elapsed%s\n",
                ull(snap.value("campaign.cells_finished")),
                ull(snap.value("campaign.cells_total")),
@@ -646,6 +648,7 @@ u64 print_heartbeat(double elapsed, double window_secs, u64 prev_done) {
                ull(snap.value("campaign.trials_pruned")),
                ull(snap.value("campaign.trials_fast_forwarded")),
                ull(snap.value("campaign.cycles_skipped")),
+               ull(snap.value("campaign.trials_rejoined")),
                ull(snap.value("campaign.fault_events")), elapsed, eta_buf);
   // Second line: golden-run amortization, snapshot-store memory, and the
   // live trial-latency digest (sweep.point_us records every simulated
@@ -1258,7 +1261,9 @@ void usage() {
       "                             --no-prune is the reference path)\n"
       "  --ff / --no-ff             snapshot fast-forward: restore a golden\n"
       "                             checkpoint instead of re-simulating each\n"
-      "                             trial's fault-free prefix\n"
+      "                             trial's fault-free prefix, and skip ahead\n"
+      "                             (or stop) wherever a trial's state is\n"
+      "                             the golden run's again after a delivery\n"
       "                             (byte-identical rows; --no-ff is the\n"
       "                             simulate-everything reference path)\n"
       "  --snapshot-every=N         golden snapshot cadence in injector\n"
