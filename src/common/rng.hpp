@@ -5,6 +5,7 @@
 
 #include <cassert>
 
+#include "common/hash.hpp"
 #include "common/types.hpp"
 
 namespace laec {
@@ -13,17 +14,12 @@ namespace laec {
 /// seeded via splitmix64 so that any 64-bit seed gives a good state.
 class Rng {
  public:
-  explicit Rng(u64 seed = 0x9e3779b97f4a7c15ull) { reseed(seed); }
+  explicit Rng(u64 seed = kSplitmixGamma) { reseed(seed); }
 
   void reseed(u64 seed) {
-    u64 x = seed;
     for (auto& w : s_) {
-      // splitmix64 step.
-      x += 0x9e3779b97f4a7c15ull;
-      u64 z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-      w = z ^ (z >> 31);
+      w = splitmix64(seed);
+      seed += kSplitmixGamma;
     }
   }
 

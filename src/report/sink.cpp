@@ -127,9 +127,7 @@ void JsonLinesWriter::row(const std::vector<std::string>& cells) {
 std::unique_ptr<RowWriter> make_row_writer(const std::string& format,
                                            std::ostream& out) {
   if (format == "csv") return std::make_unique<CsvWriter>(out);
-  if (format == "json" || format == "jsonl") {
-    return std::make_unique<JsonLinesWriter>(out);
-  }
+  if (format == "jsonl") return std::make_unique<JsonLinesWriter>(out);
   return nullptr;
 }
 

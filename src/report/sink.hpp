@@ -2,9 +2,13 @@
 //
 // A RowWriter receives a header once and then one row at a time; CsvWriter
 // emits RFC-4180-style CSV and JsonLinesWriter one JSON object per row
-// (easy to cat into pandas / jq). Writers are not thread-safe: drivers that
-// run points concurrently (runner::run_sweep) serialize emission and keep
-// rows in deterministic grid order regardless of thread count.
+// (easy to cat into pandas / jq). These two are the library's only row
+// emitters: sweeps, campaigns and daemon clients all write through them.
+// Writers are not thread-safe: drivers that run points concurrently
+// (runner::run_sweep) serialize emission and keep rows in deterministic
+// grid order regardless of thread count. A write error (ENOSPC, EIO) sets
+// the stream's sticky badbit; the caller that owns the stream checks it
+// once after the run.
 #pragma once
 
 #include <memory>
@@ -24,14 +28,9 @@ class RowWriter {
   /// Emit one row; `cells` must match the header arity.
   virtual void row(const std::vector<std::string>& cells) = 0;
 
-  /// Flush any trailing output (idempotent; called by destructor-sites).
+  /// Flush any trailing output (idempotent). run_sweep, run_campaign and
+  /// service::submit_job call it once their last row is out.
   virtual void end() {}
-
-  /// Has every write so far actually reached the stream? ENOSPC/EIO set
-  /// the underlying ostream's badbit, which is sticky — drivers check
-  /// this after a run and turn a silently truncated result file into a
-  /// hard error. Writers over healthy streams always return true.
-  [[nodiscard]] virtual bool ok() const { return true; }
 };
 
 /// CSV with minimal quoting (fields containing `,` `"` or newlines are
@@ -42,7 +41,6 @@ class CsvWriter final : public RowWriter {
   void begin(const std::vector<std::string>& headers) override;
   void row(const std::vector<std::string>& cells) override;
   void end() override { out_.flush(); }
-  [[nodiscard]] bool ok() const override { return out_.good(); }
 
   [[nodiscard]] static std::string escape(const std::string& field);
 
@@ -58,7 +56,6 @@ class JsonLinesWriter final : public RowWriter {
   void begin(const std::vector<std::string>& headers) override;
   void row(const std::vector<std::string>& cells) override;
   void end() override { out_.flush(); }
-  [[nodiscard]] bool ok() const override { return out_.good(); }
 
   [[nodiscard]] static std::string escape(const std::string& s);
 
@@ -67,8 +64,8 @@ class JsonLinesWriter final : public RowWriter {
   std::vector<std::string> headers_;
 };
 
-/// Factory: `format` is "csv" or "jsonl"/"json". Returns nullptr for an
-/// unknown format.
+/// Factory: `format` is "csv" or "jsonl". Returns nullptr for any other
+/// name.
 [[nodiscard]] std::unique_ptr<RowWriter> make_row_writer(
     const std::string& format, std::ostream& out);
 

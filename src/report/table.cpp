@@ -40,35 +40,6 @@ std::string Table::to_text() const {
   return os.str();
 }
 
-std::string Table::to_markdown() const {
-  std::ostringstream os;
-  os << "|";
-  for (const auto& h : headers_) os << " " << h << " |";
-  os << "\n|";
-  for (std::size_t c = 0; c < headers_.size(); ++c) os << "---|";
-  os << "\n";
-  for (const auto& row : rows_) {
-    os << "|";
-    for (const auto& cell : row) os << " " << cell << " |";
-    os << "\n";
-  }
-  return os.str();
-}
-
-std::string Table::to_csv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c != 0) os << ",";
-      os << cells[c];
-    }
-    os << "\n";
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return os.str();
-}
-
 std::string Table::num(double v, int prec) {
   std::ostringstream os;
   os << std::fixed << std::setprecision(prec) << v;

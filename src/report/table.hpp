@@ -1,5 +1,6 @@
-// Small table formatter used by the benchmark harnesses to print paper-style
-// tables (fixed-width text, markdown, CSV).
+// Small fixed-width text table used by the benchmark harnesses and the CLI
+// to print paper-style tables for people. Machine-readable rows go through
+// report::RowWriter (sink.hpp) instead.
 #pragma once
 
 #include <string>
@@ -15,8 +16,6 @@ class Table {
   Table& add_row(std::vector<std::string> cells);
 
   [[nodiscard]] std::string to_text() const;
-  [[nodiscard]] std::string to_markdown() const;
-  [[nodiscard]] std::string to_csv() const;
 
   [[nodiscard]] std::size_t num_rows() const { return rows_.size(); }
 

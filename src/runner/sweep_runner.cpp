@@ -12,6 +12,7 @@
 #include <system_error>
 #include <thread>
 
+#include "common/hash.hpp"
 #include "ecc/injector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -21,22 +22,6 @@
 namespace laec::runner {
 
 namespace {
-
-u64 splitmix64(u64 x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-u64 fnv1a(const std::string& s) {
-  u64 h = 0xcbf29ce484222325ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 std::string fmt_u64(u64 v) { return std::to_string(v); }
 
@@ -70,8 +55,7 @@ PointResult run_point(const SweepPoint& point, u64 base_seed,
     params.seed =
         point.replicate == 0
             ? seed
-            : splitmix64(seed ^
-                         (point.replicate * 0x9e3779b97f4a7c15ull));
+            : splitmix64(seed ^ (point.replicate * kSplitmixGamma));
     workloads::SyntheticTrace trace(params);
     r.stats = core::run_trace(cfg, trace);
     return r;
@@ -249,7 +233,7 @@ std::vector<SweepPoint> SweepGrid::points() const {
 
 u64 point_seed(u64 base_seed, const SweepPoint& point) {
   u64 h = splitmix64(base_seed);
-  h = splitmix64(h ^ fnv1a(point.workload));
+  h = splitmix64(h ^ fnv1a(point.workload, kFnvOffset));
   h = splitmix64(h ^ point.trace_ops);
   return h;
 }
@@ -259,7 +243,7 @@ u64 fault_seed(u64 base_seed, const SweepPoint& point) {
   // identical across a cell's trials while giving each trial its own
   // fault sequence; replicate 0 reproduces the historical seed exactly.
   return splitmix64(point_seed(base_seed, point) ^ 0xfa17u ^
-                    (point.replicate * 0x9e3779b97f4a7c15ull));
+                    (point.replicate * kSplitmixGamma));
 }
 
 PointResult run_golden_point(const SweepPoint& point, u64 base_seed,

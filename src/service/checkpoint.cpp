@@ -5,6 +5,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "common/hash.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"

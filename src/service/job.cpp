@@ -1,5 +1,6 @@
 #include "service/job.hpp"
 
+#include "common/hash.hpp"
 #include "mem/residency.hpp"
 #include "service/wire.hpp"
 #include "sim/snapshot.hpp"

@@ -17,9 +17,9 @@
 //
 // Shutdown: a client sends kShutdown instead of kSubmit; the server
 // acknowledges with kDone (zeros) and stops accepting. Rows travel as
-// CELL STRINGS, not formatted text — the client renders them through any
-// report::RowWriter (csv, jsonl, columnar), so one daemon serves every
-// output format and the bytes match the equivalent local run exactly.
+// CELL STRINGS, not formatted text — the client renders them through its
+// report::RowWriter (csv or jsonl), so one daemon serves every output
+// format and the bytes match the equivalent local run exactly.
 //
 // Status ("status" client, protocol v2): a client sends kStatus (empty
 // payload) instead of kSubmit; the server replies with one kStatus frame

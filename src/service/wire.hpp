@@ -1,6 +1,5 @@
-// Byte-level wire codec shared by the service subsystem's on-disk and
-// on-socket formats (checkpoint files, the columnar sink, the daemon's
-// framing protocol).
+// Byte-level wire codec shared by the on-disk and on-socket formats
+// (checkpoint files, golden-run snapshots, the daemon's framing protocol).
 //
 // Everything is explicit little-endian regardless of host byte order, so a
 // checkpoint written on one host resumes on another and a submit client
@@ -9,7 +8,7 @@
 // byte-identical-resume contract needs exact accumulator round-trips.
 //
 // ByteReader is bounds-checked and throws service::WireError instead of
-// reading past the end: every consumer (checkpoint load, columnar cat,
+// reading past the end: every consumer (checkpoint load, snapshot restore,
 // daemon frame decode) treats truncated or hostile input as a hard error,
 // never as garbage values.
 #pragma once
@@ -152,18 +151,5 @@ class ByteReader {
   std::string_view data_;
   std::size_t pos_ = 0;
 };
-
-/// FNV-1a over a byte string: the integrity/identity hash of checkpoint
-/// files and campaign configurations. Not cryptographic — it guards
-/// against truncation, bit rot and resuming under a changed configuration,
-/// not against an adversary.
-[[nodiscard]] inline u64 fnv1a(std::string_view data, u64 seed = 0) {
-  u64 h = 1469598103934665603ull ^ seed;
-  for (const char c : data) {
-    h ^= static_cast<u8>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 }  // namespace laec::service

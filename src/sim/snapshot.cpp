@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/hash.hpp"
 #include "common/stats.hpp"
 #include "core/predictor.hpp"  // the pipeline's field list reaches into it
 #include "service/wire.hpp"
@@ -42,20 +43,20 @@ W load_le(const char* p) {
 
 // FNV-1a folded over 8-byte little-endian chunks instead of single bytes
 // (tail bytes one at a time), each chunk passed through `mix` first. NOT
-// the canonical byte-wise service::fnv1a. The golden run serializes
-// hundreds of snapshots; a byte-at-a-time hash was the single largest
-// capture cost.
+// the canonical byte-wise fnv1a (common/hash.hpp). The golden run
+// serializes hundreds of snapshots; a byte-at-a-time hash was the single
+// largest capture cost.
 template <class Mix>
 u64 chunked_fnv1a(std::string_view data, Mix mix) {
-  u64 h = 1469598103934665603ull;
+  u64 h = kFnvPinnedOffset;
   const std::size_t whole = data.size() / 8;
   for (std::size_t i = 0; i < whole; ++i) {
     h ^= mix(load_le<u64>(data.data() + i * 8));
-    h *= 1099511628211ull;
+    h *= kFnvPrime;
   }
   for (std::size_t i = whole * 8; i < data.size(); ++i) {
     h ^= mix(static_cast<u8>(data[i]));
-    h *= 1099511628211ull;
+    h *= kFnvPrime;
   }
   return h;
 }
@@ -66,14 +67,6 @@ u64 chunked_fnv1a(std::string_view data, Mix mix) {
 /// flips cancel.
 u64 frame_checksum(std::string_view payload) {
   return chunked_fnv1a(payload, [](u64 chunk) { return chunk; });
-}
-
-/// splitmix64's finalizer: every input bit reaches every output bit, so no
-/// pair of flips in two chunks cancels in the fold (state_digest).
-u64 mix64(u64 x) {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
 }
 
 // ------------------------------------------------------------------------
@@ -546,6 +539,8 @@ u64 state_digest(const System& system) {
   Saver state;
   state.with_stats = false;
   walk(system, state);
+  // mix64 spreads every input bit over the whole chunk, so no pair of
+  // flips in two chunks cancels in the fold.
   return chunked_fnv1a(state.w.bytes(), mix64);
 }
 

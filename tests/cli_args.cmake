@@ -1,6 +1,7 @@
-# laec_cli argument gate: every malformed numeric flag and every impossible
-# cache geometry must be refused with exit status 2, never simulated as some
-# other value (or hung, or crashed).
+# laec_cli argument gate: every malformed numeric flag, unknown row format and
+# impossible cache geometry must be refused with exit status 2, never
+# simulated as some other value (or hung, or crashed). A refused command
+# leaves an existing --out file as it was, and a failed write exits 2 too.
 #
 #   cmake -DCLI=<path to laec_cli> -DWORK=<scratch dir> -P cli_args.cmake
 
@@ -38,10 +39,14 @@ set(cases
   "campaign puwmod --mbu=s:nan"
   "campaign puwmod --rates=inf"
   "campaign puwmod --threads=2 --dl1-ways=0"
+  "campaign puwmod --format=json"
 )
 
 set(failures 0)
-foreach(case IN LISTS cases)
+
+# Run laec_cli with the space-separated arguments of `case` in WORK and
+# count a failure unless it exits 2.
+function(expect_exit_2 case)
   separate_arguments(args UNIX_COMMAND "${case}")
   execute_process(
     COMMAND "${CLI}" ${args}
@@ -51,9 +56,42 @@ foreach(case IN LISTS cases)
     TIMEOUT 60)
   if(NOT rc STREQUAL "2")
     message(SEND_ERROR "laec_cli ${case}: expected exit 2, got '${rc}'")
+    math(EXPR n "${failures} + 1")
+    set(failures ${n} PARENT_SCOPE)
+  endif()
+endfunction()
+
+foreach(case IN LISTS cases)
+  expect_exit_2("${case}")
+endforeach()
+
+# A refused command must not touch --out: the row format is checked while
+# the flags are parsed, and a campaign opens --out only after its checkpoint
+# checks (an existing checkpoint without --resume, a corrupt one with it).
+file(WRITE "${WORK}/existing.ckpt" "a file in the way\n")
+file(WRITE "${WORK}/corrupt.ckpt" "LAECCKP1 and nothing a checkpoint holds\n")
+set(kept "earlier rows\n")
+foreach(case
+    "sweep puwmod --format=xml --out=kept.csv"
+    "campaign puwmod --checkpoint=existing.ckpt --out=kept.csv"
+    "campaign puwmod --checkpoint=corrupt.ckpt --resume --out=kept.csv")
+  file(WRITE "${WORK}/kept.csv" "${kept}")
+  expect_exit_2("${case}")
+  file(READ "${WORK}/kept.csv" after)
+  if(NOT after STREQUAL kept)
+    message(SEND_ERROR "laec_cli ${case}: changed kept.csv to '${after}'")
     math(EXPR failures "${failures} + 1")
   endif()
 endforeach()
+
+# A write that fails (here: disk full) exits 2 instead of passing a
+# truncated result file off as complete.
+if(EXISTS /dev/full)
+  expect_exit_2("sweep puwmod --out=/dev/full")
+  expect_exit_2("campaign puwmod --dl1-kb=2 --trials=6 --out=/dev/full")
+else()
+  message(STATUS "no /dev/full here: the disk-full cases are skipped")
+endif()
 
 # --seed also takes 0x hex (its default is conventionally written 0x1aec):
 # the hex and decimal spellings must select the same seed.

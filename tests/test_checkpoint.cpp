@@ -18,6 +18,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "reliability/campaign.hpp"
 #include "service/job.hpp"
 #include "service/wire.hpp"

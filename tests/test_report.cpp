@@ -13,6 +13,25 @@
 namespace laec::report {
 namespace {
 
+// -------------------------------------------------------------- CSV sink --
+
+TEST(CsvSink, QuotesOnlyFieldsThatNeedIt) {
+  // A field is quoted iff it holds a comma, a quote, \n or \r; a quote
+  // inside is doubled. Everything else, spaces and UTF-8 included, goes out
+  // verbatim. The header takes the same rule.
+  std::ostringstream os;
+  CsvWriter w(os);
+  w.begin({"plain", "empty", "a,b", "say \"hi\"", "utf8"});
+  w.row({"two words", "", "1,5", "\"", "caf\xc3\xa9 \xe6\xbc\xa2"});
+  w.row({"x", "line1\nline2", "a\rb", "\"q\",\"", "\xf0\x9d\x84\x9e"});
+  w.end();
+  EXPECT_EQ(os.str(),
+            "plain,empty,\"a,b\",\"say \"\"hi\"\"\",utf8\n"
+            "two words,,\"1,5\",\"\"\"\",caf\xc3\xa9 \xe6\xbc\xa2\n"
+            "x,\"line1\nline2\",\"a\rb\",\"\"\"q\"\",\"\"\","
+            "\xf0\x9d\x84\x9e\n");
+}
+
 // ------------------------------------------------------------ JSONL sink --
 
 /// Minimal strict JSON parser for the flat {"key":"value",...} objects the
@@ -226,21 +245,6 @@ TEST(Table, TextLayoutAligns) {
   EXPECT_NE(s.find("name"), std::string::npos);
   EXPECT_NE(s.find("longer"), std::string::npos);
   EXPECT_NE(s.find("----"), std::string::npos);
-}
-
-TEST(Table, MarkdownShape) {
-  Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  const std::string md = t.to_markdown();
-  EXPECT_NE(md.find("| a | b |"), std::string::npos);
-  EXPECT_NE(md.find("|---|---|"), std::string::npos);
-  EXPECT_NE(md.find("| 1 | 2 |"), std::string::npos);
-}
-
-TEST(Table, CsvEscapesNothingButJoins) {
-  Table t({"x", "y", "z"});
-  t.add_row({"1", "2", "3"});
-  EXPECT_EQ(t.to_csv(), "x,y,z\n1,2,3\n");
 }
 
 TEST(Table, NumberFormatters) {

@@ -371,5 +371,39 @@ TEST(TrialSchedule, WindowLambdaScaleMatchesClosedForm) {
   EXPECT_DOUBLE_EQ(window_lambda_scale(spec, fit, bits), expect);
 }
 
+TEST(TrialSchedule, LiveShareMatchesTheClosedForm) {
+  // Upsets form a Poisson process over the exposure, and only live windows
+  // deliver theirs, so a storm delivers at least once with probability
+  // 1 - exp(-lambda_scale * sum of live gaps), whatever the dead windows
+  // and the MBU shapes draw. Over 20000 seeds per scale, the drawer's
+  // has_live() share must sit within 5 binomial sigma of that closed form
+  // at P(live) = 0.05, 0.5 and 0.95. The gaps include zeros and two long
+  // windows, so both the lazy hit test and its expm1 path run.
+  std::vector<AccessWindow> windows;
+  u64 live_cycles = 0;
+  for (u64 i = 0; i < 64; ++i) {
+    const u64 gap = i == 20 ? 5000 : i == 40 ? 20000 : (i * 7919) % 400;
+    const bool live = i % 3 != 1;
+    windows.push_back({gap, live});
+    if (live) live_cycles += gap;
+  }
+  ASSERT_TRUE(windows[20].live && !windows[40].live);
+  const MbuPatternTable table = tech_preset("28nm")->patterns;
+  constexpr u64 kSeeds = 20000;
+  for (const double target : {0.05, 0.5, 0.95}) {
+    const double live_exposure = static_cast<double>(live_cycles);
+    const double scale = -std::log1p(-target) / live_exposure;
+    const double p = -std::expm1(-scale * live_exposure);
+    u64 live = 0;
+    for (u64 seed = 1; seed <= kSeeds; ++seed) {
+      live += draw_trial_schedule(windows, scale, table, 39, seed).has_live();
+    }
+    const double n = static_cast<double>(kSeeds);
+    const double sigma = std::sqrt(n * p * (1.0 - p));
+    EXPECT_NEAR(static_cast<double>(live), n * p, 5.0 * sigma)
+        << "P(live) " << p << " at lambda scale " << scale;
+  }
+}
+
 }  // namespace
 }  // namespace laec::reliability

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.hpp"
+
 namespace laec {
 namespace {
 
@@ -72,6 +74,17 @@ TEST(Rng, ReseedReproduces) {
   const u64 a = r.next_u64();
   r.reseed(5);
   EXPECT_EQ(r.next_u64(), a);
+}
+
+TEST(Hash, MatchesPublishedVectors) {
+  // splitmix64 from state 0, and FNV-1a 64 from its standard basis.
+  EXPECT_EQ(splitmix64(0), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(splitmix64(kSplitmixGamma), 0x6e789e6aa1b965f4ull);
+  EXPECT_EQ(fnv1a("", kFnvOffset), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a("a", kFnvOffset), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a("foobar", kFnvOffset), 0x85944171f73967e8ull);
+  // The default basis is the pinned service one, not the standard one.
+  EXPECT_EQ(fnv1a(""), 1469598103934665603ull);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "core/simulator.hpp"
 #include "ecc/injector.hpp"
 #include "mem/residency.hpp"
@@ -252,14 +253,14 @@ TEST(Snapshot, ReferenceBlobsPinTheLayout) {
   EXPECT_EQ(first.ordinal, 2048u);
   EXPECT_EQ(first.cycle, 18252u);
   EXPECT_EQ(first.blob->size(), 21005u);
-  EXPECT_EQ(service::fnv1a(*first.blob), 0x225888ba5db6e0beull);
+  EXPECT_EQ(fnv1a(*first.blob), 0x225888ba5db6e0beull);
 
   const std::string wt = save_system_state(*contended_system("wt-parity", 1499));
   EXPECT_EQ(wt.size(), 29938u);
-  EXPECT_EQ(service::fnv1a(wt), 0xcf483c5336062fe4ull);
+  EXPECT_EQ(fnv1a(wt), 0xcf483c5336062fe4ull);
   const std::string wb = save_system_state(*contended_system("laec", 14990));
   EXPECT_EQ(wb.size(), 65778u);
-  EXPECT_EQ(service::fnv1a(wb), 0xe7d2d2f517db7b19ull);
+  EXPECT_EQ(fnv1a(wb), 0xe7d2d2f517db7b19ull);
 }
 
 TEST(Snapshot, InvalidatedLinesLeaveNoTrace) {
