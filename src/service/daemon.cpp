@@ -1,12 +1,10 @@
 #include "service/daemon.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -15,7 +13,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "service/protocol.hpp"
-#include "service/queue.hpp"
 #include "service/wire.hpp"
 #include "workloads/eembc.hpp"
 
@@ -49,61 +46,21 @@ struct Fd {
   }
 };
 
-/// One submitted campaign: shared between the connection thread that
-/// streams rows and the workers that compute cells.
-struct JobState {
-  reliability::CampaignSpec spec;
-  std::vector<reliability::CampaignCell> cells;  ///< this job's slice
-  u64 base_seed = 0x1aec;
-
-  std::mutex m;
-  std::condition_variable cv;
-  std::vector<std::optional<reliability::CellResult>> results;
-  bool failed = false;
-  std::string failure;
-
-  void deliver(std::size_t slot, reliability::CellResult r) {
-    {
-      std::lock_guard<std::mutex> lock(m);
-      results[slot] = std::move(r);
-    }
-    cv.notify_all();
-  }
-
-  void fail(const std::string& why) {
-    {
-      std::lock_guard<std::mutex> lock(m);
-      failed = true;
-      failure = why;
-    }
-    cv.notify_all();
-  }
-};
-
-struct WorkItem {
-  std::shared_ptr<JobState> job;
-  std::size_t slot = 0;
-};
-
-/// Per-worker progress counters (status frame columns).
-struct WorkerCounters {
-  std::atomic<u64> cells{0};
-  std::atomic<u64> trials{0};
-};
-
 /// Shared observable state of one daemon instance: everything the kStatus
-/// frame reports. Counters are relaxed atomics — a status probe reads a
-/// near-consistent snapshot, never blocks a worker.
+/// frame reports. Counters are relaxed atomics, so a status probe reads a
+/// near-consistent snapshot and never waits for a running job.
 struct DaemonState {
   std::chrono::steady_clock::time_point start =
       std::chrono::steady_clock::now();
-  std::vector<std::unique_ptr<WorkerCounters>> per_worker;
+  unsigned workers = 1;  ///< threads of the pool every job runs on
+  /// Held by the job that runs on the pool; later jobs wait for it, so the
+  /// daemon never runs more than `workers` simulation threads.
+  std::mutex pool;
   std::atomic<u64> jobs_accepted{0};
   std::atomic<u64> jobs_rejected{0};
   std::atomic<u64> cells_done{0};
   std::atomic<u64> trials_done{0};
   std::atomic<u64> rows_streamed{0};
-  std::atomic<u64> inflight{0};
 
   [[nodiscard]] u64 uptime_ms() const {
     return static_cast<u64>(
@@ -113,52 +70,25 @@ struct DaemonState {
   }
 };
 
-void worker_loop(MpmcQueue<WorkItem>& queue, DaemonState& state,
-                 unsigned widx) {
-  WorkerCounters& mine = *state.per_worker[widx];
-  obs::Histogram& wait_us =
-      obs::Registry::global().histogram("daemon.queue_wait_us");
-  for (;;) {
-    std::optional<WorkItem> item;
-    {
-      obs::Span wait("queue-wait");
-      const auto t0 = std::chrono::steady_clock::now();
-      item = queue.pop();
-      wait_us.record(static_cast<u64>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
-    }
-    if (!item.has_value()) return;  // queue closed and drained
-    state.inflight.fetch_add(1, std::memory_order_relaxed);
-    JobState& job = *item->job;
-    const reliability::CampaignCell& cell = job.cells[item->slot];
-    obs::Span span("daemon-cell");
-    span.arg("cell", static_cast<u64>(cell.index));
-    span.arg("workload", cell.workload);
-    span.arg("scheme", cell.scheme);
-    try {
-      reliability::CampaignOptions copts;
-      copts.threads = 1;
-      copts.base_seed = job.base_seed;
-      const reliability::CampaignSummary sum = reliability::run_campaign(
-          {cell}, job.spec, copts);
-      if (sum.cells.size() != 1) {
-        throw std::runtime_error("cell produced no result");
-      }
-      mine.cells.fetch_add(1, std::memory_order_relaxed);
-      mine.trials.fetch_add(sum.cells.front().trials,
-                            std::memory_order_relaxed);
-      state.cells_done.fetch_add(1, std::memory_order_relaxed);
-      state.trials_done.fetch_add(sum.cells.front().trials,
-                                  std::memory_order_relaxed);
-      job.deliver(item->slot, sum.cells.front());
-    } catch (const std::exception& e) {
-      job.fail("cell " + std::to_string(cell.index) + " failed: " + e.what());
-    }
-    state.inflight.fetch_sub(1, std::memory_order_relaxed);
+/// The sink of a job's campaign: the header goes to the client as one
+/// kRowHeader frame and each row, in grid order, as one kRow frame.
+class FrameRowWriter final : public report::RowWriter {
+ public:
+  FrameRowWriter(int fd, DaemonState& state) : fd_(fd), state_(state) {}
+
+  void begin(const std::vector<std::string>& headers) override {
+    write_frame(fd_, FrameType::kRowHeader, encode_string_list(headers));
   }
-}
+
+  void row(const std::vector<std::string>& cells) override {
+    write_frame(fd_, FrameType::kRow, encode_string_list(cells));
+    state_.rows_streamed.fetch_add(1, std::memory_order_relaxed);
+  }
+
+ private:
+  int fd_;
+  DaemonState& state_;
+};
 
 void log_line(const ServeOptions& opts, const std::string& msg) {
   if (!opts.verbose) return;
@@ -167,25 +97,16 @@ void log_line(const ServeOptions& opts, const std::string& msg) {
 
 /// Assemble the kStatus reply: daemon counters plus a digest of the
 /// process-wide metrics registry (histograms reduced to count/sum/p50/p99).
-DaemonStatus collect_status(const DaemonState& state,
-                            const MpmcQueue<WorkItem>& queue) {
+/// The campaign.* gauges in it describe the job on the pool.
+DaemonStatus collect_status(const DaemonState& state) {
   DaemonStatus s;
   s.uptime_ms = state.uptime_ms();
-  s.workers = static_cast<u32>(state.per_worker.size());
-  s.queue_depth = queue.size();
-  s.inflight_cells = state.inflight.load(std::memory_order_relaxed);
+  s.workers = state.workers;
   s.jobs_accepted = state.jobs_accepted.load(std::memory_order_relaxed);
   s.jobs_rejected = state.jobs_rejected.load(std::memory_order_relaxed);
   s.cells_done = state.cells_done.load(std::memory_order_relaxed);
   s.trials_done = state.trials_done.load(std::memory_order_relaxed);
   s.rows_streamed = state.rows_streamed.load(std::memory_order_relaxed);
-  s.per_worker.reserve(state.per_worker.size());
-  for (const auto& w : state.per_worker) {
-    WorkerStatus ws;
-    ws.cells_done = w->cells.load(std::memory_order_relaxed);
-    ws.trials_done = w->trials.load(std::memory_order_relaxed);
-    s.per_worker.push_back(ws);
-  }
   const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
   s.metrics.reserve(snap.metrics.size());
   for (const obs::MetricValue& m : snap.metrics) {
@@ -207,8 +128,7 @@ DaemonStatus collect_status(const DaemonState& state,
 
 /// Serve one connection: hello, read a frame, dispatch. Returns true if
 /// the client requested daemon shutdown.
-bool serve_connection(int fd, MpmcQueue<WorkItem>& queue,
-                      DaemonState& state, const ServeOptions& opts) {
+bool serve_connection(int fd, DaemonState& state, const ServeOptions& opts) {
   write_frame(fd, FrameType::kHello, hello_payload());
   const Frame req = read_frame(fd);
   obs::Span frame_span("daemon-frame");
@@ -219,8 +139,7 @@ bool serve_connection(int fd, MpmcQueue<WorkItem>& queue,
     return true;
   }
   if (req.type == FrameType::kStatus) {
-    write_frame(fd, FrameType::kStatus,
-                encode_status(collect_status(state, queue)));
+    write_frame(fd, FrameType::kStatus, encode_status(collect_status(state)));
     return false;
   }
   if (req.type != FrameType::kSubmit) {
@@ -229,24 +148,14 @@ bool serve_connection(int fd, MpmcQueue<WorkItem>& queue,
     return false;
   }
 
-  auto job = std::make_shared<JobState>();
+  CampaignJob job;
   try {
-    CampaignJob parsed = parse_job(req.payload);
-    if (parsed.shard_count == 0 ||
-        parsed.shard_index >= parsed.shard_count) {
-      throw WireError("job shard_index/shard_count invalid");
-    }
-    job->spec = parsed.spec;
-    job->base_seed = parsed.base_seed;
-    for (auto& c : parsed.cells) {
-      if (c.index % parsed.shard_count == parsed.shard_index) {
-        job->cells.push_back(std::move(c));
-      }
-    }
-    // Build each cell's config once up front so an unknown scheme or
-    // workload is rejected as kError BEFORE any cell is enqueued.
-    for (const auto& c : job->cells) {
-      core::SimConfig probe = job->spec.base;
+    job = parse_job(req.payload);
+    // Build each cell's config of this shard once up front, so an unknown
+    // scheme or workload is rejected as kError before anything simulates.
+    for (const auto& c : job.cells) {
+      if (c.index % job.shard_count != job.shard_index) continue;
+      core::SimConfig probe = job.spec.base;
       probe.set_scheme(c.scheme);
       (void)workloads::kernel_by_name(c.workload);
     }
@@ -259,43 +168,34 @@ bool serve_connection(int fd, MpmcQueue<WorkItem>& queue,
   }
 
   state.jobs_accepted.fetch_add(1, std::memory_order_relaxed);
-  log_line(opts, "job accepted: " + std::to_string(job->cells.size()) +
-                     " cells");
-  job->results.resize(job->cells.size());
-  for (std::size_t i = 0; i < job->cells.size(); ++i) {
-    if (!queue.push(WorkItem{job, i})) {
-      write_frame(fd, FrameType::kError, "daemon is shutting down");
-      return false;
-    }
-  }
+  log_line(opts, "job accepted");
 
-  // Stream rows in grid order: wait for slot g, emit, advance — run_sweep's
-  // reorder-window discipline over a socket.
-  write_frame(fd, FrameType::kRowHeader,
-              encode_string_list(reliability::campaign_row_headers()));
-  DoneSummary done;
-  for (std::size_t g = 0; g < job->cells.size(); ++g) {
-    reliability::CellResult res;
-    {
-      std::unique_lock<std::mutex> lock(job->m);
-      job->cv.wait(lock, [&] {
-        return job->failed || job->results[g].has_value();
-      });
-      if (job->failed) {
-        lock.unlock();
-        write_frame(fd, FrameType::kError, job->failure);
-        return false;
-      }
-      res = std::move(*job->results[g]);
-      job->results[g].reset();
-    }
-    done.cells += 1;
-    done.trials += res.trials;
-    done.failures += res.failures();
-    write_frame(fd, FrameType::kRow,
-                encode_string_list(reliability::campaign_to_row(res)));
-    state.rows_streamed.fetch_add(1, std::memory_order_relaxed);
+  // The job runs as one campaign on the pool, exactly as a local
+  // `laec_cli campaign --threads=<workers>` run: rate cells of a
+  // (workload, scheme) share one golden run, and run_campaign slices the
+  // shard and emits the rows in grid order.
+  FrameRowWriter rows(fd, state);
+  reliability::CampaignOptions copts;
+  copts.threads = state.workers;
+  copts.shard_index = job.shard_index;
+  copts.shard_count = job.shard_count;
+  copts.base_seed = job.base_seed;
+  copts.sink = &rows;
+  reliability::CampaignSummary sum;
+  try {
+    const std::lock_guard<std::mutex> hold(state.pool);
+    sum = reliability::run_campaign(job.cells, job.spec, copts);
+  } catch (const std::exception& e) {
+    write_frame(fd, FrameType::kError, std::string("job failed: ") + e.what());
+    return false;
   }
+  state.cells_done.fetch_add(sum.cells_run, std::memory_order_relaxed);
+  state.trials_done.fetch_add(sum.trials_run, std::memory_order_relaxed);
+
+  DoneSummary done;
+  done.cells = sum.cells_run;
+  done.trials = sum.trials_run;
+  done.failures = sum.failures;
   write_frame(fd, FrameType::kDone, encode_done(done));
   log_line(opts, "job done: " + std::to_string(done.cells) + " cells, " +
                      std::to_string(done.trials) + " trials");
@@ -347,26 +247,12 @@ int run_daemon(const ServeOptions& opts) {
     throw std::runtime_error("cannot listen on " + opts.socket_path);
   }
 
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned n_workers = opts.workers == 0 ? hw : opts.workers;
-
-  // Queue capacity bounds in-flight memory: connection threads block in
-  // push() once workers fall behind, which is exactly the backpressure a
-  // work queue should exert on its clients.
-  MpmcQueue<WorkItem> queue(std::max(4u, n_workers * 4u));
   DaemonState state;
-  state.per_worker.reserve(n_workers);
-  for (unsigned i = 0; i < n_workers; ++i) {
-    state.per_worker.push_back(std::make_unique<WorkerCounters>());
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(n_workers);
-  for (unsigned i = 0; i < n_workers; ++i) {
-    workers.emplace_back([&queue, &state, i] { worker_loop(queue, state, i); });
-  }
-
+  state.workers = opts.workers == 0
+                      ? std::max(1u, std::thread::hardware_concurrency())
+                      : opts.workers;
   log_line(opts, "listening on " + opts.socket_path + " with " +
-                     std::to_string(n_workers) + " workers");
+                     std::to_string(state.workers) + " workers");
 
   std::atomic<bool> shutdown{false};
   std::vector<std::thread> connections;
@@ -382,10 +268,10 @@ int run_daemon(const ServeOptions& opts) {
     if (rv == 0) continue;
     const int conn = ::accept(listener.fd, nullptr, nullptr);
     if (conn < 0) continue;
-    connections.emplace_back([conn, &queue, &state, &shutdown, &opts] {
+    connections.emplace_back([conn, &state, &shutdown, &opts] {
       Fd guard(conn);
       try {
-        if (serve_connection(conn, queue, state, opts)) {
+        if (serve_connection(conn, state, opts)) {
           shutdown.store(true, std::memory_order_release);
         }
       } catch (const std::exception& e) {
@@ -398,9 +284,8 @@ int run_daemon(const ServeOptions& opts) {
     });
   }
 
+  // Running and waiting jobs finish before the daemon exits.
   for (auto& t : connections) t.join();
-  queue.close();
-  for (auto& t : workers) t.join();
   ::unlink(opts.socket_path.c_str());
   log_line(opts, "shut down cleanly");
   return 0;

@@ -1,21 +1,20 @@
-// Campaign work-queue daemon over Unix-domain sockets.
+// Campaign daemon over Unix-domain sockets.
 //
-// `laec_cli serve --socket=PATH` runs a persistent daemon: a pool of
-// worker threads pulls campaign CELLS from one in-process MPMC queue
-// (queue.hpp); each connection thread parses a submitted CampaignJob,
-// enqueues its shard's cells, and streams the finished rows back in grid
-// order. Because every cell is independently deterministic (trial seeds
-// derive from workload identity + trial index, and the stopping rule sees
-// only the cell's own trials), a cell computed by any daemon worker is
-// bit-identical to the same cell in a local `laec_cli campaign` run — so
-// the streamed rows are byte-identical to local output at any --threads,
-// and multiple client hosts/processes can shard one campaign by submitting
-// complementary --shard slices to the same daemon.
+// `laec_cli serve --socket=PATH` runs a persistent daemon. Each
+// connection thread parses a submitted CampaignJob and runs it as ONE
+// reliability::run_campaign call on `--workers` threads of the runner's
+// pool (the connection thread is one of them): the engine a local
+// `laec_cli campaign` run uses. Rate cells of a (workload, scheme) share one golden run, the
+// campaign slices the job's shard and emits its rows in grid order, and
+// the connection thread sends them on as they come. So the streamed rows
+// are byte-identical to a local run at any --threads, and several client
+// hosts or processes can shard one campaign by submitting complementary
+// --shard slices to the same daemon.
 //
-// In-order emission IS the determinism contract: workers finish cells in
-// any order, but the connection thread emits slot g only after slots
-// 0..g-1 — the reorder discipline run_sweep's emitter uses for its pool,
-// applied to a socket.
+// One job holds the pool at a time (one mutex; the others wait for it).
+// The daemon therefore never runs more than `--workers` simulation
+// threads, and the campaign.* gauges in a status reply describe the job
+// that is running.
 #pragma once
 
 #include <atomic>
@@ -29,7 +28,7 @@ namespace laec::service {
 
 struct ServeOptions {
   std::string socket_path;
-  /// Worker threads running cells; 0 = hardware concurrency.
+  /// Threads of the pool each job runs on; 0 = hardware concurrency.
   unsigned workers = 0;
   /// Optional external stop flag (tests); SIGTERM-style shutdown also
   /// arrives as a kShutdown frame from `laec_cli stop`.
@@ -59,9 +58,9 @@ SubmitSummary submit_job(const std::string& socket_path,
 /// Ask a daemon to shut down (waits for acknowledgement).
 void request_shutdown(const std::string& socket_path);
 
-/// Probe a daemon's observable state (kStatus frame): uptime, queue depth,
-/// in-flight cells, per-worker progress, and the daemon-side metrics
-/// digest. Purely observational — never perturbs scheduling or rows.
+/// Probe a daemon's observable state (kStatus frame): uptime, pool size,
+/// job and row counts, and the daemon-side metrics digest. Purely
+/// observational: never perturbs a job or its rows.
 [[nodiscard]] DaemonStatus request_status(const std::string& socket_path);
 
 }  // namespace laec::service

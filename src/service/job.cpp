@@ -9,6 +9,19 @@ namespace laec::service {
 
 namespace {
 
+/// Read an enum byte, refusing any value past `last`: job bytes come off a
+/// socket, and a campaign run under an unknown enumerator yields a row
+/// that describes no real configuration.
+template <class E>
+E get_enum(ByteReader& r, E last, const char* what) {
+  const u8 v = r.get_u8();
+  if (v > static_cast<u8>(last)) {
+    throw WireError(std::string("campaign job names ") + what + " " +
+                    std::to_string(v) + ", which this build does not know");
+  }
+  return static_cast<E>(v);
+}
+
 void put_config(ByteWriter& w, const core::SimConfig& c) {
   // The CLI-settable SimConfig surface, in a fixed order. Fields the
   // campaign overwrites per cell (scheme/deployment, faults,
@@ -34,7 +47,7 @@ void put_config(ByteWriter& w, const core::SimConfig& c) {
 }
 
 void get_config(ByteReader& r, core::SimConfig& c) {
-  c.hazard_rule = static_cast<cpu::HazardRule>(r.get_u8());
+  c.hazard_rule = get_enum(r, cpu::HazardRule::kPaperLiteral, "hazard rule");
   c.stride_predictor = r.get_u8() != 0;
   c.lut_decode = r.get_u8() != 0;
   c.force_generic_ecc_path = r.get_u8() != 0;
@@ -131,6 +144,9 @@ CampaignJob parse_job(std::string_view bytes) {
   job.base_seed = r.get_u64();
   job.shard_index = r.get_u32();
   job.shard_count = r.get_u32();
+  if (job.shard_count == 0 || job.shard_index >= job.shard_count) {
+    throw WireError("campaign job shard_index/shard_count invalid");
+  }
 
   reliability::CampaignSpec& s = job.spec;
   s.accel = r.get_double();
@@ -140,7 +156,7 @@ CampaignJob parse_job(std::string_view bytes) {
   s.batch = r.get_u32();
   s.confidence = r.get_double();
   s.target_half_width = r.get_double();
-  s.target = static_cast<core::InjectTarget>(r.get_u8());
+  s.target = get_enum(r, core::InjectTarget::kL2, "inject target");
   s.prune = r.get_u8() != 0;
   const u32 recorder_version = r.get_u32();
   if (recorder_version != mem::ResidencyRecorder::kVersion) {

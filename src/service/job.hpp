@@ -1,6 +1,6 @@
 // CampaignJob — the portable description of a reliability campaign.
 //
-// One serialization, two consumers: the work-queue daemon receives a job
+// One serialization, two consumers: the campaign daemon receives a job
 // over the socket (protocol.hpp) and must rebuild exactly the campaign a
 // local `laec_cli campaign` run would execute, and the checkpoint layer
 // hashes the same canonical bytes into the identity that guards resumes
@@ -40,8 +40,9 @@ struct CampaignJob {
 /// Canonical byte serialization (versioned, little-endian).
 [[nodiscard]] std::string serialize_job(const CampaignJob& job);
 
-/// Inverse of serialize_job. Throws WireError for truncated/alien bytes
-/// or an unsupported job version.
+/// Inverse of serialize_job. Throws WireError for truncated/alien bytes,
+/// an unsupported job version, an invalid shard or an inject-target or
+/// hazard-rule byte outside its enumerators.
 [[nodiscard]] CampaignJob parse_job(std::string_view bytes);
 
 /// Identity hash of a campaign configuration: FNV-1a over the canonical

@@ -155,18 +155,11 @@ std::string encode_status(const DaemonStatus& s) {
   ByteWriter w;
   w.put_u64(s.uptime_ms);
   w.put_u32(s.workers);
-  w.put_u64(s.queue_depth);
-  w.put_u64(s.inflight_cells);
   w.put_u64(s.jobs_accepted);
   w.put_u64(s.jobs_rejected);
   w.put_u64(s.cells_done);
   w.put_u64(s.trials_done);
   w.put_u64(s.rows_streamed);
-  w.put_u32(static_cast<u32>(s.per_worker.size()));
-  for (const WorkerStatus& ws : s.per_worker) {
-    w.put_u64(ws.cells_done);
-    w.put_u64(ws.trials_done);
-  }
   w.put_u32(static_cast<u32>(s.metrics.size()));
   for (const StatusMetric& m : s.metrics) {
     w.put_string(m.name);
@@ -184,24 +177,11 @@ DaemonStatus decode_status(std::string_view payload) {
   DaemonStatus s;
   s.uptime_ms = r.get_u64();
   s.workers = r.get_u32();
-  s.queue_depth = r.get_u64();
-  s.inflight_cells = r.get_u64();
   s.jobs_accepted = r.get_u64();
   s.jobs_rejected = r.get_u64();
   s.cells_done = r.get_u64();
   s.trials_done = r.get_u64();
   s.rows_streamed = r.get_u64();
-  const u32 nw = r.get_u32();
-  if (nw > payload.size()) {
-    throw WireError("status claims an implausible worker count");
-  }
-  s.per_worker.reserve(nw);
-  for (u32 i = 0; i < nw; ++i) {
-    WorkerStatus ws;
-    ws.cells_done = r.get_u64();
-    ws.trials_done = r.get_u64();
-    s.per_worker.push_back(ws);
-  }
   const u32 nm = r.get_u32();
   if (nm > payload.size()) {
     throw WireError("status claims an implausible metric count");

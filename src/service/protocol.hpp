@@ -1,4 +1,4 @@
-// Length-prefixed framing protocol of the campaign work-queue daemon.
+// Length-prefixed framing protocol of the campaign daemon.
 //
 // Transport is a Unix-domain stream socket; every message is one frame:
 //
@@ -14,6 +14,9 @@
 // or
 //   server -> client   kError   human-readable message (job rejected or
 //                               failed; connection closes after)
+// The daemon runs the whole job as one campaign, which emits its rows only
+// once every cell is done: the header and rows arrive together at the
+// end, and a job that fails sends kError without any of them.
 //
 // Shutdown: a client sends kShutdown instead of kSubmit; the server
 // acknowledges with kDone (zeros) and stops accepting. Rows travel as
@@ -21,13 +24,12 @@
 // report::RowWriter (csv or jsonl), so one daemon serves every output
 // format and the bytes match the equivalent local run exactly.
 //
-// Status ("status" client, protocol v2): a client sends kStatus (empty
-// payload) instead of kSubmit; the server replies with one kStatus frame
-// carrying a DaemonStatus snapshot (uptime, queue depth, in-flight cells,
-// per-worker cell/trial counts, plus the daemon process's metrics
-// registry rendered as name/kind/value triples) and the connection
-// closes. Purely observational — a status probe never perturbs job
-// scheduling or row bytes.
+// Status ("status" client): a client sends kStatus (empty payload)
+// instead of kSubmit; the server replies with one kStatus frame carrying a
+// DaemonStatus snapshot (uptime, pool size, job/cell/trial/row counts,
+// plus the daemon process's metrics registry as name/kind/value entries)
+// and the connection closes. Purely observational — a status probe never
+// perturbs a job or its row bytes.
 //
 // Frame payloads are capped (kMaxFramePayload) and decoded with the
 // bounds-checked wire reader: truncated, oversized or trailing-garbage
@@ -44,7 +46,9 @@ namespace laec::service {
 
 inline constexpr char kProtocolMagic[7] = {'L', 'A', 'E', 'C',
                                            'S', 'R', 'V'};
-inline constexpr u32 kProtocolVersion = 2;  ///< v2: kStatus frame
+/// v2: kStatus frame; v3: the status frame lost its queue depth,
+/// in-flight cell count and per-worker table with the cell queue.
+inline constexpr u32 kProtocolVersion = 3;
 
 /// Frames bigger than this are rejected before allocation. Jobs scale
 /// with grid size (tens of bytes per cell); 64 MiB is ~1M cells.
@@ -107,24 +111,15 @@ struct StatusMetric {
   u64 p99 = 0;
 };
 
-/// Per-worker progress counters in a kStatus reply.
-struct WorkerStatus {
-  u64 cells_done = 0;
-  u64 trials_done = 0;
-};
-
 /// kStatus reply payload: one self-describing snapshot of the daemon.
 struct DaemonStatus {
   u64 uptime_ms = 0;
-  u32 workers = 0;
-  u64 queue_depth = 0;      ///< cells waiting in the MPMC queue
-  u64 inflight_cells = 0;   ///< cells currently being simulated
+  u32 workers = 0;  ///< threads of the pool each job runs on
   u64 jobs_accepted = 0;
   u64 jobs_rejected = 0;
-  u64 cells_done = 0;
-  u64 trials_done = 0;
+  u64 cells_done = 0;   ///< over finished jobs
+  u64 trials_done = 0;  ///< over finished jobs
   u64 rows_streamed = 0;
-  std::vector<WorkerStatus> per_worker;
   std::vector<StatusMetric> metrics;  ///< daemon-side registry digest
 };
 [[nodiscard]] std::string encode_status(const DaemonStatus& s);

@@ -1,7 +1,8 @@
 # laec_cli argument gate: every malformed numeric flag, unknown row format and
 # impossible cache geometry must be refused with exit status 2, never
-# simulated as some other value (or hung, or crashed). A refused command
-# leaves an existing --out file as it was, and a failed write exits 2 too.
+# simulated as some other value (or hung, or crashed). A refused or failed
+# command leaves an existing --out file as it was, and a failed write exits
+# 2 too.
 #
 #   cmake -DCLI=<path to laec_cli> -DWORK=<scratch dir> -P cli_args.cmake
 
@@ -65,16 +66,22 @@ foreach(case IN LISTS cases)
   expect_exit_2("${case}")
 endforeach()
 
-# A refused command must not touch --out: the row format is checked while
-# the flags are parsed, and a campaign opens --out only after its checkpoint
-# checks (an existing checkpoint without --resume, a corrupt one with it).
+# A refused or failed command must not touch --out: the row format is
+# checked while the flags are parsed, a campaign opens --out only after its
+# checkpoint checks (an existing checkpoint without --resume, a corrupt one
+# with it), and rows go to a temporary file that replaces --out only when
+# the command succeeds (impossible geometry found by the pool, no daemon
+# listening).
 file(WRITE "${WORK}/existing.ckpt" "a file in the way\n")
 file(WRITE "${WORK}/corrupt.ckpt" "LAECCKP1 and nothing a checkpoint holds\n")
 set(kept "earlier rows\n")
 foreach(case
     "sweep puwmod --format=xml --out=kept.csv"
     "campaign puwmod --checkpoint=existing.ckpt --out=kept.csv"
-    "campaign puwmod --checkpoint=corrupt.ckpt --resume --out=kept.csv")
+    "campaign puwmod --checkpoint=corrupt.ckpt --resume --out=kept.csv"
+    "sweep puwmod --dl1-ways=0 --out=kept.csv"
+    "campaign puwmod --dl1-ways=0 --trials=6 --out=kept.csv"
+    "submit puwmod --socket=no-daemon.sock --out=kept.csv")
   file(WRITE "${WORK}/kept.csv" "${kept}")
   expect_exit_2("${case}")
   file(READ "${WORK}/kept.csv" after)
@@ -85,10 +92,16 @@ foreach(case
 endforeach()
 
 # A write that fails (here: disk full) exits 2 instead of passing a
-# truncated result file off as complete.
+# truncated result file off as complete. A device is written directly,
+# never replaced by a renamed file.
 if(EXISTS /dev/full)
   expect_exit_2("sweep puwmod --out=/dev/full")
   expect_exit_2("campaign puwmod --dl1-kb=2 --trials=6 --out=/dev/full")
+  execute_process(COMMAND test -c /dev/full RESULT_VARIABLE rc)
+  if(NOT rc STREQUAL "0")
+    message(SEND_ERROR "/dev/full is no longer a character device")
+    math(EXPR failures "${failures} + 1")
+  endif()
 else()
   message(STATUS "no /dev/full here: the disk-full cases are skipped")
 endif()
@@ -112,6 +125,28 @@ file(READ "${WORK}/seed_0x1aec.csv" hex_rows)
 file(READ "${WORK}/seed_6892.csv" dec_rows)
 if(NOT hex_rows STREQUAL dec_rows)
   message(SEND_ERROR "--seed=0x1aec and --seed=6892 produced different rows")
+  math(EXPR failures "${failures} + 1")
+endif()
+
+# A command that succeeds replaces an earlier --out file with its rows and
+# leaves no temporary file behind.
+file(WRITE "${WORK}/kept.csv" "${kept}")
+execute_process(
+  COMMAND "${CLI}" sweep puwmod --ecc=laec --trace --ops=2000 --seed=6892
+          --out=kept.csv
+  WORKING_DIRECTORY "${WORK}"
+  RESULT_VARIABLE rc
+  OUTPUT_QUIET ERROR_QUIET
+  TIMEOUT 60)
+file(READ "${WORK}/kept.csv" after)
+if(NOT rc STREQUAL "0" OR NOT after STREQUAL dec_rows)
+  message(SEND_ERROR "laec_cli sweep --out=kept.csv: exit '${rc}', "
+                     "kept.csv does not hold the sweep's rows")
+  math(EXPR failures "${failures} + 1")
+endif()
+file(GLOB leftovers "${WORK}/*.tmp")
+if(leftovers)
+  message(SEND_ERROR "temporary files left behind: ${leftovers}")
   math(EXPR failures "${failures} + 1")
 endif()
 

@@ -498,17 +498,14 @@ TEST(StatusProtocol, EncodeDecodeRoundTrip) {
   service::DaemonStatus s;
   s.uptime_ms = 123456;
   s.workers = 3;
-  s.queue_depth = 9;
-  s.inflight_cells = 2;
   s.jobs_accepted = 5;
   s.jobs_rejected = 1;
   s.cells_done = 40;
   s.trials_done = 4000;
   s.rows_streamed = 40;
-  s.per_worker = {{10, 1000}, {20, 2000}, {10, 1000}};
   s.metrics.push_back({"campaign.golden_runs",
                        static_cast<u8>(MetricKind::kCounter), 4, 0, 0, 0});
-  s.metrics.push_back({"daemon.queue_wait_us",
+  s.metrics.push_back({"sweep.point_us",
                        static_cast<u8>(MetricKind::kHistogram), 17, 90210,
                        55, 780});
 
@@ -516,28 +513,27 @@ TEST(StatusProtocol, EncodeDecodeRoundTrip) {
       service::decode_status(service::encode_status(s));
   EXPECT_EQ(d.uptime_ms, s.uptime_ms);
   EXPECT_EQ(d.workers, s.workers);
-  EXPECT_EQ(d.queue_depth, s.queue_depth);
-  EXPECT_EQ(d.inflight_cells, s.inflight_cells);
   EXPECT_EQ(d.jobs_accepted, s.jobs_accepted);
   EXPECT_EQ(d.jobs_rejected, s.jobs_rejected);
   EXPECT_EQ(d.cells_done, s.cells_done);
   EXPECT_EQ(d.trials_done, s.trials_done);
   EXPECT_EQ(d.rows_streamed, s.rows_streamed);
-  ASSERT_EQ(d.per_worker.size(), 3u);
-  EXPECT_EQ(d.per_worker[1].cells_done, 20u);
-  EXPECT_EQ(d.per_worker[1].trials_done, 2000u);
   ASSERT_EQ(d.metrics.size(), 2u);
   EXPECT_EQ(d.metrics[0].name, "campaign.golden_runs");
   EXPECT_EQ(d.metrics[0].value, 4u);
-  EXPECT_EQ(d.metrics[1].name, "daemon.queue_wait_us");
+  EXPECT_EQ(d.metrics[1].name, "sweep.point_us");
   EXPECT_EQ(d.metrics[1].sum, 90210u);
   EXPECT_EQ(d.metrics[1].p50, 55u);
   EXPECT_EQ(d.metrics[1].p99, 780u);
+  // The v3 layout: u64 uptime, u32 workers, five u64 counts and the u32
+  // metric count.
+  EXPECT_EQ(service::encode_status(service::DaemonStatus{}).size(), 56u);
 }
 
 TEST(StatusProtocol, TruncatedPayloadThrows) {
   service::DaemonStatus s;
-  s.per_worker = {{1, 2}};
+  s.metrics.push_back({"campaign.golden_runs",
+                       static_cast<u8>(MetricKind::kCounter), 4, 0, 0, 0});
   const std::string payload = service::encode_status(s);
   EXPECT_THROW((void)service::decode_status(
                    std::string_view(payload).substr(0, payload.size() - 3)),

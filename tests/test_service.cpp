@@ -1,94 +1,32 @@
-// Service plumbing: the MPMC work queue, the wire codec, the framing
-// protocol, CampaignJob serialization, and the work-queue daemon end to
-// end — rows streamed over the socket must be byte-identical to a local
-// run_campaign of the same job.
+// Service plumbing: the wire codec, the framing protocol, CampaignJob
+// serialization, and the campaign daemon end to end — rows streamed over
+// the socket must be byte-identical to a local run_campaign of the same
+// job.
 #include "service/daemon.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <filesystem>
 #include <functional>
-#include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "reliability/campaign.hpp"
 #include "service/job.hpp"
 #include "service/protocol.hpp"
-#include "service/queue.hpp"
 #include "service/wire.hpp"
 
 namespace laec::service {
 namespace {
-
-// --- MpmcQueue --------------------------------------------------------------
-
-TEST(MpmcQueue, FifoOrderSingleThread) {
-  MpmcQueue<int> q(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(q.push(i));
-  EXPECT_EQ(q.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    const auto v = q.pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(MpmcQueue, CloseDrainsThenReturnsNullopt) {
-  MpmcQueue<int> q(4);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  q.close();
-  EXPECT_TRUE(q.closed());
-  EXPECT_FALSE(q.push(3));  // rejected after close
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_EQ(q.pop().value(), 2);
-  EXPECT_FALSE(q.pop().has_value());
-  EXPECT_FALSE(q.pop().has_value());  // stays empty forever
-}
-
-TEST(MpmcQueue, ManyProducersManyConsumersLoseNothing) {
-  constexpr int kProducers = 4, kConsumers = 4, kPerProducer = 500;
-  MpmcQueue<int> q(8);  // small ring: forces real blocking both ways
-  std::vector<std::thread> producers, consumers;
-  std::mutex m;
-  std::vector<int> seen;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(q.push(p * kPerProducer + i));
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      for (;;) {
-        const auto v = q.pop();
-        if (!v.has_value()) return;
-        std::lock_guard<std::mutex> lock(m);
-        seen.push_back(*v);
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  q.close();
-  for (auto& t : consumers) t.join();
-
-  ASSERT_EQ(seen.size(),
-            static_cast<std::size_t>(kProducers * kPerProducer));
-  std::sort(seen.begin(), seen.end());
-  for (int i = 0; i < kProducers * kPerProducer; ++i) {
-    ASSERT_EQ(seen[static_cast<std::size_t>(i)], i) << "lost or duplicated";
-  }
-}
 
 // --- wire codec -------------------------------------------------------------
 
@@ -320,6 +258,81 @@ TEST(CampaignJob, ParseRejectsTruncatedAndAlienBytes) {
   EXPECT_THROW((void)parse_job(bytes + "trailing"), WireError);
 }
 
+// --- hostile bytes ----------------------------------------------------------
+
+/// "decoded" or "wire-error" when `decode` accepts or refuses `bytes` the
+/// allowed ways; any other exception comes back as its message.
+std::string decode_outcome(
+    const std::function<void(std::string_view)>& decode,
+    std::string_view bytes) {
+  try {
+    decode(bytes);
+    return "decoded";
+  } catch (const WireError&) {
+    return "wire-error";
+  } catch (const std::exception& e) {
+    return std::string("threw: ") + e.what();
+  }
+}
+
+TEST(Protocol, EveryTruncationAndBitFlipDecodesOrThrowsWireError) {
+  // Every payload a peer can send: each proper prefix must throw WireError,
+  // and each single-bit flip must decode or throw WireError, nothing else
+  // (the sanitizer build also catches a read out of bounds). A job that
+  // decodes must name only enumerators this build knows: a campaign run
+  // under any other yields a row that describes no real configuration.
+  DaemonStatus status;
+  status.uptime_ms = 123456;
+  status.workers = 4;
+  status.jobs_accepted = 5;
+  status.jobs_rejected = 1;
+  status.cells_done = 40;
+  status.trials_done = 4000;
+  status.rows_streamed = 40;
+  status.metrics.push_back({"campaign.golden_runs", 0, 4, 0, 0, 0});
+  status.metrics.push_back({"sweep.point_us", 2, 17, 90210, 55, 780});
+  const DoneSummary done{3, 99, 7};
+  const auto check_job = [](std::string_view b) {
+    const CampaignJob j = parse_job(b);
+    if (j.spec.target > core::InjectTarget::kL2) {
+      throw std::logic_error("decoded an unknown inject target");
+    }
+    if (j.spec.base.hazard_rule > cpu::HazardRule::kPaperLiteral) {
+      throw std::logic_error("decoded an unknown hazard rule");
+    }
+  };
+  const std::vector<
+      std::tuple<const char*, std::string,
+                 std::function<void(std::string_view)>>>
+      payloads = {
+          {"hello", hello_payload(),
+           [](std::string_view b) { check_hello(b); }},
+          {"done", encode_done(done),
+           [](std::string_view b) { (void)decode_done(b); }},
+          {"string list", encode_string_list({"a", "", "with,comma", "\n"}),
+           [](std::string_view b) { (void)decode_string_list(b); }},
+          {"status", encode_status(status),
+           [](std::string_view b) { (void)decode_status(b); }},
+          {"2-cell job", serialize_job(sample_job()), check_job},
+      };
+  for (const auto& [name, bytes, decode] : payloads) {
+    ASSERT_EQ(decode_outcome(decode, bytes), "decoded") << name;
+    for (std::size_t n = 0; n < bytes.size(); ++n) {
+      EXPECT_EQ(decode_outcome(decode, std::string_view(bytes).substr(0, n)),
+                "wire-error")
+          << name << " cut to " << n << " of " << bytes.size() << " bytes";
+    }
+    for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+      std::string flipped = bytes;
+      flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+      const std::string got = decode_outcome(decode, flipped);
+      EXPECT_TRUE(got == "decoded" || got == "wire-error")
+          << name << " with byte " << bit / 8 << " bit " << bit % 8
+          << " flipped: " << got;
+    }
+  }
+}
+
 // --- daemon end to end ------------------------------------------------------
 
 struct DaemonFixture {
@@ -405,6 +418,29 @@ TEST(Daemon, ComplementaryShardClientsCoverTheGrid) {
   EXPECT_NE(shard0, shard1);
 }
 
+TEST(Daemon, OneJobRunsAsOneCampaign) {
+  // A 2-scheme x 2-rate job is one campaign on the daemon's pool: each
+  // (workload, scheme) runs one golden run that its other rate cell
+  // reuses, and the campaign.trials_done gauge counts the whole job.
+  DaemonFixture daemon;
+  CampaignJob job = sample_job();
+  reliability::CampaignGrid grid;
+  grid.workloads({"a2time"}).schemes({"laec", "sec-daec-39-32"});
+  grid.rates({*reliability::tech_preset("40nm"),
+              *reliability::tech_preset("28nm")});
+  job.cells = grid.cells();
+  ASSERT_EQ(job.cells.size(), 4u);
+
+  obs::Registry& reg = obs::Registry::global();
+  const u64 runs = reg.counter("campaign.golden_runs").value();
+  const u64 hits = reg.counter("campaign.golden_cache_hits").value();
+  const std::string got = submit_csv(daemon.socket_path, job);
+  EXPECT_EQ(reg.counter("campaign.golden_runs").value() - runs, 2u);
+  EXPECT_EQ(reg.counter("campaign.golden_cache_hits").value() - hits, 2u);
+  EXPECT_EQ(reg.gauge("campaign.trials_done").value(), 4u * job.spec.trials);
+  EXPECT_EQ(got, local_csv(job));
+}
+
 TEST(Daemon, ConcurrentClientsBothGetExactRows) {
   DaemonFixture daemon;
   const CampaignJob job = sample_job();
@@ -461,6 +497,39 @@ TEST(Daemon, ShutdownRequestStopsTheDaemon) {
     // because the socket file is gone.
   }
   EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(Daemon, ShutdownLetsAcceptedJobsFinish) {
+  // Two accepted jobs, one on the pool and one waiting for it, when the
+  // stop request arrives: both still get every row before the daemon
+  // exits.
+  std::string path;
+  CampaignJob job = sample_job();
+  job.spec.trials = 96;  // long enough that neither job is done at the stop
+  std::string got_a, got_b;
+  {
+    DaemonFixture daemon;
+    path = daemon.socket_path;
+    std::thread a([&] { got_a = submit_csv(path, job); });
+    std::thread b([&] { got_b = submit_csv(path, job); });
+    DaemonStatus seen;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    do {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      seen = request_status(path);
+    } while (seen.jobs_accepted < 2 &&
+             std::chrono::steady_clock::now() < deadline);
+    request_shutdown(path);
+    a.join();
+    b.join();
+    EXPECT_EQ(seen.jobs_accepted, 2u);
+    EXPECT_EQ(seen.cells_done, 0u) << "a job finished before the stop";
+  }
+  EXPECT_FALSE(std::filesystem::exists(path));
+  const std::string want = local_csv(job);
+  EXPECT_EQ(got_a, want);
+  EXPECT_EQ(got_b, want);
 }
 
 }  // namespace

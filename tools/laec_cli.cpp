@@ -26,17 +26,18 @@
 //       resumes with --resume and emits rows byte-identical to an
 //       uninterrupted run.
 //   laec_cli serve --socket=PATH [--workers=N]
-//       Campaign work-queue daemon over a Unix-domain socket: worker
-//       threads pull cells from an MPMC queue; each connection submits a
-//       job and streams its rows back in grid order.
+//       Campaign daemon over a Unix-domain socket: each connection submits
+//       a job, which runs as one campaign on an N-thread pool (one job at
+//       a time), and gets its rows back in grid order.
 //   laec_cli submit [kernel] --socket=PATH [options]
 //       Submit a campaign to a daemon and stream the rows here. Accepts
 //       the campaign grid flags plus --shard (complementary clients shard
 //       one campaign); rows are byte-identical to a local run.
 //   laec_cli status --socket=PATH
-//       Probe a running daemon: uptime, queue depth, in-flight cells,
-//       per-worker trial rates and the daemon's metrics digest. Purely
-//       observational — never perturbs scheduling or row bytes.
+//       Probe a running daemon: uptime, pool size, job/cell/trial/row
+//       counts and the daemon's metrics digest, whose campaign.* gauges
+//       describe the running job. Purely observational — never perturbs
+//       a job or its row bytes.
 //   laec_cli stop --socket=PATH
 //       Ask a daemon to shut down cleanly.
 //
@@ -64,8 +65,11 @@
 //   --format=<csv|jsonl>         row format (default csv); any other value
 //                                is refused before --out is opened
 //   --out=<file>                 write rows to a file instead of stdout; a
-//                                refused command leaves it untouched, a
-//                                failed write (disk full) exits 2
+//                                regular file is written beside itself and
+//                                renamed over only when the command
+//                                succeeds, so a failed or refused command
+//                                leaves it untouched; a failed write (disk
+//                                full) exits 2
 //   --trace                      calibrated-trace mode (sweep only)
 //   --trace=FILE                 flight recorder: write a Chrome trace-event
 //                                JSON of the run (golden runs, prune plans,
@@ -111,7 +115,8 @@
 //
 // Service options:
 //   --socket=PATH                Unix-domain socket (serve/submit/status/stop)
-//   --workers=N                  daemon worker threads (0 = hw concurrency)
+//   --workers=N                  threads of the daemon's pool, which runs
+//                                one job at a time (0 = hw concurrency)
 #include <atomic>
 #include <charconv>
 #include <chrono>
@@ -569,22 +574,43 @@ void install_stop_handlers() {
 
 /// The one path rows take out of the CLI: stdout or --out=FILE, written by
 /// the --format writer. A command opens it only after every check that can
-/// refuse the command, so a refused command leaves an existing file as it
-/// was. The drivers (run_sweep, run_campaign, submit_job) end the writer.
+/// refuse the command. When FILE is a regular file or does not exist yet,
+/// rows go to FILE.tmp beside it, which finish() renames over FILE once
+/// every row is out; every other exit (an error, an interrupted campaign,
+/// an exception) removes it, so a command that fails leaves an earlier
+/// result file as it was. Anything else (a device such as /dev/full, a
+/// FIFO, a symlink) is written directly and never renamed over. The
+/// drivers (run_sweep, run_campaign, submit_job) end the writer.
 struct RowOutput {
   std::ofstream file;
   std::ostream* stream = &std::cout;
-  std::string label = "<stdout>";
+  std::string label = "<stdout>";  ///< --out, or <stdout>
+  std::string temp;  ///< FILE.tmp while it holds rows, else empty
   std::unique_ptr<report::RowWriter> writer;
+
+  RowOutput() = default;
+  RowOutput(const RowOutput&) = delete;
+  RowOutput& operator=(const RowOutput&) = delete;
+  ~RowOutput() {
+    if (temp.empty()) return;
+    file.close();
+    std::remove(temp.c_str());
+  }
 
   /// False, after a diagnostic, when --out cannot be opened.
   bool open(const CliOptions& o) {
     if (!o.out_path.empty()) {
-      file.open(o.out_path);
+      std::error_code ec;
+      const auto type = std::filesystem::symlink_status(o.out_path, ec).type();
+      const bool replace = type == std::filesystem::file_type::regular ||
+                           type == std::filesystem::file_type::not_found;
+      const std::string path = replace ? o.out_path + ".tmp" : o.out_path;
+      file.open(path);
       if (!file) {
-        std::fprintf(stderr, "cannot open %s\n", o.out_path.c_str());
+        std::fprintf(stderr, "cannot open %s\n", path.c_str());
         return false;
       }
+      if (replace) temp = path;
       stream = &file;
       label = o.out_path;
     }
@@ -596,12 +622,18 @@ struct RowOutput {
   /// truncated result file must not pass as complete.
   int finish() {
     stream->flush();
-    if (stream->good()) return 0;
-    std::fprintf(stderr,
-                 "error: writing rows to %s failed (disk full or I/O "
-                 "error); the output is incomplete\n",
-                 label.c_str());
-    return 2;
+    if (!temp.empty()) file.close();
+    if (!stream->good()) {
+      std::fprintf(stderr,
+                   "error: writing rows to %s failed (disk full or I/O "
+                   "error); the output is incomplete\n",
+                   label.c_str());
+      return 2;
+    }
+    if (temp.empty()) return 0;
+    std::filesystem::rename(temp, label);  // a failure throws: exit 2
+    temp.clear();
+    return 0;
   }
 };
 
@@ -1086,24 +1118,10 @@ int cmd_status(const CliOptions& o) {
   const double up_secs = static_cast<double>(s.uptime_ms) / 1000.0;
   std::printf("daemon at %s: up %.1fs, %u worker thread(s)\n",
               o.socket_path.c_str(), up_secs, s.workers);
-  std::printf("  queue depth %llu, in-flight cells %llu\n",
-              ull(s.queue_depth), ull(s.inflight_cells));
   std::printf("  jobs: %llu accepted, %llu rejected\n",
               ull(s.jobs_accepted), ull(s.jobs_rejected));
   std::printf("  done: %llu cells, %llu trials, %llu rows streamed\n",
               ull(s.cells_done), ull(s.trials_done), ull(s.rows_streamed));
-  if (!s.per_worker.empty()) {
-    report::Table t({"worker", "cells", "trials", "trials/s"});
-    for (std::size_t i = 0; i < s.per_worker.size(); ++i) {
-      const auto& w = s.per_worker[i];
-      const double rate =
-          up_secs > 0.0 ? static_cast<double>(w.trials_done) / up_secs : 0.0;
-      t.add_row({std::to_string(i), std::to_string(w.cells_done),
-                 std::to_string(w.trials_done),
-                 report::Table::num(rate, 1)});
-    }
-    std::printf("%s", t.to_text().c_str());
-  }
   if (!s.metrics.empty()) {
     report::Table t({"metric", "kind", "value", "sum", "p50", "p99"});
     for (const auto& m : s.metrics) {
@@ -1201,11 +1219,14 @@ void usage() {
       "  --checkpoint=FILE  --resume  --stop-after-rounds=N  "
       "--progress[=SECS]\n"
       "service mode (serve/submit/status/stop):\n"
-      "  --socket=PATH  --workers=N  (submit also takes the campaign "
-      "grid flags)\n"
-      "  laec_cli status --socket=PATH   probe a daemon: uptime, queue\n"
-      "                             depth, in-flight cells, per-worker\n"
-      "                             trial rates, metrics digest\n");
+      "  --socket=PATH  (submit also takes the campaign grid flags)\n"
+      "  --workers=N                serve: threads of the pool each job\n"
+      "                             runs on, one job at a time\n"
+      "                             (0 = hardware concurrency)\n"
+      "  laec_cli status --socket=PATH   probe a daemon: uptime, pool\n"
+      "                             size, job/cell/trial/row counts,\n"
+      "                             metrics digest (campaign.* gauges\n"
+      "                             describe the running job)\n");
 }
 
 }  // namespace
