@@ -42,7 +42,7 @@ LookaheadDecision LookaheadUnit::decide(const Pipeline& pipe, Seq load_seq,
   // the RA-stage adder can consume it during ra_cycle.
   for (const auto& src : load->inst.exec_srcs()) {
     if (!src.has_value()) continue;
-    if (!pipe.operand_ready(*src, load_seq, ra_cycle)) {
+    if (!pipe.operand_ready(*src, *load, ra_cycle)) {
       d.outcome = LookaheadOutcome::kDataHazard;
       return d;
     }

@@ -34,6 +34,7 @@ Pipeline::Pipeline(const PipelineParams& params, mem::DL1Controller& dl1,
     predictor_ = std::make_unique<core::StridePredictor>();
   }
   chrono_.set_enabled(params_.record_chronogram);
+  decode_memo_.fill({0, isa::decode(0)});
 
   c_cycles_ = &stats_.counter("cycles");
   c_instructions_ = &stats_.counter("instructions");
@@ -92,31 +93,29 @@ const Pipeline::Slot* Pipeline::find_seq(Seq seq) const {
   return nullptr;
 }
 
-const Pipeline::Slot* Pipeline::youngest_writer(u8 r, Seq reader_seq) const {
-  if (r == 0) return nullptr;  // r0 is constant
-  const Slot* best = nullptr;
-  for (const Slot& s : slots_) {
-    if (!s.valid || s.seq >= reader_seq) continue;
-    const auto dest = s.inst.dest();
-    if (!dest.has_value() || *dest != r) continue;
-    if (best == nullptr || s.seq > best->seq) best = &s;
+bool Pipeline::stages_in_program_order() const {
+  const Slot* younger = nullptr;
+  for (const Slot& s : slots_) {  // F (youngest) to WB (oldest)
+    if (!s.valid) continue;
+    if (younger != nullptr && s.seq >= younger->seq) return false;
+    younger = &s;
   }
-  return best;
-}
-
-bool Pipeline::operand_ready(u8 r, Seq reader_seq, Cycle use_cycle) const {
-  const Slot* w = youngest_writer(r, reader_seq);
-  if (w == nullptr) return true;  // value is architectural
-  return w->ready_end != kNeverCycle && w->ready_end + 1 <= use_cycle;
+  return true;
 }
 
 bool Pipeline::all_exec_srcs_ready(const Slot& s, Cycle use_cycle) const {
   for (const auto& src : s.inst.exec_srcs()) {
-    if (src.has_value() && !operand_ready(*src, s.seq, use_cycle)) {
+    if (src.has_value() && !operand_ready(*src, s, use_cycle)) {
       return false;
     }
   }
   return true;
+}
+
+const isa::DecodedInst& Pipeline::decode_fetched(Addr pc, u32 word) {
+  DecodedWord& memo = decode_memo_[(pc >> 2) % kDecodeMemoSize];
+  if (memo.word != word) memo = {word, isa::decode(word)};
+  return memo.inst;
 }
 
 void Pipeline::write_result(Slot& s, u32 value, Cycle ready_end) {
@@ -208,7 +207,7 @@ void Pipeline::squash_younger_than(Seq seq, Addr new_pc, Cycle now) {
   for (unsigned st = kF; st <= kRA; ++st) {
     Slot& s = slots_[st];
     if (s.valid && s.seq > seq) {
-      chrono_.erase(s.seq);
+      if (chrono_.enabled()) chrono_.erase(s.seq);
       ++*c_squashed_;
       if (st == kF && !s.fetch_done && ifetch_inflight_) {
         ifetch_inflight_ = false;
@@ -224,17 +223,12 @@ void Pipeline::squash_younger_than(Seq seq, Addr new_pc, Cycle now) {
 }
 
 void Pipeline::record_all(Cycle now) {
-  if (!chrono_.enabled()) return;
   for (unsigned st = kF; st < kNumStages; ++st) {
-    Slot& s = slots_[st];
+    const Slot& s = slots_[st];
     if (!s.valid) continue;
-    if (s.label.empty()) {
-      s.label = s.fetch_done ? isa::paper_style(s.inst) : "(fetch)";
-    } else if (s.fetch_done && s.label == "(fetch)") {
-      s.label = isa::paper_style(s.inst);
-    }
-    chrono_.record(s.seq, s.label, now, std::string(stage_name(
-        static_cast<Stage>(st))));
+    chrono_.record(s.seq,
+                   s.fetch_done ? isa::paper_style(s.inst) : "(fetch)", now,
+                   std::string(stage_name(static_cast<Stage>(st))));
   }
 }
 
@@ -324,7 +318,7 @@ void Pipeline::do_xc(Cycle now) {
   // The exception stage reports detected-uncorrectable errors; data loss
   // accounting happens in the DL1 controller. Pass through.
   if (!slots_[kWB].valid) {
-    slots_[kWB] = std::move(s);
+    slots_[kWB] = s;
     s.release();
   }
 }
@@ -339,7 +333,7 @@ void Pipeline::do_ec(Cycle now) {
     s.ecc_checked = true;
   }
   if (!slots_[kXC].valid) {
-    slots_[kXC] = std::move(s);
+    slots_[kXC] = s;
     s.release();
   }
 }
@@ -446,15 +440,15 @@ void Pipeline::do_m(Cycle now) {
   }
   if (want_ec) {
     if (!slots_[kEC].valid) {
-      slots_[kEC] = std::move(s);
+      slots_[kEC] = s;
       s.release();
     }
   } else {
     if (!slots_[kXC].valid) {
-      slots_[kXC] = std::move(s);
+      slots_[kXC] = s;
       s.release();
     } else if (uses_ec_stage() && !slots_[kEC].valid) {
-      slots_[kEC] = std::move(s);
+      slots_[kEC] = s;
       s.release();
     }
   }
@@ -473,7 +467,7 @@ void Pipeline::do_ex(Cycle now) {
             bool load_block = false;
             for (const auto& src : s.inst.exec_srcs()) {
               if (!src.has_value()) continue;
-              const Slot* w = youngest_writer(*src, s.seq);
+              const Slot* w = youngest_writer(*src, s);
               if (w != nullptr &&
                   (w->ready_end == kNeverCycle || w->ready_end + 1 > now) &&
                   w->inst.is_load()) {
@@ -502,7 +496,7 @@ void Pipeline::do_ex(Cycle now) {
           bool load_block = false;
           for (const auto& src : s.inst.exec_srcs()) {
             if (!src.has_value()) continue;
-            const Slot* w = youngest_writer(*src, s.seq);
+            const Slot* w = youngest_writer(*src, s);
             if (w != nullptr && w->inst.is_load()) load_block = true;
           }
           ++*(load_block ? c_stall_load_use_ : c_stall_operand_);
@@ -672,8 +666,8 @@ void Pipeline::do_ex(Cycle now) {
           return;
         }
         const auto sd = s.inst.store_data_src();
-        if (sd.has_value() && !operand_ready(*sd, s.seq, now + 1)) {
-          const Slot* w = youngest_writer(*sd, s.seq);
+        if (sd.has_value() && !operand_ready(*sd, s, now + 1)) {
+          const Slot* w = youngest_writer(*sd, s);
           ++*((w != nullptr && w->inst.is_load()) ? c_stall_load_use_
                                                   : c_stall_operand_);
           return;
@@ -700,7 +694,7 @@ void Pipeline::do_ex(Cycle now) {
 
   if (!s.ex_done) return;
   if (!slots_[kM].valid) {
-    slots_[kM] = std::move(s);
+    slots_[kM] = s;
     s.release();
   } else {
     ++*c_stall_struct_m_;
@@ -744,7 +738,7 @@ void Pipeline::do_ra(Cycle now) {
   }
 
   if (!slots_[kEX].valid) {
-    slots_[kEX] = std::move(s);
+    slots_[kEX] = s;
     s.release();
   }
 }
@@ -754,7 +748,7 @@ void Pipeline::do_d(Cycle now) {
   Slot& s = slots_[kD];
   if (!s.valid) return;
   if (!slots_[kRA].valid) {
-    slots_[kRA] = std::move(s);
+    slots_[kRA] = s;
     s.release();
   }
 }
@@ -771,14 +765,13 @@ void Pipeline::do_f(Cycle now) {
         ++*c_stall_imiss_;
         return;
       }
-      s.inst = isa::decode(reply.word);
+      s.inst = decode_fetched(s.pc, reply.word);
       s.fetch_done = true;
       ifetch_inflight_ = false;
-      if (chrono_.enabled()) s.label = isa::paper_style(s.inst);
       if (s.inst.op == isa::Op::kHalt) fetch_stopped_ = true;
     }
     if (slots_[kD].valid) return;  // D stalled; hold in F
-    slots_[kD] = std::move(s);
+    slots_[kD] = s;
     s.release();
     return;  // F freed at end of cycle; the next fetch starts next cycle
   }
@@ -818,7 +811,7 @@ void Pipeline::do_f(Cycle now) {
     const auto reply = l1i_->fetch(ns.pc, now);
     fetch_pc_ += 4;
     if (reply.complete) {
-      ns.inst = isa::decode(reply.word);
+      ns.inst = decode_fetched(ns.pc, reply.word);
       ns.fetch_done = true;
       if (ns.inst.op == isa::Op::kHalt) fetch_stopped_ = true;
     } else {
@@ -828,16 +821,17 @@ void Pipeline::do_f(Cycle now) {
   }
 
   if (chrono_.enabled()) {
-    ns.label = ns.fetch_done ? isa::paper_style(ns.inst) : "(fetch)";
-    chrono_.record(ns.seq, ns.label, now, "F");
+    chrono_.record(ns.seq,
+                   ns.fetch_done ? isa::paper_style(ns.inst) : "(fetch)", now,
+                   "F");
   }
   // The instruction occupies F *this* cycle; if it already has its word and
   // D is free it advances at the end of the cycle (D next cycle), keeping
   // one-instruction-per-cycle fetch throughput.
   if (ns.fetch_done && !slots_[kD].valid) {
-    slots_[kD] = std::move(ns);
+    slots_[kD] = ns;
   } else {
-    slots_[kF] = std::move(ns);
+    slots_[kF] = ns;
   }
 }
 
@@ -849,7 +843,8 @@ bool Pipeline::cycle(Cycle now) {
     return false;
   }
 
-  record_all(now);
+  assert(stages_in_program_order());
+  if (chrono_.enabled()) record_all(now);
 
   do_retire(now);
   if (halted_) return false;

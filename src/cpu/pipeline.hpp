@@ -17,6 +17,16 @@
 // LAEC (the paper's contribution) is implemented in core/lookahead.hpp; the
 // pipeline consults it when a load enters the RA stage and, on success, reads
 // the DL1 during EX and checks the code during M.
+//
+// Cost of one simulated cycle (every golden run, trial and sweep point runs
+// this loop, so bookkeeping here is paid billions of times):
+//  * a stage advance copies one Slot, which is trivially copyable: the
+//    chronogram label lives on the recording path, not in the slot;
+//  * hazard scans compare a slot's rd field before anything else and walk
+//    only the stages older than the reader (see youngest_writer);
+//  * fetch decodes through a memo tagged by the fetched word (see
+//    decode_fetched);
+//  * with chronograms off, recording costs one inline flag test.
 #pragma once
 
 #include <array>
@@ -24,6 +34,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -123,44 +134,42 @@ class Pipeline {
  private:
   friend class laec::core::LookaheadUnit;
 
+  /// One stage's instruction. Trivially copyable (no heap member), so a
+  /// stage advance is a plain 80-byte copy.
   struct Slot {
-    bool valid = false;
-    isa::DecodedInst inst;
+    // Members are ordered widest first, so the slot has no padding (80
+    // bytes); visit_state fixes the snapshot order, not this one.
     Seq seq = 0;
-    Addr pc = 0;
-    std::string label;  // chronogram label (filled lazily)
-
-    // Fetch state.
-    bool fetch_done = false;
-
     // Result availability: end-of-cycle at which the destination value is
     // bypassable; kNeverCycle until known.
     Cycle ready_end = kNeverCycle;
+    Cycle branch_resolve_cycle = kNeverCycle;  // branch state
+    isa::DecodedInst inst;
+    Addr pc = 0;
 
     // EX state.
-    bool ex_started = false;
     unsigned ex_cycles_left = 0;
-    bool ex_done = false;
 
     // Memory state.
+    Addr eff_addr = 0;
+    Addr predicted_addr = 0;  // stride-predictor extension
+    unsigned m_extra_cycles = 0;  // Extra Cycle second-M bookkeeping
+    u32 store_data = 0;
+
+    bool valid = false;
+    bool fetch_done = false;  // fetch state
+    bool ex_started = false;
+    bool ex_done = false;
     bool anticipated = false;
     LookaheadOutcome la_outcome = LookaheadOutcome::kPolicyOff;
     bool addr_known = false;
-    Addr eff_addr = 0;
-    // Stride-predictor extension state.
-    bool addr_predicted = false;
-    Addr predicted_addr = 0;
+    bool addr_predicted = false;  // stride-predictor extension
     bool predictor_trained = false;
     bool mem_done = false;   // DL1 access resolved (load) / WB push done (store)
     bool load_hit = false;
     bool ecc_checked = false;  // checked data available (miss refills arrive checked)
-    unsigned m_extra_cycles = 0;  // Extra Cycle second-M bookkeeping
-    u32 store_data = 0;
     bool store_data_latched = false;
-
-    // Branch state.
-    bool branch_done = false;
-    Cycle branch_resolve_cycle = kNeverCycle;
+    bool branch_done = false;  // branch state
 
     // Trace mode.
     bool forced_mem = false;
@@ -172,6 +181,9 @@ class Pipeline {
       v("inst", inst);
       v("seq", seq);
       v("pc", pc);
+      // The chronogram label the slot once carried keeps its (always empty:
+      // snapshots refuse chronogram mode) entry, so blobs do not change.
+      std::string label;
       v("label", label);
       v("fetch_done", fetch_done);
       v("ready_end", ready_end);
@@ -199,11 +211,13 @@ class Pipeline {
 
     /// Cheap empty-marking for the stage-advance hot path. Every other
     /// field is only ever read behind `valid`, and every new instruction
-    /// enters as a freshly-constructed Slot moved in by do_f, so dropping
+    /// enters as a freshly-constructed Slot copied in by do_f, so dropping
     /// the flag is equivalent to — and much cheaper than — assigning a
-    /// default-constructed Slot over ~100 bytes of state.
+    /// default-constructed Slot over 80 bytes of state.
     void release() { valid = false; }
   };
+  static_assert(std::is_trivially_copyable_v<Slot>);
+  static_assert(sizeof(Slot) == 80);
 
   // --- per-cycle stage processing, called in WB -> F order ------------------
   void do_retire(Cycle now);
@@ -219,17 +233,40 @@ class Pipeline {
   [[nodiscard]] bool uses_ec_stage() const {
     return has_ecc_stage(params_.ecc);
   }
-  /// Is the value of register `r` available to a consumer executing in
-  /// `use_cycle` for instruction `reader_seq`? (Scans in-flight writers.)
-  [[nodiscard]] bool operand_ready(u8 r, Seq reader_seq, Cycle use_cycle) const;
-  /// Youngest in-flight writer of `r` older than `reader_seq`, or nullptr.
-  [[nodiscard]] const Slot* youngest_writer(u8 r, Seq reader_seq) const;
+  /// Is the value of register `r` available to `reader` (an in-flight
+  /// slot) executing in `use_cycle`? (Scans in-flight writers.)
+  [[nodiscard]] bool operand_ready(u8 r, const Slot& reader,
+                                   Cycle use_cycle) const {
+    const Slot* w = youngest_writer(r, reader);
+    if (w == nullptr) return true;  // value is architectural
+    return w->ready_end != kNeverCycle && w->ready_end + 1 <= use_cycle;
+  }
+  /// Youngest in-flight writer of `r` older than `reader`, or nullptr.
+  /// Instructions advance in program order, so every older instruction
+  /// sits in a later stage than the reader (stages_in_program_order), and
+  /// the first writer met walking from the reader's stage towards WB is
+  /// the youngest one. Inline, rd compared first: it runs about 1.5 times
+  /// per simulated cycle.
+  [[nodiscard]] const Slot* youngest_writer(u8 r, const Slot& reader) const {
+    if (r == 0) return nullptr;  // r0 is constant
+    for (unsigned st = stage_of(&reader) + 1; st < kNumStages; ++st) {
+      const Slot& s = slots_[st];
+      if (s.inst.rd == r && s.valid && s.inst.writes_rd()) return &s;
+    }
+    return nullptr;
+  }
+  /// Do the valid slots hold strictly older instructions in later stages?
+  /// The invariant youngest_writer relies on (asserted every cycle).
+  [[nodiscard]] bool stages_in_program_order() const;
   [[nodiscard]] bool all_exec_srcs_ready(const Slot& s, Cycle use_cycle) const;
   void write_result(Slot& s, u32 value, Cycle ready_end);
   [[nodiscard]] u32 compute_alu(const isa::DecodedInst& d) const;
   [[nodiscard]] bool branch_taken(const isa::DecodedInst& d) const;
   void squash_younger_than(Seq seq, Addr new_pc, Cycle now);
+  /// Record every occupied stage in the chronogram (recording on only).
   void record_all(Cycle now);
+  /// isa::decode(word) for the word fetched at `pc`, through decode_memo_.
+  [[nodiscard]] const isa::DecodedInst& decode_fetched(Addr pc, u32 word);
   void claim_dl1_port(Cycle now) { dl1_port_cycle_ = now; }
   [[nodiscard]] bool dl1_port_free(Cycle now) const {
     return dl1_port_cycle_ != now;
@@ -274,6 +311,20 @@ class Pipeline {
   bool halted_ = false;
   Cycle dl1_port_cycle_ = kNeverCycle;
   Seq last_anticipated_seq_ = kNoSeq;
+
+  /// Decode memo: the decoded form of the word last fetched at each PC
+  /// (indexed by word address modulo kDecodeMemoSize; every kernel's text
+  /// fits), tagged by the word itself. decode() is a function of the word
+  /// alone, so a hit is exact, and a word corrupted by an L1I storm misses
+  /// and decodes fresh. Not state: snapshots leave it out, and it stays
+  /// exact across a restore for the same reason. Every entry starts as the
+  /// decode of word 0.
+  struct DecodedWord {
+    u32 word = 0;
+    isa::DecodedInst inst;
+  };
+  static constexpr std::size_t kDecodeMemoSize = 256;
+  std::array<DecodedWord, kDecodeMemoSize> decode_memo_{};
 
   // Dependent-load characterization (Table II): remember the destinations of
   // the two most recently retired loads and watch the next two retirees.

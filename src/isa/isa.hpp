@@ -140,19 +140,19 @@ struct DecodedInst {
     return cls() == OpClass::kBranch || cls() == OpClass::kJump;
   }
 
+  /// Does the instruction write the register its rd field names? ALU ops,
+  /// loads and jump-and-links do; stores read rd, and branches, nop and
+  /// halt have none. (A write to r0 is discarded: see dest().)
+  [[nodiscard]] constexpr bool writes_rd() const {
+    const OpClass c = cls();
+    return c == OpClass::kAlu || c == OpClass::kLoad || c == OpClass::kJump;
+  }
+
   /// Destination register, or nullopt when the instruction writes none
   /// (stores, branches, nop, halt; writes to r0 are also discarded).
-  /// Inline: the hazard scans call this for every pipeline slot, every
-  /// cycle.
   [[nodiscard]] constexpr std::optional<u8> dest() const {
-    switch (cls()) {
-      case OpClass::kAlu:
-      case OpClass::kLoad:
-      case OpClass::kJump:
-        return (rd == 0) ? std::nullopt : std::optional<u8>(rd);
-      default:
-        return std::nullopt;
-    }
+    if (!writes_rd() || rd == 0) return std::nullopt;
+    return rd;
   }
 
   /// Source registers whose values feed address computation / the ALU /

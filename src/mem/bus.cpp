@@ -25,6 +25,7 @@ Bus::Token Bus::submit(BusTransaction t, Cycle now) {
   slot.live = true;
   slot.txn = std::move(t);
   queues_[slot.txn.requester].push_back(tok);
+  ++queued_;
   return tok;
 }
 
@@ -46,7 +47,7 @@ BusTransaction Bus::take(Token token) {
   return std::move(slot.txn);
 }
 
-void Bus::tick(Cycle now) {
+void Bus::advance(Cycle now) {
   if (active_ != kNoToken) {
     ++*busy_cycles_;
     BusTransaction& t = slots_[static_cast<std::size_t>(active_)].txn;
@@ -57,12 +58,14 @@ void Bus::tick(Cycle now) {
       return;
     }
   }
+  if (queued_ == 0) return;
   // Round-robin grant among requesters with pending work.
   for (unsigned i = 0; i < num_requesters_; ++i) {
     const unsigned r = (rr_next_ + i) % num_requesters_;
     if (queues_[r].empty()) continue;
     const Token tok = queues_[r].front();
     queues_[r].pop_front();
+    --queued_;
     rr_next_ = (r + 1) % num_requesters_;
 
     BusTransaction& t = slots_[static_cast<std::size_t>(tok)].txn;

@@ -5,6 +5,11 @@
 // granted round-robin. This is the shared resource whose contention makes
 // write-through DL1 caches so expensive in multicores (paper §II.A and
 // ref [9]) — every WT store becomes a kWriteWord transaction here.
+//
+// The bus ticks every simulated cycle but is mostly idle: it keeps a count
+// of queued (submitted, not yet granted) transactions and skips the
+// round-robin scan when the count is zero. The count is derived from the
+// queues: a snapshot does not carry it, and a restore recomputes it.
 #pragma once
 
 #include <deque>
@@ -81,7 +86,10 @@ class Bus {
   BusTransaction take(Token token);
 
   /// Advance arbitration/timing. Call once per cycle, after the cores.
-  void tick(Cycle now);
+  /// Inline: an idle bus with nothing queued has nothing to do.
+  void tick(Cycle now) {
+    if (active_ != kNoToken || queued_ != 0) advance(now);
+  }
 
   [[nodiscard]] bool idle() const { return active_ == kNoToken; }
 
@@ -97,6 +105,10 @@ class Bus {
     v("active", active_);
     v("rr_next", rr_next_);
     v.stats("stats", stats_);
+    if constexpr (V::kRestoring) {
+      queued_ = 0;
+      for (const auto& q : queues_) queued_ += q.size();
+    }
   }
 
  private:
@@ -114,11 +126,15 @@ class Bus {
     }
   };
 
+  /// tick() of a bus that is busy or has transactions queued.
+  void advance(Cycle now);
+
   BusParams params_;
   BusTarget& target_;
   unsigned num_requesters_;
 
   std::vector<std::deque<Token>> queues_;  // per requester
+  std::size_t queued_ = 0;  ///< tokens in queues_, summed over requesters
   std::vector<Slot> slots_;
   Token active_ = kNoToken;
   unsigned rr_next_ = 0;  // round-robin pointer

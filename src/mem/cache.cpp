@@ -55,6 +55,8 @@ SetAssocCache::SetAssocCache(const CacheConfig& cfg)
     encode_fn_ = codec_->encode_thunk();
     if (cfg_.use_lut_decode) lut_ = codec_->decode_lut();
   }
+  line_shift_ = log2_pow2(cfg_.line_bytes);
+  set_mask_ = cfg_.num_sets() - 1;
   const std::size_t nways =
       static_cast<std::size_t>(cfg_.num_sets()) * cfg_.ways;
   const std::size_t nwords = cfg_.line_bytes / 4;
@@ -87,24 +89,6 @@ void SetAssocCache::flush_counters() const {
       live_.detected_uncorrectable - flushed_.detected_uncorrectable;
   *n_rmw_laundered_ += live_.rmw_laundered - flushed_.rmw_laundered;
   flushed_ = live_;
-}
-
-u32 SetAssocCache::set_index(Addr a) const {
-  return (a / cfg_.line_bytes) & (cfg_.num_sets() - 1);
-}
-
-SetAssocCache::Way* SetAssocCache::find(Addr a) {
-  const Addr base = line_base(a);
-  const u32 set = set_index(a);
-  Way* ways = &ways_[static_cast<std::size_t>(set) * cfg_.ways];
-  for (u32 w = 0; w < cfg_.ways; ++w) {
-    if (ways[w].valid && ways[w].tag_addr == base) return &ways[w];
-  }
-  return nullptr;
-}
-
-const SetAssocCache::Way* SetAssocCache::find(Addr a) const {
-  return const_cast<SetAssocCache*>(this)->find(a);
 }
 
 bool SetAssocCache::contains(Addr a) const { return find(a) != nullptr; }

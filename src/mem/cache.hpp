@@ -11,9 +11,15 @@
 //    load — no per-access byte reassembly; all ways share one flat word
 //    buffer and one flat check buffer, so building a cache is a handful of
 //    allocations however many ways it has;
+//  * set indexing is a shift and a mask: the constructor admits only
+//    power-of-two geometry, so it derives the line shift and the set mask
+//    once, and the set walk (inline, in this header) never divides;
 //  * controllers locate a line once via find_line() and then read/write
 //    through the returned LineRef, instead of re-walking the set for every
-//    contains()/read()/line_dirty() question about the same access;
+//    contains()/read()/line_dirty() question about the same access. A
+//    controller that expects its next access in the same line (the L1I's
+//    sequential fetch) passes the previous LineRef back as a hint, which
+//    costs one valid-and-tag compare instead of the set walk;
 //  * the per-read clean test is a devirtualized re-encode (a plain function
 //    pointer snapshotted from the codec at construction) compared against
 //    the stored check bits; only a mismatch — or an active fault storm —
@@ -203,6 +209,19 @@ class SetAssocCache {
   /// No LRU update, no fault injection, no stats.
   [[nodiscard]] LineRef find_line(Addr a) { return LineRef{find(a)}; }
 
+  /// find_line(a), trying `hint` (an earlier handle of this cache) first:
+  /// when its way is still valid and holds a's line, that way IS the line
+  /// (a line lives in one way at most), so the set walk is skipped. Any
+  /// handle is a safe hint, however many fills or invalidations ago it was
+  /// returned, because the test reads the way's current valid bit and tag.
+  [[nodiscard]] LineRef find_line(Addr a, LineRef hint) {
+    if (hint.way_ != nullptr && hint.way_->valid &&
+        hint.way_->tag_addr == line_base(a)) {
+      return hint;
+    }
+    return find_line(a);
+  }
+
   [[nodiscard]] bool contains(Addr a) const;
   [[nodiscard]] bool line_dirty(Addr a) const;
 
@@ -309,9 +328,20 @@ class SetAssocCache {
     u64 rmw_laundered = 0;
   };
 
-  [[nodiscard]] u32 set_index(Addr a) const;
-  [[nodiscard]] Way* find(Addr a);
-  [[nodiscard]] const Way* find(Addr a) const;
+  [[nodiscard]] u32 set_index(Addr a) const {
+    return (a >> line_shift_) & set_mask_;
+  }
+  [[nodiscard]] Way* find(Addr a) {
+    const Addr base = line_base(a);
+    Way* set = &ways_[static_cast<std::size_t>(set_index(a)) * cfg_.ways];
+    for (u32 w = 0; w < cfg_.ways; ++w) {
+      if (set[w].valid && set[w].tag_addr == base) return &set[w];
+    }
+    return nullptr;
+  }
+  [[nodiscard]] const Way* find(Addr a) const {
+    return const_cast<SetAssocCache*>(this)->find(a);
+  }
   /// Is a fault storm live right now? (Attached AND has flips to deliver.)
   [[nodiscard]] bool inject_active() const {
     return injector_ != nullptr && injector_->enabled();
@@ -346,6 +376,10 @@ class SetAssocCache {
   void flush_counters() const;
 
   CacheConfig cfg_;
+  /// set_index(a) = (a >> line_shift_) & set_mask_: log2(line_bytes) and
+  /// num_sets() - 1, derived once from the power-of-two geometry.
+  u32 line_shift_ = 0;
+  u32 set_mask_ = 0;
   const ecc::Codec* codec_ = nullptr;  ///< raw view of cfg_.codec (hot path)
   /// Devirtualized encoder snapshot (codec_->encode_thunk()); the per-read
   /// clean test calls it through a plain function pointer.

@@ -275,7 +275,8 @@ L1IController::L1IController(const L1Params& params, Bus& bus,
 L1IController::FetchReply L1IController::fetch(Addr a, Cycle now) {
   FetchReply r;
   if (!miss_pending_) {
-    if (SetAssocCache::LineRef line = cache_.find_line(a)) {
+    if (SetAssocCache::LineRef line = cache_.find_line(a, last_line_)) {
+      last_line_ = line;
       WordRead w = cache_.read(line, a, 4);
       if (needs_refetch(w.check, params_.cache.recovery,
                         /*line_dirty=*/false)) {

@@ -12,6 +12,13 @@
 //  * uncorrectable errors on a *dirty* line mean data loss; they are counted
 //    as `data_loss_events` and recovered by refetch of the stale copy, which
 //    mirrors what a real safety-critical system would log as a DUE.
+//
+// Fetch hint: instruction fetch walks a line word by word, so the L1I keeps
+// the handle of the line its last fetch hit and offers it to find_line()
+// first. The cache re-checks the way's valid bit and tag on every use, so
+// the hint is never state: it is not part of a snapshot, and a stale one
+// (after a refill, an invalidation or a restore) just falls back to the set
+// walk.
 #pragma once
 
 #include <optional>
@@ -175,6 +182,8 @@ class L1IController {
   bool miss_pending_ = false;
   Addr miss_addr_ = 0;
   Bus::Token token_ = 0;
+  /// The line the last fetch read (see "Fetch hint" above).
+  SetAssocCache::LineRef last_line_;
 
   StatSet stats_;
   u64* n_fetches_ = nullptr;

@@ -4,8 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <list>
 #include <mutex>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -126,11 +128,51 @@ DaemonStatus collect_status(const DaemonState& state) {
   return s;
 }
 
+/// One accepted connection. Its thread serves it and closes the fd; the
+/// accept loop joins the thread once `finished` is set, and at shutdown
+/// ends a connection that is still waiting for its request frame.
+struct Connection {
+  std::thread thread;
+  std::mutex mu;  ///< guards fd, awaiting and closing
+  int fd = -1;
+  bool awaiting = true;  ///< no request frame has been read yet
+  bool closing = false;  ///< the daemon stopped while it was awaiting
+  std::atomic<bool> finished{false};
+
+  /// After the request frame arrived: may it be served? Not once the
+  /// daemon has stopped (the socket is already shut down then).
+  bool begin_request() {
+    const std::lock_guard<std::mutex> hold(mu);
+    awaiting = false;
+    return !closing;
+  }
+
+  /// At shutdown: wake a connection blocked reading its request frame (an
+  /// idle client), so its thread ends. One that is serving a request (a
+  /// running or waiting job) is left to finish.
+  void interrupt_if_awaiting() {
+    const std::lock_guard<std::mutex> hold(mu);
+    if (awaiting && fd >= 0) {
+      closing = true;
+      ::shutdown(fd, SHUT_RDWR);
+    }
+  }
+
+  void close_fd() {
+    const std::lock_guard<std::mutex> hold(mu);
+    ::close(fd);
+    fd = -1;
+  }
+};
+
 /// Serve one connection: hello, read a frame, dispatch. Returns true if
 /// the client requested daemon shutdown.
-bool serve_connection(int fd, DaemonState& state, const ServeOptions& opts) {
+bool serve_connection(Connection& conn, DaemonState& state,
+                      const ServeOptions& opts) {
+  const int fd = conn.fd;
   write_frame(fd, FrameType::kHello, hello_payload());
   const Frame req = read_frame(fd);
+  if (!conn.begin_request()) return false;
   obs::Span frame_span("daemon-frame");
   frame_span.arg("type", static_cast<u64>(req.type));
 
@@ -255,10 +297,24 @@ int run_daemon(const ServeOptions& opts) {
                      std::to_string(state.workers) + " workers");
 
   std::atomic<bool> shutdown{false};
-  std::vector<std::thread> connections;
+  std::list<Connection> connections;  // a thread holds its element's address
+  // Join the threads of finished connections, so a long-lived daemon holds
+  // one thread (and one stack) per open connection, not per connection
+  // it ever accepted.
+  const auto reap = [&connections] {
+    for (auto it = connections.begin(); it != connections.end();) {
+      if (!it->finished.load(std::memory_order_acquire)) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = connections.erase(it);
+    }
+  };
   while (!shutdown.load(std::memory_order_acquire) &&
          (opts.stop == nullptr ||
           !opts.stop->load(std::memory_order_acquire))) {
+    reap();
     pollfd pfd{listener.fd, POLLIN, 0};
     const int rv = ::poll(&pfd, 1, 200);  // wake to re-check stop flags
     if (rv < 0) {
@@ -266,26 +322,39 @@ int run_daemon(const ServeOptions& opts) {
       break;
     }
     if (rv == 0) continue;
-    const int conn = ::accept(listener.fd, nullptr, nullptr);
-    if (conn < 0) continue;
-    connections.emplace_back([conn, &state, &shutdown, &opts] {
-      Fd guard(conn);
-      try {
-        if (serve_connection(conn, state, opts)) {
-          shutdown.store(true, std::memory_order_release);
+    const int fd = ::accept(listener.fd, nullptr, nullptr);
+    if (fd < 0) continue;
+    Connection& conn = connections.emplace_back();
+    conn.fd = fd;
+    try {
+      conn.thread = std::thread([&conn, &state, &shutdown, &opts] {
+        try {
+          if (serve_connection(conn, state, opts)) {
+            shutdown.store(true, std::memory_order_release);
+          }
+        } catch (const std::exception& e) {
+          // Peer vanished mid-conversation; the daemon itself lives on.
+          if (opts.verbose) {
+            obs::log_warn("laec-serve",
+                          std::string("connection dropped: ") + e.what());
+          }
         }
-      } catch (const std::exception& e) {
-        // Peer vanished mid-conversation; the daemon itself lives on.
-        if (opts.verbose) {
-          obs::log_warn("laec-serve",
-                        std::string("connection dropped: ") + e.what());
-        }
-      }
-    });
+        conn.close_fd();
+        conn.finished.store(true, std::memory_order_release);
+      });
+    } catch (const std::system_error& e) {
+      // No thread to serve it: turn this client away, keep the others.
+      conn.close_fd();
+      connections.pop_back();
+      obs::log_warn("laec-serve",
+                    std::string("connection refused: ") + e.what());
+    }
   }
 
-  // Running and waiting jobs finish before the daemon exits.
-  for (auto& t : connections) t.join();
+  // Running and waiting jobs finish before the daemon exits; a client
+  // that never sent its request frame is disconnected.
+  for (Connection& conn : connections) conn.interrupt_if_awaiting();
+  for (Connection& conn : connections) conn.thread.join();
   ::unlink(opts.socket_path.c_str());
   log_line(opts, "shut down cleanly");
   return 0;

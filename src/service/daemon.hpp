@@ -15,6 +15,12 @@
 // The daemon therefore never runs more than `--workers` simulation
 // threads, and the campaign.* gauges in a status reply describe the job
 // that is running.
+//
+// Each connection is served by its own thread, joined by the accept loop
+// once the connection ends. A client that hangs up costs only its
+// connection: writes to it fail with EPIPE, never SIGPIPE. At shutdown,
+// running and waiting jobs finish first, and a client that has not sent
+// its request frame yet is disconnected.
 #pragma once
 
 #include <atomic>

@@ -6,6 +6,7 @@
 
 #if !defined(_WIN32)
 #include <cerrno>
+#include <sys/socket.h>
 #include <unistd.h>
 #define LAEC_HAVE_SOCKETS 1
 #else
@@ -18,11 +19,20 @@ namespace laec::service {
 
 namespace {
 
+/// A peer that hung up must cost one connection, not the process: sockets
+/// are written with MSG_NOSIGNAL, so a vanished peer is an EPIPE error here
+/// instead of a SIGPIPE. Any other fd (a pipe) is written plainly.
 void write_all(int fd, const char* data, std::size_t n) {
+  bool is_socket = true;
   while (n > 0) {
-    const ssize_t w = ::write(fd, data, n);
+    const ssize_t w = is_socket ? ::send(fd, data, n, MSG_NOSIGNAL)
+                                : ::write(fd, data, n);
     if (w < 0) {
       if (errno == EINTR) continue;
+      if (errno == ENOTSOCK && is_socket) {
+        is_socket = false;
+        continue;
+      }
       throw std::runtime_error("socket write failed (peer gone?)");
     }
     data += w;

@@ -70,8 +70,9 @@ struct Frame {
   std::string payload;
 };
 
-/// Blocking full-frame write to a connected socket fd. Throws
-/// std::runtime_error on EOF/error (peer went away).
+/// Blocking full-frame write to a connected socket fd (or a pipe). Throws
+/// std::runtime_error on EOF/error (peer went away); a socket peer that
+/// hung up never raises SIGPIPE.
 void write_frame(int fd, FrameType type, std::string_view payload);
 
 /// Blocking full-frame read. Throws WireError for oversized/corrupt

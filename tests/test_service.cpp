@@ -5,12 +5,16 @@
 #include "service/daemon.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <sstream>
 #include <stdexcept>
@@ -338,6 +342,7 @@ TEST(Protocol, EveryTruncationAndBitFlipDecodesOrThrowsWireError) {
 struct DaemonFixture {
   std::string socket_path;
   std::atomic<bool> stop{false};
+  std::atomic<bool> exited{false};  ///< run_daemon has returned
   std::thread thread;
 
   DaemonFixture() {
@@ -353,6 +358,7 @@ struct DaemonFixture {
       so.stop = &stop;
       so.verbose = false;
       (void)run_daemon(so);
+      exited.store(true);
     });
     // Wait for the socket to appear.
     for (int i = 0; i < 200; ++i) {
@@ -394,6 +400,30 @@ std::string submit_csv(const std::string& socket_path, CampaignJob job) {
   report::CsvWriter w(out);
   (void)submit_job(socket_path, job, w);
   return out.str();
+}
+
+/// A bare client socket connected to the daemon, for clients that do not
+/// follow the protocol to its end.
+int connect_raw(const std::string& socket_path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  return fd;
+}
+
+/// A numeric field of /proc/self/status ("Threads:", "VmSize:" in kB), or
+/// 0 where there is no such file.
+u64 proc_status(const std::string& field) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(field, 0) == 0) return std::stoull(line.substr(field.size()));
+  }
+  return 0;
 }
 
 TEST(Daemon, StreamsRowsByteIdenticalToALocalRun) {
@@ -484,6 +514,60 @@ TEST(Daemon, ImpossibleGeometryGetsAnErrorFrameAndTheDaemonLivesOn) {
   }
   EXPECT_EQ(submit_csv(daemon.socket_path, sample_job()),
             local_csv(sample_job()));
+}
+
+TEST(Daemon, ClientThatHangsUpCostsOnlyItsConnection) {
+  // The client submits and closes its socket at once: the daemon's writes
+  // of the job's rows fail with EPIPE (no SIGPIPE), the connection is
+  // dropped, and the daemon serves the next client.
+  DaemonFixture daemon;
+  const CampaignJob job = sample_job();
+  const int fd = connect_raw(daemon.socket_path);
+  ASSERT_EQ(read_frame(fd).type, FrameType::kHello);
+  write_frame(fd, FrameType::kSubmit, serialize_job(job));
+  ::close(fd);
+  EXPECT_EQ(submit_csv(daemon.socket_path, job), local_csv(job));
+  EXPECT_EQ(request_status(daemon.socket_path).jobs_accepted, 2u);
+}
+
+TEST(Daemon, FinishedConnectionsAreJoined) {
+  // Each connection has a thread; a finished one is joined while the
+  // daemon runs, not at shutdown. An exited thread that nobody joins
+  // leaves no task behind but keeps its stack mapped (8 MiB of VmSize
+  // each by default), so both figures must stay put.
+  DaemonFixture daemon;
+  const u64 threads = proc_status("Threads:");
+  if (threads == 0) GTEST_SKIP() << "no /proc/self/status";
+  // Warm up first: a connection thread's malloc arena and stack stay
+  // cached for the next one.
+  for (int i = 0; i < 5; ++i) (void)request_status(daemon.socket_path);
+  const u64 vm_kb = proc_status("VmSize:");
+  for (int i = 0; i < 50; ++i) (void)request_status(daemon.socket_path);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (proc_status("Threads:") > threads &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_LE(proc_status("Threads:"), threads);
+  // 50 unjoined stacks would add 400 MiB.
+  EXPECT_LT(proc_status("VmSize:"), vm_kb + 64 * 1024);
+}
+
+TEST(Daemon, SilentClientDoesNotHoldUpShutdown) {
+  // A client that connects and never sends its request frame is
+  // disconnected by a stop request instead of keeping the daemon alive.
+  DaemonFixture daemon;
+  const int idle = connect_raw(daemon.socket_path);
+  ASSERT_EQ(read_frame(idle).type, FrameType::kHello);
+  request_shutdown(daemon.socket_path);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!daemon.exited.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(daemon.exited.load()) << "the daemon outlived the stop by 2 s";
+  ::close(idle);  // lets a daemon that missed the deadline exit
 }
 
 TEST(Daemon, ShutdownRequestStopsTheDaemon) {
