@@ -368,4 +368,19 @@ std::string HierarchyDeployment::canonical_key() const {
   return out;
 }
 
+HierarchyDeployment HierarchyDeployment::timing_class() const {
+  HierarchyDeployment d = *this;
+  d.name.clear();
+  d.dl1_key.clear();
+  d.codec.clear();
+  d.scrub_on_correct = false;
+  d.recovery = {};
+  for (LevelDeployment* level : {&d.l1i, &d.l2}) {
+    level->codec.clear();
+    level->scrub_on_correct = false;
+    level->recovery = {};
+  }
+  return d;
+}
+
 }  // namespace laec::core

@@ -53,7 +53,7 @@ struct LevelDeployment {
   bool scrub_on_correct = false;
   mem::RecoveryPolicy recovery = mem::RecoveryPolicy::kInvalidateRefetch;
 
-  [[nodiscard]] bool operator==(const LevelDeployment&) const = default;
+  [[nodiscard]] auto operator<=>(const LevelDeployment&) const = default;
 };
 
 struct HierarchyDeployment {
@@ -105,6 +105,17 @@ struct HierarchyDeployment {
   /// that differs from its default. parse(canonical_key()) reproduces this
   /// deployment exactly (the round-trip the sweep CSV relies on).
   [[nodiscard]] std::string canonical_key() const;
+
+  /// This deployment as a fault-free run sees it: every level's codec,
+  /// scrub and recovery fields and the name strings reset. A run that never
+  /// decodes an error cannot tell deployments of one timing class apart:
+  /// its timing, result and recorded windows are the same, and so are its
+  /// snapshots, whose check bits are derived rather than stored
+  /// (sim/snapshot.hpp). What is left (the DL1 placement and its write and
+  /// allocate policies) can change a fault-free run.
+  [[nodiscard]] HierarchyDeployment timing_class() const;
+
+  [[nodiscard]] auto operator<=>(const HierarchyDeployment&) const = default;
 };
 
 [[nodiscard]] inline std::string_view to_string(const HierarchyDeployment& d) {

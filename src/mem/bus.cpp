@@ -72,9 +72,13 @@ void Bus::advance(Cycle now) {
     t.granted_at = now;
     *wait_cycles_ += now - t.submitted_at;
     ++*n_transactions_;
-    stats_.counter(t.op == BusOp::kReadLine    ? "read_line"
-                   : t.op == BusOp::kWriteLine ? "write_line"
-                                               : "write_word")++;
+    u64*& op_count = op_counters_[static_cast<std::size_t>(t.op)];
+    if (op_count == nullptr) [[unlikely]] {
+      op_count = &stats_.counter(t.op == BusOp::kReadLine    ? "read_line"
+                                 : t.op == BusOp::kWriteLine ? "write_line"
+                                                             : "write_word");
+    }
+    ++*op_count;
     // Data movement happens at grant time; the transaction then occupies
     // the bus for its full latency. With blocking requesters this is
     // indistinguishable from movement-at-completion.

@@ -12,6 +12,7 @@
 // queues: a snapshot does not carry it, and a restore recomputes it.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <vector>
 
@@ -143,6 +144,12 @@ class Bus {
   u64* n_transactions_ = nullptr;
   u64* busy_cycles_ = nullptr;
   u64* wait_cycles_ = nullptr;
+  /// Per-operation grant counters ("read_line", "write_line",
+  /// "write_word"), indexed by BusOp. Each is registered at its operation's
+  /// first grant, so the StatSet's registration order (which snapshots
+  /// carry) is the one a by-name lookup per grant gives; clear() keeps
+  /// registrations, so a pointer stays valid across restores.
+  std::array<u64*, 3> op_counters_{};
 };
 
 }  // namespace laec::mem

@@ -36,6 +36,7 @@
 // check outcomes.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <string>
@@ -136,7 +137,41 @@ struct Eviction {
 };
 
 class SetAssocCache {
+ public:
+  /// Largest supported line size; bounds the stack scratch used by the
+  /// bulk (span) decode on writebacks.
+  static constexpr u32 kMaxLineBytes = 256;
+  static constexpr u32 kMaxLineWords = kMaxLineBytes / 4;
+
  private:
+  /// The check bits this array stores for a clean word: its codec's
+  /// encoding, 0 when unprotected. The cache hands it to each Way's visit
+  /// (protocol: sim/snapshot.hpp), which derives the check bits a snapshot
+  /// leaves out.
+  struct CheckEncoder {
+    const ecc::Codec* codec = nullptr;  ///< null: unprotected
+    /// No injector was ever attached, so every stored check word is the
+    /// encoding of its word (a snapshot may leave them out).
+    bool clean = true;
+    std::string_view array;  ///< the cache's name, for errors
+
+    /// check[i] = the encoding of words[i], for i < n.
+    void encode(const u32* words, u16* check, std::size_t n) const {
+      if (codec == nullptr) {
+        std::fill_n(check, n, u16{0});
+      } else {
+        codec->encode_line(words, check, n);
+      }
+    }
+    /// Is every check[i] (i < n <= kMaxLineWords) the encoding of words[i]?
+    [[nodiscard]] bool encodes(const u32* words, const u16* check,
+                               std::size_t n) const {
+      u16 want[kMaxLineWords];
+      encode(words, want, n);
+      return std::equal(check, check + n, want);
+    }
+  };
+
   struct Way {
     bool valid = false;
     bool dirty = false;
@@ -149,25 +184,23 @@ class SetAssocCache {
     /// first invalid way, every dirty/tag_addr read sits behind `valid`, and
     /// a fill rewrites them all. The list stops there, so snapshots, digests
     /// and diffs hold only state a run can observe, and a restore leaves an
-    /// invalid way's leftovers as they are.
+    /// invalid way's leftovers as they are. A valid way's check bits are
+    /// the encodings of its words under `enc` while the array is clean, so
+    /// a snapshot leaves them out and derives them, while a digest or a
+    /// diff (which also describe faulted systems) walks them as stored.
     template <class V>
-    void visit_state(V& v) {
+    void visit_state(V& v, const CheckEncoder& enc) {
       v("valid", valid);
       if (!valid) return;
       v("dirty", dirty);
       v("tag_addr", tag_addr);
       v("lru_stamp", lru_stamp);
       v.fixed("words", words);
-      v.fixed("check", check);
+      v.check_bits("check", check, words, enc);
     }
   };
 
  public:
-  /// Largest supported line size; bounds the stack scratch used by the
-  /// bulk (span) decode on writebacks.
-  static constexpr u32 kMaxLineBytes = 256;
-  static constexpr u32 kMaxLineWords = kMaxLineBytes / 4;
-
   explicit SetAssocCache(const CacheConfig& cfg);
   // Every Way views the flat arrays through spans: a copy would alias the
   // source's storage. A move keeps the buffers, so the spans stay valid.
@@ -284,8 +317,10 @@ class SetAssocCache {
 
   /// Snapshot field list (protocol: sim/snapshot.hpp). Codec wiring,
   /// injector and recorder attachments are not state: the restore target
-  /// is constructed from the same CacheConfig, and attachments are re-made
-  /// by the caller afterwards.
+  /// is constructed from its own CacheConfig, and attachments are re-made
+  /// by the caller afterwards. The ways get this array's encoder: a
+  /// snapshot's check bits are derived with the restoring cache's codec,
+  /// so one blob serves every codec of the same geometry.
   template <class V>
   void visit_state(V& v) {
     // Fold the hot-path deltas first, so the StatSet alone carries the
@@ -294,7 +329,7 @@ class SetAssocCache {
     flush_counters();
     v("lru_clock", lru_clock_);
     v.shape("ways", ways_.size());
-    v.fixed("ways", ways_);
+    v.coded("ways", ways_, CheckEncoder{codec_, !ever_injected_, cfg_.name});
     v.stats("stats", stats_);
   }
 

@@ -203,18 +203,21 @@ std::vector<std::string> campaign_to_row(const CellResult& r) {
 
 namespace {
 
-/// Pass-1 artifacts of one (workload, scheme), produced once by a fault-free
-/// run: the recorded exposure windows every trial's storm is drawn over, the
-/// golden result a provably-masked trial is classified/accounted from, and
-/// the full-state snapshots fast-forwarded trials restore and rejoin (the
-/// runner::GoldenRun a trial point carries). Rate cells of the same
-/// (workload, scheme) SHARE one GoldenCell — the golden run clears faults
-/// and the point seed excludes the rate label, so the pass-1 run (and
-/// everything derived from it) is rate-invariant by construction. The
-/// snapshots are captured unconditionally (with fast-forward on OR off, as
-/// long as snapshot_every > 0) so the fast_forwarded column counts
-/// identically in both modes; --no-ff differs only in whether trials use
-/// them.
+/// Pass-1 artifacts of one timing class of one workload, produced once by a
+/// fault-free run: the recorded exposure windows every trial's storm is
+/// drawn over, the golden result a provably-masked trial is
+/// classified/accounted from, and the full-state snapshots fast-forwarded
+/// trials restore and rejoin (the runner::GoldenRun a trial point carries).
+/// Every cell of the class SHARES one GoldenCell: its rate cells (the
+/// golden run clears faults and the point seed excludes the rate label),
+/// and its schemes, which differ only in codecs, scrub and recovery
+/// (core::HierarchyDeployment::timing_class): a fault-free run never
+/// decodes an error, so its timing, result and windows are the same, and
+/// its snapshots carry no check bits, which a restore derives with the
+/// trial's own codecs. The snapshots are captured unconditionally (with
+/// fast-forward on OR off, as long as snapshot_every > 0) so the
+/// fast_forwarded column counts identically in both modes; --no-ff differs
+/// only in whether trials use them.
 struct GoldenCell : runner::GoldenRun {
   explicit GoldenCell(const CampaignSpec& spec)
       : runner::GoldenRun{
@@ -231,7 +234,10 @@ struct CellState {
   core::SimConfig cfg;  ///< scheme + faults applied, seed left to run_sweep
   unsigned done = 0;
   bool finished = false;
-  std::shared_ptr<const GoldenCell> golden;  ///< shared across rate cells
+  std::shared_ptr<const GoldenCell> golden;  ///< shared across the class
+  /// The first cell of the slice whose storms are drawn from the same
+  /// inputs (link_storm_sources); trial t of both is one schedule.
+  std::size_t storm_source = 0;
   double lambda_scale = 0.0;  ///< accelerated upsets per exposure cycle
   unsigned word_bits = 0;     ///< targeted codec's codeword width
   bool overrun_warned = false;  ///< a runaway trial was logged for the cell
@@ -282,40 +288,49 @@ void fold_outcome(CellState& st, TrialOutcome o, u64 events, u64 dropped,
                          (spec.freq_mhz * 1e6) / 3600.0 * spec.accel;
 }
 
-void fold_trial(CellState& st, const runner::PointResult& r,
-                const CampaignSpec& spec) {
-  fold_outcome(st, classify_trial(r), r.faults_injected, r.faults_dropped,
-               r.stats.cycles, spec);
+/// What the fold keeps of a simulated trial. The sweep hands over the whole
+/// PointResult as the trial finishes; only this waits for its round.
+struct TrialRecord {
+  TrialOutcome outcome = TrialOutcome::kMasked;
+  u64 events = 0;   ///< faults the injector delivered
+  u64 dropped = 0;  ///< faults past the per-access flip budget
+  u64 cycles = 0;
+  core::Rejoin rejoin;
+};
+
+TrialRecord record_of(const runner::PointResult& r) {
+  return {classify_trial(r), r.faults_injected, r.faults_dropped,
+          r.stats.cycles, r.rejoin};
 }
 
 /// Count how a fast-forwarded trial rejoined its golden run. Rows are
 /// untouched: the rejoin only decides how much of the trial simulated.
-void note_rejoin(const runner::PointResult& r) {
+void note_rejoin(const core::Rejoin& rejoin) {
   auto& reg = obs::Registry::global();
-  if (r.rejoin.at_end) reg.counter("campaign.trials_rejoined").add();
-  reg.counter("campaign.rejoin_jumps").add(r.rejoin.jumps);
-  reg.counter("campaign.cycles_rejoined").add(r.rejoin.cycles);
+  if (rejoin.at_end) reg.counter("campaign.trials_rejoined").add();
+  reg.counter("campaign.rejoin_jumps").add(rejoin.jumps);
+  reg.counter("campaign.cycles_rejoined").add(rejoin.cycles);
 }
 
 /// Make a runaway trial visible: one that ran past twice its golden run's
 /// cycles is counted, traced and logged (once per cell). Rows are untouched.
-void note_overrun(CellState& st, const runner::PointResult& r) {
+void note_overrun(CellState& st, unsigned replicate, u64 cycles) {
   const u64 golden_cycles = st.golden->result.stats.cycles;
-  if (r.stats.cycles <= 2 * golden_cycles) return;
+  if (cycles <= 2 * golden_cycles) return;
   obs::Registry::global().counter("campaign.trials_over_2x_golden").add();
   obs::Tracer::global().instant(
       "trial-overrun", {{"workload", st.res.cell.workload, 0, false},
                         {"scheme", st.res.cell.scheme, 0, false},
-                        {"replicate", {}, r.point.replicate, true},
-                        {"cycles", {}, r.stats.cycles, true},
+                        {"replicate", {}, replicate, true},
+                        {"cycles", {}, cycles, true},
                         {"golden_cycles", {}, golden_cycles, true}});
   if (st.overrun_warned) return;
   st.overrun_warned = true;
   obs::log_warn("campaign",
                 "cell " + std::to_string(st.res.cell.index) + " (" +
                     st.res.cell.workload + ", " + st.res.cell.scheme +
-                    "): trial " + std::to_string(r.point.replicate) + " ran " +
-                    std::to_string(r.stats.cycles) + " cycles, over twice " +
+                    "): trial " + std::to_string(replicate) + " ran " +
+                    std::to_string(cycles) + " cycles, over twice " +
                     "its golden run's " + std::to_string(golden_cycles));
 }
 
@@ -353,16 +368,18 @@ std::optional<Cycle> resume_cycle(const runner::SweepPoint& p) {
   return start->cycle;
 }
 
-/// Pass 1 for one (workload, scheme): a fault-free run of the kernel with
+/// Pass 1 for one timing class of one workload (`st` is its first cell,
+/// `schemes` the class's scheme keys): a fault-free run of the kernel with
 /// the residency recorder on the targeted array, dropping full-state
 /// snapshots at the spec's cadence. Deterministic, so every shard and every
 /// thread layout reconstructs the identical windows and snapshots.
 std::shared_ptr<const GoldenCell> run_golden(const CellState& st,
+                                             const std::string& schemes,
                                              const CampaignSpec& spec,
                                              u64 base_seed) {
   obs::Span span("golden-run");
   span.arg("workload", st.res.cell.workload);
-  span.arg("scheme", st.res.cell.scheme);
+  span.arg("class", schemes);
   auto g = std::make_shared<GoldenCell>(spec);
   mem::ResidencyRecorder rec;
   g->result = runner::run_golden_point(cell_point(st, 0), base_seed, &rec,
@@ -381,13 +398,16 @@ std::shared_ptr<const GoldenCell> run_golden(const CellState& st,
   return g;
 }
 
-/// The golden pass: one run_golden per distinct (workload, scheme) of the
-/// slice, on the trial pool under the same thread budget, before any trial
-/// is planned. Rate cells of a key share its GoldenCell (counted as cache
-/// hits). Returns the distinct golden cells.
+/// The golden pass: one run_golden per timing class of each workload of
+/// the slice, on the trial pool under the same thread budget, before any
+/// trial is planned. A class is the cells' deployment reduced to
+/// core::HierarchyDeployment::timing_class(); every other SimConfig field
+/// comes from spec.base and is the same for every cell. Every cell of a
+/// class shares its GoldenCell; the cells past a class's first count as
+/// cache hits. Returns the distinct golden cells.
 ///
-/// The keys are dealt to the workers in sorted order (Schedule::kStatic),
-/// so a key's golden run lands on the same worker in every call, whatever
+/// The classes are dealt to the workers in sorted order (Schedule::kStatic),
+/// so a class's golden run lands on the same worker in every call, whatever
 /// the cell order or timing. Its snapshots then reuse the heap memory that
 /// worker's thread freed in the previous call. Under a dynamic schedule
 /// they move between per-thread heaps from call to call, and a repeated
@@ -397,17 +417,24 @@ std::vector<std::shared_ptr<const GoldenCell>> run_golden_pass(
     std::vector<CellState>& states, const CampaignSpec& spec,
     const CampaignOptions& opts) {
   const auto key = [](const CellState& st) {
-    return std::make_pair(st.res.cell.workload, st.res.cell.scheme);
+    return std::make_pair(st.res.cell.workload,
+                          st.cfg.deployment.timing_class());
   };
   struct Golden {
-    const CellState* cell = nullptr;  ///< first cell of the key
+    const CellState* cell = nullptr;  ///< first cell of the class
+    std::string schemes;  ///< its scheme keys, comma-separated (span name)
     std::shared_ptr<const GoldenCell> built;
   };
-  std::map<std::pair<std::string, std::string>, Golden> by_key;
+  std::map<std::pair<std::string, core::HierarchyDeployment>, Golden> by_key;
   for (const CellState& st : states) {
-    by_key.try_emplace(key(st), Golden{&st, nullptr});
+    const std::string& scheme = st.res.cell.scheme;
+    const auto [it, fresh] = by_key.try_emplace(key(st), Golden{&st, scheme, nullptr});
+    const std::string listed = "," + it->second.schemes + ",";
+    if (!fresh && listed.find("," + scheme + ",") == std::string::npos) {
+      it->second.schemes += "," + scheme;
+    }
   }
-  std::vector<Golden*> order;  // key order: the order they are dealt in
+  std::vector<Golden*> order;  // class order: the order they are dealt in
   for (auto& kv : by_key) order.push_back(&kv.second);
   obs::Registry::global()
       .counter("campaign.golden_cache_hits")
@@ -415,7 +442,8 @@ std::vector<std::shared_ptr<const GoldenCell>> run_golden_pass(
   runner::parallel_for(
       order.size(), opts.threads,
       [&](std::size_t k) {
-        order[k]->built = run_golden(*order[k]->cell, spec, opts.base_seed);
+        order[k]->built = run_golden(*order[k]->cell, order[k]->schemes, spec,
+                                     opts.base_seed);
       },
       runner::Schedule::kStatic);
   for (CellState& st : states) st.golden = by_key.at(key(st)).built;
@@ -424,9 +452,34 @@ std::vector<std::shared_ptr<const GoldenCell>> run_golden_pass(
   return goldens;
 }
 
+/// Point every cell at the first cell of the slice that draws its storms
+/// from the same inputs: the same golden windows (so the same workload,
+/// and trial for trial the same seed, which omits the scheme), lambda
+/// scale, MBU table and codeword width. draw_trial_schedule is a pure
+/// function of those, so such cells (same-width schemes of one timing
+/// class at one rate) see trial t's storm alike: the planner draws it once
+/// and hands both the one schedule, which pairs their trials by
+/// construction.
+void link_storm_sources(std::vector<CellState>& states) {
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    CellState& a = states[i];
+    a.storm_source = i;
+    for (std::size_t j = 0; j < i; ++j) {
+      const CellState& b = states[j];
+      if (a.golden == b.golden && a.word_bits == b.word_bits &&
+          a.lambda_scale == b.lambda_scale &&
+          a.res.cell.rate.patterns == b.res.cell.rate.patterns) {
+        a.storm_source = b.storm_source;
+        break;
+      }
+    }
+  }
+}
+
 /// One trial's disposition within a round.
 struct TrialPlan {
   bool prunable = false;  ///< storm has no live delivery (provably masked)
+  unsigned replicate = 0;
   /// Set when the trial is folded analytically (prune mode, prunable).
   std::shared_ptr<const ecc::TrialSchedule> schedule;
   /// The golden snapshot at-or-before this trial's FIRST live delivery
@@ -434,8 +487,146 @@ struct TrialPlan {
   /// only, and computed with fast-forward on AND off (only whether the
   /// restore happens differs), so the count is mode-invariant.
   std::shared_ptr<const sim::SnapshotStore::Entry> snapshot;
-  std::size_t result_index = 0;  ///< into the round's sweep results otherwise
+  std::size_t record = 0;  ///< into its round's records otherwise
 };
+
+/// A batched round: every unfinished cell's next `batch` trials.
+struct Round {
+  /// Per cell (index into states, grid order), its trials in trial order.
+  std::vector<std::pair<std::size_t, std::vector<TrialPlan>>> slices;
+  std::vector<TrialRecord> records;  ///< its simulated trials'
+  std::size_t outstanding = 0;       ///< simulated trials not recorded yet
+};
+
+/// Rounds planned in one draw pass, and their simulated trials.
+struct Plan {
+  std::vector<Round> rounds;
+  /// Every round's simulated trials: round by round, each round's longest
+  /// suffix first. A point's index is its position in trial order over the
+  /// plan.
+  std::vector<runner::SweepPoint> points;
+  /// Per point index: its round and its record there.
+  std::vector<std::pair<std::size_t, std::size_t>> where;
+};
+
+/// Planned trials at which a pass takes no further round. A pass holds
+/// every planned trial's storm and every simulated trial's point (about
+/// 1 KB each) until its rounds fold, so this bounds a long campaign's
+/// memory; the pool drains only between passes, thousands of trials apart.
+constexpr std::size_t kPassTrials = 2048;
+
+/// Pass 2 for up to `max_rounds` rounds, and no round once kPassTrials
+/// trials are planned: pre-draw every pending trial's storm over its
+/// cell's golden windows. A storm with no live delivery is provably masked
+/// — under pruning it folds analytically and never simulates; otherwise
+/// the trial carries its schedule into the sweep, so the simulated storm
+/// is the drawn storm, event for event. Each distinct storm is drawn once,
+/// on the pool, into its own slot; a draw depends only on its inputs, so
+/// the slots are the same under any thread layout.
+Plan plan_rounds(const std::vector<CellState>& states,
+                 const CampaignSpec& spec, const CampaignOptions& opts,
+                 unsigned batch, unsigned max_rounds) {
+  struct Pending {
+    std::size_t round = 0;
+    std::size_t si = 0;  ///< index into states
+    unsigned replicate = 0;
+    std::size_t storm = 0;  ///< index into storms
+  };
+  struct Storm {
+    std::size_t si = 0;  ///< a cell that draws it
+    unsigned replicate = 0;
+    std::shared_ptr<const ecc::TrialSchedule> sched;
+  };
+  // The pending trials: round-major, then in grid order, then in trial
+  // order — the order the rounds fold them in.
+  std::vector<Pending> pending;
+  std::vector<Storm> storms;
+  std::map<std::pair<std::size_t, unsigned>, std::size_t> storm_of;
+  for (std::size_t r = 0; r < max_rounds && pending.size() < kPassTrials;
+       ++r) {
+    const std::size_t before = pending.size();
+    for (std::size_t si = 0; si < states.size(); ++si) {
+      const CellState& st = states[si];
+      const u64 first = st.done + u64{batch} * r;
+      if (st.finished || first >= spec.trials) continue;
+      const auto bn = static_cast<unsigned>(
+          std::min<u64>(batch, spec.trials - first));
+      for (unsigned t = 0; t < bn; ++t) {
+        const auto replicate = static_cast<unsigned>(first + t);
+        const auto [it, fresh] = storm_of.try_emplace(
+            std::make_pair(st.storm_source, replicate), storms.size());
+        if (fresh) storms.push_back({si, replicate, nullptr});
+        pending.push_back({r, si, replicate, it->second});
+      }
+    }
+    if (pending.size() == before) break;
+  }
+  runner::parallel_for(storms.size(), opts.threads, [&](std::size_t i) {
+    Storm& d = storms[i];
+    const CellState& st = states[d.si];
+    d.sched = std::make_shared<const ecc::TrialSchedule>(draw_trial_schedule(
+        st.golden->windows, st.lambda_scale, st.res.cell.rate.patterns,
+        st.word_bits,
+        runner::fault_seed(opts.base_seed, cell_point(st, d.replicate))));
+  });
+  obs::Registry::global().counter("campaign.storms_drawn").add(storms.size());
+
+  Plan plan;
+  for (const Pending& pd : pending) {
+    if (pd.round == plan.rounds.size()) plan.rounds.emplace_back();
+    Round& rd = plan.rounds.back();
+    const CellState& st = states[pd.si];
+    if (rd.slices.empty() || rd.slices.back().first != pd.si) {
+      rd.slices.emplace_back(pd.si, std::vector<TrialPlan>{});
+    }
+    const std::shared_ptr<const ecc::TrialSchedule>& sched =
+        storms[pd.storm].sched;
+    TrialPlan tp;
+    tp.replicate = pd.replicate;
+    tp.prunable = !sched->has_live();
+    if (!tp.prunable) {
+      tp.snapshot = core::replay_start(st.golden->snapshots, *sched);
+    }
+    if (spec.prune && tp.prunable) {
+      tp.schedule = sched;
+    } else {
+      runner::SweepPoint p = cell_point(st, pd.replicate);
+      if (spec.fast_forward) {
+        // Skip the fault-free prefix, and every later stretch the trial
+        // spends back on the golden run. A dead-storm trial simulated in
+        // no-prune mode delivers nothing at all, so it resumes from the
+        // last snapshot and runs to the end. Such restores are pure
+        // speed: they are NOT counted as fast_forwarded, keeping the
+        // column prune-mode-invariant.
+        p.golden = st.golden;
+      }
+      p.config.faults->schedule = sched;
+      p.index = plan.points.size();
+      tp.record = rd.outstanding++;
+      plan.where.emplace_back(plan.rounds.size() - 1, tp.record);
+      plan.points.push_back(std::move(p));
+    }
+    rd.slices.back().second.push_back(std::move(tp));
+  }
+  for (Round& rd : plan.rounds) rd.records.resize(rd.outstanding);
+  // Hand the pool the rounds in order, each round's longest trials first.
+  // A trial simulates from its first snapshot's cycle on (one with no
+  // snapshot from reset; where it rejoins the golden run is only known
+  // once it runs), so the dynamic schedule starts a round's long suffixes
+  // early and fills in behind them with its short ones, then with the next
+  // round's. Round r's last trial thus starts after about r rounds of
+  // work, and it folds about then. A point's index keeps its trial-order
+  // position, through which its result reaches its round.
+  const auto order = [&plan](const runner::SweepPoint& p) {
+    return std::make_pair(plan.where[p.index].first, resume_cycle(p));
+  };
+  std::stable_sort(plan.points.begin(), plan.points.end(),
+                   [&order](const runner::SweepPoint& a,
+                            const runner::SweepPoint& b) {
+                     return order(a) < order(b);
+                   });
+  return plan;
+}
 
 }  // namespace
 
@@ -540,143 +731,29 @@ CampaignSummary run_campaign(const std::vector<CampaignCell>& cells,
         .set(static_cast<u64>(states.size()) * spec.trials);
   };
 
-  // Batched rounds: every unfinished cell contributes its next `batch`
-  // trials to ONE run_sweep call (one thread pool over the whole round),
-  // then the stopping rule is evaluated per cell. A cell's trajectory
+  // Fold one round into its cells in strict trial order, interleaving
+  // analytic and simulated results exactly as an unpruned run would fold
+  // them, then apply the stopping rule per cell. A cell's trajectory
   // depends only on its own trial outcomes — deterministic under any
-  // thread count or shard layout. Interruption (should_stop) is only
-  // honoured at round boundaries, so every resume cursor sits on the same
-  // batch grid an uninterrupted run walks.
-  bool any_round = false;
-  for (bool first = true;; first = false) {
-    obs::Span round_span("campaign.round");
-    // Pass 2, per round: pre-draw every pending trial's storm over the
-    // cell's golden windows. A storm with no live delivery is provably
-    // masked — under pruning it folds analytically and never simulates;
-    // otherwise the trial carries its schedule into the sweep, so the
-    // simulated storm is the drawn storm, event for event. The first
-    // round's plan runs pass 1 for the whole slice first.
-    obs::Span plan_span("prune-plan");
-    if (first) goldens = run_golden_pass(states, spec, opts);
-    // The round's pending trials in trial order (cell-major). Their storms
-    // are drawn on the pool, each into its own slot; a draw depends only on
-    // its trial's seed, so the slots are the same under any thread layout.
-    struct Draw {
-      std::size_t si = 0;  ///< index into states
-      unsigned replicate = 0;
-      runner::SweepPoint point;
-      std::shared_ptr<ecc::TrialSchedule> sched;
-    };
-    std::vector<Draw> draws;
-    for (std::size_t si = 0; si < states.size(); ++si) {
-      const CellState& st = states[si];
-      if (st.finished) continue;
-      const unsigned bn = std::min<unsigned>(batch, spec.trials - st.done);
-      for (unsigned t = 0; t < bn; ++t) {
-        draws.push_back(Draw{si, st.done + t, {}, nullptr});
-      }
-    }
-    runner::parallel_for(draws.size(), opts.threads, [&](std::size_t i) {
-      Draw& d = draws[i];
-      const CellState& st = states[d.si];
-      d.point = cell_point(st, d.replicate);
-      d.sched = std::make_shared<ecc::TrialSchedule>(draw_trial_schedule(
-          st.golden->windows, st.lambda_scale, st.res.cell.rate.patterns,
-          st.word_bits, runner::fault_seed(opts.base_seed, d.point)));
-    });
-    std::vector<runner::SweepPoint> points;
-    std::vector<std::pair<std::size_t, std::vector<TrialPlan>>> slices;
-    for (Draw& d : draws) {
-      const CellState& st = states[d.si];
-      if (slices.empty() || slices.back().first != d.si) {
-        slices.emplace_back(d.si, std::vector<TrialPlan>{});
-      }
-      TrialPlan plan;
-      plan.prunable = !d.sched->has_live();
-      if (!plan.prunable) {
-        plan.snapshot = core::replay_start(st.golden->snapshots, *d.sched);
-      }
-      if (spec.prune && plan.prunable) {
-        plan.schedule = std::move(d.sched);
-      } else {
-        runner::SweepPoint& p = d.point;
-        if (spec.fast_forward) {
-          // Skip the fault-free prefix, and every later stretch the trial
-          // spends back on the golden run. A dead-storm trial simulated in
-          // no-prune mode delivers nothing at all, so it resumes from the
-          // last snapshot and runs to the end. Such restores are pure
-          // speed: they are NOT counted as fast_forwarded, keeping the
-          // column prune-mode-invariant.
-          p.golden = st.golden;
-        }
-        p.config.faults->schedule = std::move(d.sched);
-        p.index = points.size();
-        plan.result_index = points.size();
-        points.push_back(std::move(p));
-      }
-      slices.back().second.push_back(std::move(plan));
-    }
-    // Hand the pool its longest trials first. A trial simulates from its
-    // first snapshot's cycle on (one with no snapshot from reset; where it
-    // rejoins the golden run is only known once it runs), so the dynamic
-    // schedule starts the long suffixes early and fills in behind them
-    // with the short ones. A point's index keeps its trial-order position;
-    // the fold still runs in trial order, through the remapped
-    // result_index.
-    std::stable_sort(points.begin(), points.end(),
-                     [](const runner::SweepPoint& a,
-                        const runner::SweepPoint& b) {
-                       return resume_cycle(a) < resume_cycle(b);
-                     });
-    std::vector<std::size_t> sorted_at(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      sorted_at[points[i].index] = i;
-    }
-    for (auto& [si, plans] : slices) {
-      for (TrialPlan& plan : plans) {
-        if (plan.schedule == nullptr) {
-          plan.result_index = sorted_at[plan.result_index];
-        }
-      }
-    }
-    if (plan_span.live()) {
-      u64 planned = 0;
-      for (const auto& [si, plans] : slices) planned += plans.size();
-      plan_span.arg("trials", planned);
-      plan_span.arg("pruned_analytic",
-                    planned - static_cast<u64>(points.size()));
-      plan_span.arg("simulated", static_cast<u64>(points.size()));
-    }
-    plan_span.close();
-    if (slices.empty()) break;
-
-    runner::SweepSummary sum;
-    if (!points.empty()) {
-      runner::SweepOptions sopts;
-      sopts.threads = opts.threads;
-      sopts.base_seed = opts.base_seed;
-      sum = runner::run_sweep(points, sopts);
-    }
-
-    for (const auto& [si, plans] : slices) {
+  // thread count or shard layout.
+  const auto fold_round = [&](const Round& rd) {
+    for (const auto& [si, plans] : rd.slices) {
       CellState& st = states[si];
-      // Fold in strict trial order, interleaving analytic and simulated
-      // results exactly as an unpruned run would fold them.
       for (const TrialPlan& plan : plans) {
         if (plan.schedule != nullptr) {
           fold_pruned(st, *plan.schedule, spec);
-        } else {
-          const runner::PointResult& r = sum.results[plan.result_index];
-          fold_trial(st, r, spec);
-          note_overrun(st, r);
-          note_rejoin(r);
-          // Unpruned reference mode still REPORTS the prunable count, so
-          // the column is byte-identical across modes.
-          if (plan.prunable) st.res.pruned += 1;
-          if (plan.snapshot != nullptr) {
-            st.res.fast_forwarded += 1;
-            st.res.cycles_skipped += plan.snapshot->cycle;
-          }
+          continue;
+        }
+        const TrialRecord& t = rd.records[plan.record];
+        fold_outcome(st, t.outcome, t.events, t.dropped, t.cycles, spec);
+        note_overrun(st, plan.replicate, t.cycles);
+        note_rejoin(t.rejoin);
+        // Unpruned reference mode still REPORTS the prunable count, so
+        // the column is byte-identical across modes.
+        if (plan.prunable) st.res.pruned += 1;
+        if (plan.snapshot != nullptr) {
+          st.res.fast_forwarded += 1;
+          st.res.cycles_skipped += plan.snapshot->cycle;
         }
       }
       st.done += static_cast<unsigned>(plans.size());
@@ -688,11 +765,77 @@ CampaignSummary run_campaign(const std::vector<CampaignCell>& cells,
         st.finished = ci.half_width() <= spec.target_half_width;
       }
     }
+  };
 
-    any_round = true;
-    publish_metrics();
-    if (opts.on_round) opts.on_round(snapshot_progress());
-    if (opts.should_stop && opts.should_stop()) {
+  // Batched rounds: every unfinished cell contributes its next `batch`
+  // trials to a round, and the rounds fold in order, each as soon as all of
+  // its simulated trials are in. Only the stopping rule can end a cell
+  // early, and it decides from the folds. Without it, a pass plans rounds
+  // up to kPassTrials trials and hands all their simulated trials to ONE
+  // run_sweep call, round by round, so the pool does not drain at a round
+  // boundary; with it, a pass plans one round. Interruption (should_stop)
+  // is honoured only after a fold, so every resume cursor sits on the
+  // batch grid an uninterrupted run walks; a stop requested mid-round
+  // takes effect when that round folds, and the trials of later rounds
+  // still running then are dropped.
+  const unsigned rounds_per_pass =
+      spec.target_half_width > 0.0 ? 1u : ~0u;
+  bool any_round = false;
+  for (bool first = true;; first = false) {
+    obs::Span round_span("campaign.round");
+    // The first pass's plan runs pass 1 for the whole slice first.
+    obs::Span plan_span("prune-plan");
+    if (first) {
+      goldens = run_golden_pass(states, spec, opts);
+      link_storm_sources(states);
+    }
+    Plan plan = plan_rounds(states, spec, opts, batch, rounds_per_pass);
+    if (plan_span.live()) {
+      u64 planned = 0;
+      for (const Round& rd : plan.rounds) {
+        for (const auto& [si, plans] : rd.slices) planned += plans.size();
+      }
+      plan_span.arg("rounds", static_cast<u64>(plan.rounds.size()));
+      plan_span.arg("trials", planned);
+      plan_span.arg("pruned_analytic",
+                    planned - static_cast<u64>(plan.points.size()));
+      plan_span.arg("simulated", static_cast<u64>(plan.points.size()));
+    }
+    plan_span.close();
+    if (plan.rounds.empty()) break;
+
+    // Fold every round whose results are all in, in round order, then drop
+    // them. Runs on a pool thread once the sweep has started, serialized
+    // by it, so on_round and should_stop are too. True: stop.
+    std::size_t next = 0;
+    const auto fold_ready = [&]() -> bool {
+      while (next < plan.rounds.size() && plan.rounds[next].outstanding == 0) {
+        Round& rd = plan.rounds[next++];
+        fold_round(rd);
+        rd = Round{};
+        any_round = true;
+        publish_metrics();
+        if (opts.on_round) opts.on_round(snapshot_progress());
+        if (opts.should_stop && opts.should_stop()) return true;
+      }
+      return false;
+    };
+    bool stop = fold_ready();
+    if (!stop && !plan.points.empty()) {
+      runner::SweepOptions sopts;
+      sopts.threads = opts.threads;
+      sopts.base_seed = opts.base_seed;
+      sopts.consume = [&](runner::PointResult&& r) {
+        const auto [ri, at] = plan.where[r.point.index];
+        Round& rd = plan.rounds[ri];
+        rd.records[at] = record_of(r);
+        --rd.outstanding;
+        stop = fold_ready();
+        return stop;
+      };
+      (void)runner::run_sweep(plan.points, sopts);
+    }
+    if (stop) {
       summary.interrupted = true;
       return summary;
     }

@@ -20,7 +20,9 @@
 //     table and lands on live codeword bits of the targeted cache (the
 //     per-window draw is reliability/schedule.hpp);
 //   * every cell runs N independent trials (SweepPoint replicates — same
-//     trace, independent fault sequences, paired across schemes) and each
+//     trace, independent fault sequences, paired across schemes: schemes
+//     of one codeword width and timing class share each trial's storm,
+//     drawn once) and each
 //     trial is classified by severity: masked, corrected, DUE-recovered,
 //     SDC (self-check failed with nothing detected) or data-loss;
 //   * failures (SDC + data-loss) over the trials' de-accelerated
@@ -30,13 +32,20 @@
 //     its CI is tight enough.
 //
 // Execution: one thread pool (runner::parallel_for) runs everything. The
-// first round's plan first runs the golden pass — one fault-free run per
-// distinct (workload, scheme) of the slice, dealt to the pool's workers in
-// key order. Every round's plan then draws its pending trials' storms on
-// the pool, and the round hands its simulated trials to one run_sweep
-// call, longest suffix first (from-reset trials, then by first-snapshot
-// cycle); results fold in trial order. Each trial point carries its
-// cell's golden run, so it can rejoin it (CampaignSpec::fast_forward).
+// first pass's plan first runs the golden pass — one fault-free run per
+// timing class of each workload of the slice (the cells' deployments
+// reduced to core::HierarchyDeployment::timing_class(): a fault-free run
+// cannot tell codecs, scrub or recovery settings apart), dealt to the
+// pool's workers in class order. A pass's plan then draws its pending
+// trials' distinct storms on the pool, and hands its simulated trials to
+// one run_sweep call, round by round, each round's longest suffix first
+// (from-reset trials, then by first-snapshot cycle). Without the stopping
+// rule a pass plans rounds until it holds a few thousand trials, so the
+// pool does not drain at a round boundary; with it, a pass plans one
+// round. Either way the rounds fold in order, each in trial order as soon
+// as its last result is in (round r after about r rounds of work), on the
+// pool thread that delivered it. Each trial point carries its cell's
+// golden run, so it can rejoin it (CampaignSpec::fast_forward).
 //
 // Determinism contract (same as the sweep runner's): rows are identical at
 // any --threads and any --shard split. Trial seeds derive from (base_seed,
@@ -93,7 +102,8 @@ struct CampaignSpec {
   unsigned trials = 96;
   /// Trials to run before the stopping rule may fire.
   unsigned min_trials = 24;
-  /// Stopping-rule check granularity (and scheduling batch size).
+  /// Trials per cell per round: the stopping rule's check granularity and
+  /// the grid that interruption cursors sit on.
   unsigned batch = 24;
   double confidence = 0.95;
   /// Sequential stopping: end a cell once the Wilson CI half-width on its
@@ -138,7 +148,7 @@ struct CampaignSpec {
   /// moved; it is not re-measured. The default stays: the cadence decides
   /// the fast_forwarded column, so changing it changes rows.
   unsigned snapshot_every = 256;
-  /// Per-(workload, scheme) snapshot byte budget in MiB; keep-every-k
+  /// Per-golden-run snapshot byte budget in MiB; keep-every-k
   /// thinning halves snapshot density whenever it would be exceeded.
   /// 0 = unlimited.
   unsigned snapshot_mem_mb = 256;
@@ -295,7 +305,7 @@ struct CellProgress : CellCounters {
 };
 
 struct CampaignOptions {
-  /// Worker threads of the golden pass, each round's storm draws and its
+  /// Worker threads of the golden pass, each pass's storm draws and its
   /// trial sweep; 0 = hardware concurrency. Rows do not depend on it.
   unsigned threads = 0;
   /// Horizontal sharding over CELLS: this process runs cells with
@@ -310,14 +320,19 @@ struct CampaignOptions {
   /// The caller (service checkpoint layer) owns validation of WHERE the
   /// cursors came from; run_campaign validates they fit this campaign.
   const std::vector<CellProgress>* resume_from = nullptr;
-  /// Fired after every batched round (and therefore after the final one)
-  /// with the current cursor of every cell in this shard's slice, in grid
-  /// order. The checkpoint layer persists these; the CLI heartbeat renders
-  /// them. Must not touch the sink.
+  /// Fired after every batched round is folded (and therefore after the
+  /// final one) with the current cursor of every cell in this shard's
+  /// slice, in grid order. The checkpoint layer persists these; the CLI
+  /// heartbeat renders them. Must not touch the sink. Runs on a pool
+  /// thread once the round's trials are in, one call at a time (the calls
+  /// never overlap each other, should_stop or a fold).
   std::function<void(const std::vector<CellProgress>&)> on_round;
-  /// Polled between rounds (after on_round). Returning true stops the
-  /// campaign WITHOUT emitting rows — the summary comes back
-  /// interrupted=true and a later resume_from run re-emits everything,
+  /// Polled after every fold (after on_round), on the same thread, so a
+  /// stop requested mid-round takes effect when that round folds.
+  /// Returning true stops the campaign WITHOUT emitting rows: no trial
+  /// starts after that, running trials finish and are dropped, and the
+  /// summary comes back interrupted=true with the last on_round cursors,
+  /// from which a later resume_from run re-emits everything,
   /// byte-identical to an uninterrupted run.
   std::function<bool()> should_stop;
 };

@@ -371,6 +371,11 @@ SweepSummary run_sweep(const std::vector<SweepPoint>& points,
   if (opts.shard_count == 0 || opts.shard_index >= opts.shard_count) {
     throw std::invalid_argument("run_sweep: shard_index/shard_count invalid");
   }
+  if (opts.consume && opts.sink != nullptr) {
+    throw std::invalid_argument(
+        "run_sweep: a consumer takes every result; it cannot share them "
+        "with a sink");
+  }
   // Validate every point up front so bad input fails before any simulation:
   // workload names must resolve, and trace (oracle) points cannot carry
   // fault injection (there are no arrays to inject into). What only system
@@ -406,14 +411,15 @@ SweepSummary run_sweep(const std::vector<SweepPoint>& points,
   }
 
   SweepSummary summary;
-  summary.results.resize(mine.size());
+  if (!opts.consume) summary.results.resize(mine.size());
   if (opts.sink != nullptr) opts.sink->begin(row_headers());
 
-  std::vector<char> done(mine.size(), 0);
+  std::vector<char> done(opts.consume ? 0 : mine.size(), 0);
   std::size_t next_emit = 0;
   std::mutex emit_mutex;
+  std::atomic<bool> stopped{false};  // set by the consumer, under the lock
 
-  // Emit (sink + callback + aggregate) every contiguous finished prefix.
+  // Emit (sink + aggregate) every contiguous finished prefix.
   // Called with emit_mutex held; emission is therefore in grid order and
   // byte-identical for any thread count.
   const auto drain = [&] {
@@ -423,7 +429,6 @@ SweepSummary run_sweep(const std::vector<SweepPoint>& points,
       summary.points_run += 1;
       if (!r.self_check_ok) summary.self_check_failures += 1;
       if (opts.sink != nullptr) opts.sink->row(to_row(r));
-      if (opts.on_result) opts.on_result(r);
       ++next_emit;
     }
   };
@@ -433,6 +438,7 @@ SweepSummary run_sweep(const std::vector<SweepPoint>& points,
   obs::Histogram& point_us =
       obs::Registry::global().histogram("sweep.point_us");
   parallel_for(mine.size(), opts.threads, [&](std::size_t i) {
+    if (stopped.load()) return;
     const SweepPoint& p = *mine[i];
     obs::Span span("trial");
     if (span.live()) {
@@ -457,6 +463,10 @@ SweepSummary run_sweep(const std::vector<SweepPoint>& points,
     }
     span.close();
     std::lock_guard<std::mutex> lock(emit_mutex);
+    if (opts.consume) {
+      if (!stopped.load() && opts.consume(std::move(r))) stopped.store(true);
+      return;
+    }
     summary.results[i] = std::move(r);
     done[i] = 1;
     drain();

@@ -88,7 +88,10 @@ struct PointResult {
 
 /// A point's fault-free golden run (run_golden_point with snapshots): what
 /// a replay point needs to skip the stretches of its trial that are the
-/// golden run's.
+/// golden run's. One serves every point of its timing class
+/// (core::HierarchyDeployment::timing_class): `result` is the fault-free
+/// result all of them share, and the snapshots carry no check bits, so a
+/// restore derives them with the point's own codecs.
 struct GoldenRun {
   sim::SnapshotStore snapshots;
   PointResult result;
@@ -150,14 +153,19 @@ struct SweepOptions {
   u64 base_seed = 0x1aec;
   /// Optional streaming sink; rows arrive in grid order.
   report::RowWriter* sink = nullptr;
-  /// Optional per-point callback, invoked in grid order under the emission
-  /// lock (keep it cheap).
-  std::function<void(const PointResult&)> on_result;
+  /// Optional consumer, for a caller that folds results as they come in:
+  /// each point's result is moved into it as soon as the point finishes,
+  /// in completion order, one call at a time, on the pool thread that ran
+  /// the point. The sweep then keeps, totals and emits nothing (`sink`
+  /// must be unset; SweepSummary::results stays empty). Returning true
+  /// stops the sweep: no point starts after that, points already running
+  /// finish, and their results are dropped.
+  std::function<bool(PointResult&&)> consume;
 };
 
 /// Digest of a whole sweep (this shard's slice).
 struct SweepSummary {
-  std::vector<PointResult> results;  ///< grid order
+  std::vector<PointResult> results;  ///< grid order (empty with a consumer)
   /// Batched counter aggregates over every point (cycles, instructions,
   /// loads, ... plus the merged pipeline/DL1/bus StatSets).
   StatSet totals;

@@ -213,8 +213,8 @@ bool serve_connection(Connection& conn, DaemonState& state,
   log_line(opts, "job accepted");
 
   // The job runs as one campaign on the pool, exactly as a local
-  // `laec_cli campaign --threads=<workers>` run: rate cells of a
-  // (workload, scheme) share one golden run, and run_campaign slices the
+  // `laec_cli campaign --threads=<workers>` run: the cells of a workload
+  // and timing class share one golden run, and run_campaign slices the
   // shard and emits the rows in grid order.
   FrameRowWriter rows(fd, state);
   reliability::CampaignOptions copts;

@@ -4,7 +4,8 @@
 // connection thread parses a submitted CampaignJob and runs it as ONE
 // reliability::run_campaign call on `--workers` threads of the runner's
 // pool (the connection thread is one of them): the engine a local
-// `laec_cli campaign` run uses. Rate cells of a (workload, scheme) share one golden run, the
+// `laec_cli campaign` run uses. The cells of a workload and timing class
+// (core::HierarchyDeployment::timing_class) share one golden run, the
 // campaign slices the job's shard and emits its rows in grid order, and
 // the connection thread sends them on as they come. So the streamed rows
 // are byte-identical to a local run at any --threads, and several client

@@ -7,6 +7,8 @@
 #include <deque>
 #include <memory>
 #include <optional>
+#include <span>
+#include <stdexcept>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -61,12 +63,12 @@ u64 chunked_fnv1a(std::string_view data, Mix mix) {
   return h;
 }
 
-/// The frame checksum, pinned by kSnapshotVersion: chunks fold in as they
-/// are. Corruption detection only needs mixing, but a flip of bit 63 only
-/// ever flips bit 63 of the hash (the multiplier is odd), so two such
-/// flips cancel.
+/// The frame checksum, pinned by kSnapshotVersion. Each chunk goes through
+/// mix64 before it is folded in: unmixed, a flip of bit 63 only ever flips
+/// bit 63 of the hash (the multiplier is odd), so two such flips in two
+/// chunks would cancel.
 u64 frame_checksum(std::string_view payload) {
-  return chunked_fnv1a(payload, [](u64 chunk) { return chunk; });
+  return chunked_fnv1a(payload, mix64);
 }
 
 // ------------------------------------------------------------------------
@@ -120,6 +122,50 @@ class Walker {
     a_.enter(name);
     elements(c);
     a_.leave();
+  }
+
+  /// The ways of a cache array, each visited with the array's check-bit
+  /// encoder. A blob carries no check bits, so saving one refuses an array
+  /// that ever had a fault injector: its stored check bits need not be the
+  /// encodings of its words.
+  template <class C, class Encoder>
+  void coded(std::string_view name, C& ways, const Encoder& enc) {
+    if constexpr (!kRestoring && !Archive::kMatching) {
+      if (!a_.with_check && !enc.clean) {
+        throw std::logic_error(
+            "snapshot: cache \"" + std::string(enc.array) +
+            "\" had a fault injector attached, so its check bits cannot be "
+            "derived from its words");
+      }
+    }
+    a_.enter(name);
+    u64 i = 0;
+    for (auto& way : ways) {
+      if (a_.stopped()) break;
+      a_.enter(i++);
+      way.visit_state(*this, enc);
+      a_.leave();
+    }
+    a_.leave();
+  }
+
+  /// A valid way's check bits. A digest or a diff walks them as stored (a
+  /// trial's standing fault is state). A blob leaves them out: a restore
+  /// derives them from the restored words with this cache's encoder, and
+  /// a match requires every live check word to be the encoding of its live
+  /// word, so a standing fault in the check bits still fails it.
+  template <class Encoder>
+  void check_bits(std::string_view name, std::span<u16> check,
+                  std::span<const u32> words, const Encoder& enc) {
+    if (a_.with_check) return fixed(name, check);
+    if constexpr (kRestoring) {
+      enc.encode(words.data(), check.data(), check.size());
+    } else if constexpr (Archive::kMatching) {
+      if (!a_.stopped() &&
+          !enc.encodes(words.data(), check.data(), check.size())) {
+        a_.differ();
+      }
+    }
   }
 
   void shape(std::string_view name, u64 n) { expect<u32>(name, n); }
@@ -262,6 +308,9 @@ class Walker {
 struct ArchiveBase {
   static constexpr bool kMatching = false;
   bool with_stats = true;  ///< false skips stats fields (state_digest)
+  /// true walks cache check bits as stored (state_digest, the diff); a
+  /// blob (save, restore, match) leaves them out.
+  bool with_check = false;
   int stats_depth = 0;     ///< > 0 while inside a stats field
   void enter(std::string_view) {}
   void enter(u64) {}
@@ -538,6 +587,7 @@ void restore_system_state(System& system, std::string_view blob) {
 u64 state_digest(const System& system) {
   Saver state;
   state.with_stats = false;
+  state.with_check = true;
   walk(system, state);
   // mix64 spreads every input bit over the whole chunk, so no pair of
   // flips in two chunks cancels in the fold.
@@ -558,6 +608,7 @@ bool state_matches(const System& system, std::string_view blob) {
 std::vector<FieldDiff> diff_system_state(const System& a, const System& b) {
   Flattener fa;
   Flattener fb;
+  fa.with_check = fb.with_check = true;
   walk(a, fa);
   walk(b, fb);
   // Leaves match by path; a container longer in one system leaves some

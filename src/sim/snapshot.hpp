@@ -16,16 +16,28 @@
 // its counters differ (core::run_program_replay).
 //
 // A snapshot covers everything that evolves during a run: the cache arrays
-// of DL1/L1I/L2 (every way's valid bit, plus the dirty bit, tag, LRU stamp,
-// words and check bits of each valid way), the write buffer, bus
-// slots/queues, main-memory pages, pipeline slots and registers, the stride
-// predictor, traffic generators, the cycle counter, and every per-component
-// stat counter. An invalid way's other fields are left out: no run reads
-// them before a fill rewrites them, so a restore leaves them as they are.
+// of DL1/L1I/L2 (every way's valid bit, plus the dirty bit, tag, LRU stamp
+// and words of each valid way), the write buffer, bus slots/queues,
+// main-memory pages, pipeline slots and registers, the stride predictor,
+// traffic generators, the cycle counter, and every per-component stat
+// counter. An invalid way's other fields are left out: no run reads them
+// before a fill rewrites them, so a restore leaves them as they are.
 // A snapshot deliberately excludes wiring that the constructor re-derives
 // from the config (codecs, LUTs, hot counter pointers) and the
 // injector/recorder attachments, which the resume path re-attaches after
 // restore.
+//
+// Derived check bits (v3). A cache array that never had a fault injector
+// stores, for every word, its codec's encoding of that word, so a blob
+// leaves the check bits out: restore derives them with the restoring
+// cache's own codec (0 when unprotected), and state_matches requires each
+// live check word to equal the encoding of its live word. One golden blob
+// therefore restores into any system that differs only in its codecs (the
+// campaign's timing class, reliability/campaign.hpp), and a trial whose
+// check bits hold a standing fault still fails the match. save refuses an
+// array that ever had an injector (std::logic_error). state_digest and
+// diff_system_state walk the check bits as stored: they describe faulted
+// systems too.
 //
 // Field-list protocol. Each component describes its state once, in
 //
@@ -49,7 +61,12 @@
 //                         elements, no length (unique_ptr elements are
 //                         dereferenced);
 //   v.shape(name, n)      a configuration value (a count): written, and
-//                         checked against this system on restore.
+//                         checked against this system on restore;
+//   v.coded(name, ways, enc)
+//                         a cache array's ways, each visited as
+//                         visit_state(v, enc) with the array's encoder;
+//   v.check_bits(name, check, words, enc)
+//                         a valid way's check bits, derived as above.
 //
 // V::kRestoring is true while restoring, for a field that is not saved
 // but must be reset after a restore.
@@ -69,23 +86,29 @@ class System;
 /// Bumped whenever the serialized layout changes; restore rejects blobs
 /// from any other version. Part of the service-job identity so a daemon
 /// never resumes a campaign across a layout change. test_snapshot pins the
-/// bytes of reference blobs, so a layout change fails there first.
-inline constexpr u32 kSnapshotVersion = 2;
+/// bytes of reference blobs, so a layout change fails there first. v3
+/// derives cache check bits instead of carrying them and mixes every chunk
+/// of the frame checksum.
+inline constexpr u32 kSnapshotVersion = 3;
 
 /// Serialize the full deterministic state of `system` into a framed blob
 /// (magic + version + checksum + payload). Throws std::logic_error when the
-/// system holds state the format cannot carry (chronogram recording on).
+/// system holds state the format cannot carry (chronogram recording on, or
+/// a cache array that ever had a fault injector, whose check bits may not
+/// be derivable).
 [[nodiscard]] std::string save_system_state(const System& system);
 
 /// Restore a blob produced by save_system_state into `system`, which must
-/// have been constructed from the same configuration (geometry mismatches
-/// are detected and rejected). Throws service::WireError on bad magic,
-/// version mismatch, checksum mismatch, or layout/geometry mismatch.
+/// have the same geometry (mismatches are detected and rejected); its
+/// codecs may differ, since check bits are derived with `system`'s own.
+/// Throws service::WireError on bad magic, version mismatch, checksum
+/// mismatch, or layout/geometry mismatch.
 void restore_system_state(System& system, std::string_view blob);
 
 /// Does `system` hold exactly the state `blob` (a save_system_state frame)
 /// holds? Every state leaf is compared, the cycle counter included;
-/// statistics are not. One walk in step with the blob, no allocation,
+/// statistics are not; each live check word must be the encoding of its
+/// live word. One walk in step with the blob, no allocation,
 /// stopping at the first difference. A short, foreign or other-geometry
 /// blob is a difference: false, never an exception or a read past its end.
 /// The checksum is not verified (a caller that acts on a match restores

@@ -584,12 +584,13 @@ TEST(TracedCampaign, RowsAreByteIdenticalTracedOrNot) {
 }
 
 TEST(TracedCampaign, GoldenPassDealsSortedKeysToThePool) {
-  // The cells arrive out of key order (dealt as they come, the keys would
-  // land on workers 1, 0, 0, 1 in key order); the golden pass deals the
-  // sorted keys to workers 0, 1, 1, 0, and the caller is worker 0.
+  // Two workloads x two timing classes (two placements). The cells arrive
+  // out of key order (dealt as they come, the keys would land on workers
+  // 1, 0, 0, 1 in key order); the golden pass deals the sorted keys to
+  // workers 0, 1, 1, 0, and the caller is worker 0.
   reliability::CampaignGrid grid;
   grid.workloads({"puwmod", "a2time"})
-      .schemes({"laec", "sec-daec-39-32"})
+      .schemes({"extra-stage", "laec"})
       .rates({*reliability::tech_preset("28nm")});
   reliability::CampaignSpec spec;
   spec.trials = 1;
@@ -604,12 +605,12 @@ TEST(TracedCampaign, GoldenPassDealsSortedKeysToThePool) {
   std::map<std::pair<std::string, std::string>, u32> tid_of;
   for (const TraceEvent& e : evs) {
     if (e.name != "golden-run") continue;
-    std::string workload, scheme;
+    std::string workload, timing_class;
     for (const TraceArg& a : e.args) {
       if (a.key == "workload") workload = a.str;
-      if (a.key == "scheme") scheme = a.str;
+      if (a.key == "class") timing_class = a.str;
     }
-    tid_of[{workload, scheme}] = e.tid;
+    tid_of[{workload, timing_class}] = e.tid;
   }
   ASSERT_EQ(tid_of.size(), 4u);
   std::vector<u32> tids;  // in key order
@@ -660,7 +661,10 @@ TEST(TracedCampaign, RoundHandsLongestSuffixFirst) {
   // Saturated point: most trials simulate, from snapshots at many
   // different ordinals. One thread runs the trials in hand-off order and
   // its spans close in that order, so the ring holds them as handed off;
-  // each round's trials precede its campaign.round span.
+  // each pass's trials precede its campaign.round span. A pass hands its
+  // rounds off in order, each round's longest suffix first. With the
+  // stopping rule off, one pass holds both rounds; with it armed (at a
+  // width no cell reaches), each round is its own pass.
   const std::vector<std::string> workloads = {"puwmod", "iirflt"};
   reliability::CampaignGrid grid;
   grid.workloads(workloads)
@@ -670,43 +674,91 @@ TEST(TracedCampaign, RoundHandsLongestSuffixFirst) {
   spec.accel = 1e16;
   spec.trials = 24;
   spec.batch = 12;
+  spec.min_trials = 12;
   spec.base.dl1_size_bytes = 2 * 1024;
   reliability::CampaignOptions opts;
   opts.threads = 1;
+  const auto round_of = [&](const TraceEvent* e) {
+    return find_arg(*e, "replicate")->num / spec.batch;
+  };
+  for (const double half_width : {0.0, 1e-9}) {
+    spec.target_half_width = half_width;
+    Tracer::global().enable();
+    (void)run_campaign(grid, spec, opts);
+    const std::vector<TraceEvent> evs = Tracer::global().events();
+    Tracer::global().disable();
+
+    std::vector<std::vector<const TraceEvent*>> passes(1);
+    for (const TraceEvent& e : evs) {
+      if (e.name == "trial") passes.back().push_back(&e);
+      if (e.name == "campaign.round") passes.emplace_back();
+    }
+    std::size_t trials = 0;
+    bool listed_in_order = true;
+    for (const auto& pass : passes) {
+      trials += pass.size();
+      EXPECT_TRUE(std::is_sorted(pass.begin(), pass.end(),
+                                 [&](const TraceEvent* a, const TraceEvent* b) {
+                                   return round_of(a) < round_of(b);
+                                 }))
+          << half_width;
+      std::map<u64, std::vector<const TraceEvent*>> rounds;
+      for (const TraceEvent* e : pass) rounds[round_of(e)].push_back(e);
+      for (auto& [r, round] : rounds) {
+        EXPECT_TRUE(longest_suffix_first(round)) << half_width << " " << r;
+        // The order the round listed its trials in: cell-major, then
+        // replicate.
+        const auto trial_key = [&](const TraceEvent* e) {
+          const auto cell = std::find(workloads.begin(), workloads.end(),
+                                      find_arg(*e, "workload")->str);
+          return std::make_pair(cell, find_arg(*e, "replicate")->num);
+        };
+        std::sort(round.begin(), round.end(),
+                  [&](const TraceEvent* a, const TraceEvent* b) {
+                    return trial_key(a) < trial_key(b);
+                  });
+        listed_in_order = listed_in_order && longest_suffix_first(round);
+      }
+    }
+    EXPECT_EQ(std::count_if(passes.begin(), passes.end(),
+                            [](const auto& r) { return !r.empty(); }),
+              half_width > 0.0 ? 2 : 1);
+    EXPECT_GE(trials, 24u) << half_width;
+    // Precondition: the listing order alone would not have passed.
+    EXPECT_FALSE(listed_in_order) << half_width;
+  }
+}
+
+TEST(TracedCampaign, PassStopsTakingRoundsAt2048Trials) {
+  // With the stopping rule off a pass plans rounds until it holds 2048
+  // trials, so a long campaign holds a bounded share of its storms and
+  // points at a time. Rounds of 1500: two rounds a pass, then an empty
+  // pass that ends the campaign.
+  reliability::CampaignGrid grid;
+  grid.workloads({"rspeed"})
+      .schemes({"laec"})
+      .rates({*reliability::tech_preset("28nm")});
+  reliability::CampaignSpec spec;
+  spec.trials = 6000;
+  spec.batch = 1500;
+  spec.base.dl1_size_bytes = 2 * 1024;
+  reliability::CampaignOptions opts;
+  opts.threads = 2;
+  unsigned folds = 0;
+  opts.on_round = [&](const std::vector<reliability::CellProgress>&) {
+    ++folds;
+  };
   Tracer::global().enable();
-  (void)run_campaign(grid, spec, opts);
+  const auto sum = run_campaign(grid, spec, opts);
   const std::vector<TraceEvent> evs = Tracer::global().events();
   Tracer::global().disable();
-
-  std::vector<std::vector<const TraceEvent*>> rounds(1);
+  EXPECT_EQ(sum.trials_run, 6000u);
+  EXPECT_EQ(folds, 4u);
+  std::vector<u64> planned;
   for (const TraceEvent& e : evs) {
-    if (e.name == "trial") rounds.back().push_back(&e);
-    if (e.name == "campaign.round") rounds.emplace_back();
+    if (e.name == "prune-plan") planned.push_back(find_arg(e, "trials")->num);
   }
-  std::size_t trials = 0;
-  bool listed_in_order = true;
-  for (const auto& round : rounds) {
-    trials += round.size();
-    EXPECT_TRUE(longest_suffix_first(round));
-    // The order the round listed its trials in: cell-major, then replicate.
-    std::vector<const TraceEvent*> listed = round;
-    const auto trial_key = [&](const TraceEvent* e) {
-      const auto cell = std::find(workloads.begin(), workloads.end(),
-                                  find_arg(*e, "workload")->str);
-      return std::make_pair(cell, find_arg(*e, "replicate")->num);
-    };
-    std::sort(listed.begin(), listed.end(),
-              [&](const TraceEvent* a, const TraceEvent* b) {
-                return trial_key(a) < trial_key(b);
-              });
-    listed_in_order = listed_in_order && longest_suffix_first(listed);
-  }
-  EXPECT_EQ(std::count_if(rounds.begin(), rounds.end(),
-                          [](const auto& r) { return !r.empty(); }),
-            2);
-  EXPECT_GE(trials, 24u);
-  // Precondition: the listing order alone would not have passed.
-  EXPECT_FALSE(listed_in_order);
+  EXPECT_EQ(planned, (std::vector<u64>{3000, 3000, 0}));
 }
 
 /// What one runaway-prone campaign left behind: its rows, the overrun

@@ -5,7 +5,10 @@
 //  * campaign grid expansion and validation;
 //  * determinism: identical FIT/CI rows at any thread count, the
 //    sweep-runner contract extended to campaigns, with one golden run per
-//    (workload, scheme) shared by its rate cells;
+//    timing class of a workload shared by all of its cells;
+//  * the pairing contract: same-width schemes of a class share every
+//    trial's storm;
+//  * rounds streamed through one sweep, interrupted after any fold;
 //  * CI width monotonically shrinking with the trial count, and the
 //    sequential stopping rule ending cells early.
 #include "reliability/campaign.hpp"
@@ -16,10 +19,15 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "core/deployment.hpp"
+#include "mem/residency.hpp"
 #include "obs/metrics.hpp"
 #include "reliability/stats.hpp"
 #include "report/sink.hpp"
+#include "runner/sweep_runner.hpp"
 
 namespace laec::reliability {
 namespace {
@@ -304,14 +312,14 @@ std::string campaign_csv(const CampaignGrid& grid, const CampaignSpec& spec,
 }
 
 TEST(Campaign, RowsAreByteIdenticalAtOneAndEightThreads) {
-  // Two rate points: the rate cells of each (workload, scheme) share one
-  // golden run, which the golden pass runs on the pool.
+  // Two rate points: every cell of a timing class shares one golden run,
+  // which the golden pass runs on the pool.
   CampaignGrid grid = small_grid();
   const MbuPatternTable mix{0.2, 0.6, 0.15, 0.05};
   grid.rates({{"hot", 1000.0, mix}, {"warm", 300.0, mix}});
   const std::size_t cells = grid.cells().size();
-  const std::size_t keys = 2;  // rspeed x {laec, sec-daec-39-32}
-  ASSERT_EQ(cells, 2 * keys);
+  const std::size_t keys = 1;  // rspeed x the LAEC placement
+  ASSERT_EQ(cells, 4u);
   const auto spec = small_spec(10);
   auto& reg = obs::Registry::global();
   std::vector<std::string> csv;
@@ -327,6 +335,205 @@ TEST(Campaign, RowsAreByteIdenticalAtOneAndEightThreads) {
   }
   EXPECT_FALSE(csv[0].empty());
   EXPECT_EQ(csv[0], csv[1]);
+}
+
+TEST(Campaign, TimingTwinsShareOneGoldenRun) {
+  // laec, sec-daec-39-32 and dec-bch-45-32 differ in the DL1's codec
+  // alone: one timing class, whose one golden run serves all their rate
+  // cells. extra-stage moves the check in the pipeline: a class of its own.
+  // Rows equal the simulate-everything reference (no pruning, no
+  // fast-forward) at 1 and 8 threads, and each scheme's rows equal those
+  // of a grid of that scheme alone, which runs its own golden run.
+  const std::vector<std::string> schemes = {"laec", "sec-daec-39-32",
+                                            "dec-bch-45-32", "extra-stage"};
+  CampaignGrid grid;
+  grid.workloads({"puwmod"})
+      .schemes(schemes)
+      .rates({*tech_preset("40nm"), *tech_preset("28nm")});
+  CampaignSpec spec;
+  spec.accel = 1e16;
+  spec.trials = 8;
+  spec.base.dl1_size_bytes = 2 * 1024;
+  CampaignSpec reference = spec;
+  reference.prune = false;
+  reference.fast_forward = false;
+  const std::string want = campaign_csv(grid, reference, 4);
+  ASSERT_FALSE(want.empty());
+  auto& reg = obs::Registry::global();
+  for (const unsigned threads : {1u, 8u}) {
+    const u64 runs = reg.counter("campaign.golden_runs").value();
+    const u64 hits = reg.counter("campaign.golden_cache_hits").value();
+    EXPECT_EQ(campaign_csv(grid, spec, threads), want) << threads;
+    EXPECT_EQ(reg.counter("campaign.golden_runs").value() - runs, 2u)
+        << threads;
+    EXPECT_EQ(reg.counter("campaign.golden_cache_hits").value() - hits, 6u)
+        << threads;
+  }
+  // The rows of the scheme in `ecc`'s column (the second) of a CSV.
+  const auto rows_of = [](const std::string& csv, const std::string& ecc) {
+    std::vector<std::string> rows;
+    std::istringstream in(csv);
+    std::string line;
+    std::getline(in, line);  // header
+    while (std::getline(in, line)) {
+      const std::size_t a = line.find(',') + 1;
+      if (line.substr(a, line.find(',', a) - a) == ecc) rows.push_back(line);
+    }
+    return rows;
+  };
+  for (const std::string& scheme : schemes) {
+    CampaignGrid alone = grid;
+    alone.schemes({scheme});
+    const u64 runs = reg.counter("campaign.golden_runs").value();
+    const std::string own = campaign_csv(alone, spec, 4);
+    EXPECT_EQ(reg.counter("campaign.golden_runs").value() - runs, 1u);
+    const std::string ecc = core::HierarchyDeployment::parse(scheme).name;
+    ASSERT_EQ(rows_of(own, ecc).size(), 2u) << scheme;
+    EXPECT_EQ(rows_of(own, ecc), rows_of(want, ecc)) << scheme;
+  }
+}
+
+TEST(Campaign, SameWidthSchemesDrawOneStorm) {
+  // A storm is a pure function of the golden windows, the lambda scale, the
+  // MBU table, the codeword width and a seed that omits the scheme. So the
+  // 39-bit laec and sec-daec-39-32 see trial t's storm alike, and the
+  // 45-bit dec-bch-45-32 does not. Drawn from each scheme's own golden run,
+  // the schedules agree trial for trial...
+  const RatePoint rate = *tech_preset("28nm");
+  CampaignSpec spec;
+  spec.accel = 1e16;
+  spec.trials = 24;
+  spec.base.dl1_size_bytes = 2 * 1024;
+  const u64 base_seed = CampaignOptions{}.base_seed;
+  const auto storms = [&](const std::string& scheme) {
+    runner::SweepPoint p;
+    p.workload = "puwmod";
+    p.config = spec.base;
+    p.config.set_scheme(scheme);
+    mem::ResidencyRecorder rec;
+    (void)runner::run_golden_point(p, base_seed, &rec);
+    const auto windows = rec.take_windows();
+    const unsigned bits = target_codeword_bits(p.config);
+    const double scale = window_lambda_scale(spec, rate.fit_per_mbit, bits);
+    std::vector<ecc::TrialSchedule> out;
+    for (unsigned t = 0; t < spec.trials; ++t) {
+      p.replicate = t;
+      out.push_back(draw_trial_schedule(windows, scale, rate.patterns, bits,
+                                        runner::fault_seed(base_seed, p)));
+    }
+    return out;
+  };
+  const auto laec = storms("laec");
+  const auto sec_daec = storms("sec-daec-39-32");
+  const auto bch = storms("dec-bch-45-32");
+  unsigned live = 0, bch_differs = 0;
+  for (unsigned t = 0; t < spec.trials; ++t) {
+    EXPECT_EQ(laec[t].deliveries, sec_daec[t].deliveries) << t;
+    EXPECT_EQ(laec[t].events, sec_daec[t].events) << t;
+    EXPECT_EQ(laec[t].dropped_events, sec_daec[t].dropped_events) << t;
+    live += laec[t].has_live() ? 1 : 0;
+    bch_differs += laec[t].deliveries != bch[t].deliveries ||
+                           laec[t].events != bch[t].events
+                       ? 1
+                       : 0;
+  }
+  EXPECT_GT(live, 0u);  // the comparison is not between empty storms
+  EXPECT_GE(bch_differs, 1u);
+  // ...and a campaign over the three draws each distinct storm once: one
+  // per trial for the 39-bit pair, one per trial for the 45-bit code.
+  CampaignGrid grid;
+  grid.workloads({"puwmod"})
+      .schemes({"laec", "sec-daec-39-32", "dec-bch-45-32"})
+      .rates({rate});
+  auto& reg = obs::Registry::global();
+  const u64 drawn = reg.counter("campaign.storms_drawn").value();
+  (void)campaign_csv(grid, spec, 4);
+  EXPECT_EQ(reg.counter("campaign.storms_drawn").value() - drawn,
+            2u * spec.trials);
+}
+
+TEST(Campaign, StreamedRoundsResumeFromAnyFold) {
+  // With the stopping rule off, all four rounds are planned in one pass and
+  // their trials share one sweep; the rounds fold in order as their results
+  // come in. should_stop after fold k ends the sweep, and fold k's cursors,
+  // on the batch grid, resume to the uninterrupted rows.
+  const CampaignGrid grid = small_grid();
+  CampaignSpec spec = small_spec(16);
+  spec.batch = 4;
+  const std::string want = campaign_csv(grid, spec, 1);
+  for (const unsigned threads : {1u, 4u}) {
+    for (const unsigned k : {1u, 2u, 3u}) {
+      std::vector<CellProgress> cursors;
+      unsigned folds = 0;
+      std::ostringstream out;
+      report::CsvWriter sink(out);
+      CampaignOptions opts;
+      opts.threads = threads;
+      opts.sink = &sink;
+      opts.on_round = [&](const std::vector<CellProgress>& p) {
+        ++folds;
+        cursors = p;
+      };
+      opts.should_stop = [&] { return folds >= k; };
+      const CampaignSummary sum = run_campaign(grid, spec, opts);
+      EXPECT_TRUE(sum.interrupted) << threads << " threads, k=" << k;
+      EXPECT_TRUE(out.str().empty());
+      EXPECT_EQ(folds, k);
+      for (const CellProgress& c : cursors) {
+        EXPECT_EQ(c.done, k * spec.batch) << threads << " threads, k=" << k;
+      }
+      CampaignOptions again;
+      again.threads = threads;
+      std::ostringstream rest;
+      report::CsvWriter rest_sink(rest);
+      again.sink = &rest_sink;
+      again.resume_from = &cursors;
+      EXPECT_FALSE(run_campaign(grid, spec, again).interrupted);
+      EXPECT_EQ(rest.str(), want) << threads << " threads, k=" << k;
+    }
+  }
+}
+
+TEST(Campaign, StopLandsAtTheNextFold) {
+  // A stop requested during round 0 (should_stop is true from its first
+  // poll on) lands when round 0 folds. On one thread the rounds are handed
+  // off in order, so round 0 folds as soon as its own trials are in, and no
+  // trial of a later round has started by then: the trials run are exactly
+  // those of a campaign one round long.
+  CampaignGrid grid;
+  grid.workloads({"puwmod"})
+      .schemes({"laec", "extra-stage"})
+      .rates({*tech_preset("28nm")});
+  CampaignSpec spec;
+  spec.accel = 1e16;  // most trials simulate
+  spec.trials = 16;
+  spec.batch = 4;
+  spec.base.dl1_size_bytes = 2 * 1024;
+  CampaignSpec one_round = spec;
+  one_round.trials = spec.batch;
+  const obs::Histogram& runs =
+      obs::Registry::global().histogram("sweep.point_us");
+  CampaignOptions opts;
+  opts.threads = 1;
+  u64 before = runs.count();
+  (void)run_campaign(grid, one_round, opts);
+  const u64 round0 = runs.count() - before;
+  ASSERT_GT(round0, 0u);
+
+  unsigned folds = 0;
+  u64 at_first_fold = 0;
+  std::vector<CellProgress> cursors;
+  opts.on_round = [&](const std::vector<CellProgress>& p) {
+    if (folds++ == 0) at_first_fold = runs.count() - before;
+    cursors = p;
+  };
+  opts.should_stop = [] { return true; };
+  before = runs.count();
+  EXPECT_TRUE(run_campaign(grid, spec, opts).interrupted);
+  EXPECT_EQ(folds, 1u);
+  EXPECT_EQ(at_first_fold, round0);
+  EXPECT_EQ(runs.count() - before, round0);
+  for (const CellProgress& c : cursors) EXPECT_EQ(c.done, spec.batch);
 }
 
 TEST(Campaign, ImpossibleGeometryReachesTheCallerFromThePool) {

@@ -11,16 +11,20 @@
 // and running the suffix fault-free lands on exactly the golden run's final
 // stats and architectural memory — save captures everything the suffix
 // depends on. Corrupt, truncated, version-skewed and geometry-mismatched
-// blobs must be rejected loudly. Reference blobs pin the byte layout, and
-// the stats-free digest and field diff derived from the same field lists
-// see exactly the fields they should.
+// blobs must be rejected loudly, and no cut or corrupted blob may crash the
+// decoder. Reference blobs pin the byte layout, and the stats-free digest
+// and field diff derived from the same field lists see exactly the fields
+// they should. Blobs carry no cache check bits (v3): one golden blob serves
+// every codec of its timing class.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/hash.hpp"
@@ -99,6 +103,24 @@ std::unique_ptr<System> contended_system(const std::string& scheme,
   sys->load_program(workloads::kernel_by_name("iirflt").build().program);
   for (int i = 0; i < cycles; ++i) sys->tick();
   return sys;
+}
+
+/// Flip check bit 0 of the resident L1I word at `pc` the way a storm does:
+/// through a replay injector, on a read. The L1I's parity code detects the
+/// flip and never scrubs, so the stored check bit stays flipped. The read
+/// updates LRU state exactly as a clean read of the same word would.
+void flip_l1i_check_bit(System& s, Addr pc) {
+  auto storm = std::make_shared<ecc::TrialSchedule>();
+  ecc::FlipSet check_bit_0;
+  check_bit_0.push(32);
+  storm->deliveries.push_back({0, check_bit_0});
+  ecc::InjectorConfig icfg;
+  icfg.schedule = storm;
+  ecc::FaultInjector injector(icfg);
+  mem::SetAssocCache& l1i = s.core(0).l1i().cache();
+  l1i.set_injector(&injector);
+  (void)l1i.read(pc, 4);
+  l1i.set_injector(nullptr);
 }
 
 std::string describe(const std::vector<FieldDiff>& diffs) {
@@ -252,15 +274,15 @@ TEST(Snapshot, ReferenceBlobsPinTheLayout) {
   const auto& first = *g.store->entries().front();
   EXPECT_EQ(first.ordinal, 2048u);
   EXPECT_EQ(first.cycle, 18252u);
-  EXPECT_EQ(first.blob->size(), 21005u);
-  EXPECT_EQ(fnv1a(*first.blob), 0x225888ba5db6e0beull);
+  EXPECT_EQ(first.blob->size(), 20749u);
+  EXPECT_EQ(fnv1a(*first.blob), 0x215dce06a9502d7cull);
 
   const std::string wt = save_system_state(*contended_system("wt-parity", 1499));
-  EXPECT_EQ(wt.size(), 29938u);
-  EXPECT_EQ(fnv1a(wt), 0xcf483c5336062fe4ull);
+  EXPECT_EQ(wt.size(), 28818u);
+  EXPECT_EQ(fnv1a(wt), 0xd312536b086adedaull);
   const std::string wb = save_system_state(*contended_system("laec", 14990));
-  EXPECT_EQ(wb.size(), 65778u);
-  EXPECT_EQ(fnv1a(wb), 0xe7d2d2f517db7b19ull);
+  EXPECT_EQ(wb.size(), 55250u);
+  EXPECT_EQ(fnv1a(wb), 0x95d7e6e70329cbd7ull);
 }
 
 TEST(Snapshot, InvalidatedLinesLeaveNoTrace) {
@@ -443,46 +465,53 @@ TEST(Snapshot, StateMatchesIsExact) {
     EXPECT_FALSE(state_matches(*y, save_system_state(*x)))
         << "write-buffer entry";
   }
-  // A cache write changes a word and its check bits. Patching only the
-  // first differing payload byte (the word comes first in a way's list) or
-  // only the last (its check bits) into a save changes one leaf.
-  const auto patch_one = [&](const std::string& what,
-                             mem::SetAssocCache& (*cache)(System&),
-                             bool word) {
+  // A cache write changes a word and its check bits; a save carries the
+  // word only. Patching the word's first differing byte into a save
+  // changes one leaf.
+  {
     const auto x = restored();
     const auto y = restored();
-    const Addr at = resident_word(cache(*x), data);
-    cache(*x).write(at, 4, 0x5a5a'0f0f, /*mark_dirty=*/true);
-    cache(*y).write(at, 4, 0x5a5a'0f0f ^ 0x0100, /*mark_dirty=*/true);
+    mem::SetAssocCache& dl1x = x->core(0).dl1().cache();
+    const Addr at = resident_word(dl1x, data);
+    dl1x.write(at, 4, 0x5a5a'0f0f, /*mark_dirty=*/true);
+    y->core(0).dl1().cache().write(at, 4, 0x5a5a'0f0f ^ 0x0100,
+                                   /*mark_dirty=*/true);
     const auto paths = state_diff_paths(*x, *y);
-    ASSERT_EQ(paths.size(), 2u) << what;
+    ASSERT_EQ(paths.size(), 2u);
     EXPECT_NE(paths[0].find(".words["), std::string::npos) << paths[0];
     EXPECT_NE(paths[1].find(".check["), std::string::npos) << paths[1];
     const std::string sx = save_system_state(*x);
     const std::string sy = save_system_state(*y);
     ASSERT_EQ(sx.size(), sy.size());
-    std::size_t first = sx.size(), last = 0;
-    for (std::size_t i = kPayloadAt; i < sx.size(); ++i) {
-      if (sx[i] != sy[i]) {
-        first = std::min(first, i);
-        last = i;
-      }
+    std::size_t first = sx.size();
+    for (std::size_t i = kPayloadAt; i < sx.size() && first == sx.size(); ++i) {
+      if (sx[i] != sy[i]) first = i;
     }
-    ASSERT_LT(first, last) << what;
+    ASSERT_LT(first, sx.size());
     std::string patched = sx;
-    const std::size_t i = word ? first : last;
-    patched[i] = sy[i];
-    EXPECT_TRUE(state_matches(*x, sx)) << what;
-    EXPECT_FALSE(state_matches(*x, patched)) << what;
-  };
-  patch_one("DL1 word",
-            [](System& s) -> mem::SetAssocCache& {
-              return s.core(0).dl1().cache();
-            },
-            /*word=*/true);
-  patch_one("L2 check bits",
-            [](System& s) -> mem::SetAssocCache& { return s.memsys().l2(); },
-            /*word=*/false);
+    patched[first] = sy[first];
+    EXPECT_TRUE(state_matches(*x, sx));
+    EXPECT_FALSE(state_matches(*x, patched)) << "DL1 word";
+  }
+  // A live check bit is state though no blob carries it: the match wants
+  // every live check word to be the encoding of its live word, so a check
+  // bit a storm left flipped fails it.
+  {
+    const auto x = restored();
+    const auto y = restored();
+    const Addr pc = resident_word(
+        x->core(0).l1i().cache(),
+        workloads::kernel_by_name("puwmod").build().program.text_base);
+    (void)x->core(0).l1i().cache().read(pc, 4);
+    flip_l1i_check_bit(*y, pc);
+    const auto paths = state_diff_paths(*x, *y);
+    ASSERT_EQ(paths.size(), 1u);
+    EXPECT_NE(paths[0].find("l1i.cache.ways["), std::string::npos) << paths[0];
+    EXPECT_NE(paths[0].find(".check["), std::string::npos) << paths[0];
+    const std::string sx = save_system_state(*x);
+    EXPECT_TRUE(state_matches(*x, sx));
+    EXPECT_FALSE(state_matches(*y, sx)) << "L1I check bit";
+  }
 
   // A blob that lists a page twice has as many pages as the system, all of
   // them the system's, yet lacks one of the system's pages. Two twins with
@@ -562,6 +591,189 @@ TEST(Snapshot, DigestSeesPairedTopBitFlips) {
     flip(data + phase + 8);
     ASSERT_EQ(state_digest(s), clean);
   }
+}
+
+TEST(Snapshot, OneGoldenBlobServesEveryCodecOfItsTimingClass) {
+  // laec and sec-daec-39-32 differ in the DL1's codec alone, so their
+  // fault-free runs are one run: the blobs (which carry no check bits) are
+  // equal, and a laec blob restored into a sec-daec-39-32 system derives
+  // that codec's check bits, giving exactly the state of the scheme's own
+  // golden run.
+  const Golden laec = make_golden("puwmod", "laec", 2048);
+  const Golden sd = make_golden("puwmod", "sec-daec-39-32", 2048);
+  ASSERT_GE(laec.store->size(), 2u);
+  ASSERT_EQ(laec.store->size(), sd.store->size());
+  const Addr pc = workloads::kernel_by_name("puwmod").build().program.text_base;
+  for (std::size_t i = 0; i < sd.store->size(); ++i) {
+    const std::string& blob = *laec.store->entries()[i]->blob;
+    const std::string& own_blob = *sd.store->entries()[i]->blob;
+    EXPECT_TRUE(blob == own_blob) << i;
+    System own(core::make_system_config(sd.cfg, /*trace_mode=*/false));
+    restore_system_state(own, own_blob);
+    System from_laec(core::make_system_config(sd.cfg, /*trace_mode=*/false));
+    restore_system_state(from_laec, blob);
+    EXPECT_EQ(state_digest(from_laec), state_digest(own)) << i;
+    EXPECT_TRUE(state_matches(from_laec, own_blob)) << i;
+    // The digest walks the check bits: laec's own system holds SECDED's.
+    System under_laec(core::make_system_config(laec.cfg, /*trace_mode=*/false));
+    restore_system_state(under_laec, blob);
+    EXPECT_NE(state_digest(under_laec), state_digest(from_laec)) << i;
+    // After one read of an L1I word, a twin that read it clean matches
+    // the scheme's own state; one whose read met a storm that flipped a
+    // check bit does not.
+    const Addr at = resident_word(own.core(0).l1i().cache(), pc);
+    (void)own.core(0).l1i().cache().read(at, 4);
+    const std::string after = save_system_state(own);
+    System twin(core::make_system_config(sd.cfg, /*trace_mode=*/false));
+    restore_system_state(twin, blob);
+    (void)twin.core(0).l1i().cache().read(at, 4);
+    EXPECT_TRUE(state_matches(twin, after)) << i;
+    flip_l1i_check_bit(from_laec, at);
+    EXPECT_FALSE(state_matches(from_laec, after)) << i;
+  }
+}
+
+TEST(Snapshot, SaveRefusesAnArrayThatHadAnInjector) {
+  // A blob leaves check bits out because a clean array's are derivable;
+  // once an injector was attached they may hold faults, so save refuses
+  // (even after a detach). A digest and a diff still describe the system.
+  const Golden g = make_golden("puwmod", "laec", 2048);
+  ASSERT_GE(g.store->size(), 1u);
+  System s(core::make_system_config(g.cfg, /*trace_mode=*/false));
+  restore_system_state(s, *g.store->entries().front()->blob);
+  (void)save_system_state(s);
+  ecc::InjectorConfig icfg;
+  icfg.schedule = std::make_shared<ecc::TrialSchedule>();
+  ecc::FaultInjector injector(icfg);
+  s.memsys().l2().set_injector(&injector);
+  s.memsys().l2().set_injector(nullptr);
+  try {
+    (void)save_system_state(s);
+    FAIL() << "an array that had an injector was saved";
+  } catch (const std::logic_error& err) {
+    EXPECT_NE(std::string(err.what()).find("l2"), std::string::npos)
+        << err.what();
+  }
+  EXPECT_NO_THROW((void)state_digest(s));
+  EXPECT_TRUE(diff_system_state(s, s).empty());
+}
+
+/// The v3 frame checksum, restated: FNV-1a over the payload's 8-byte
+/// little-endian chunks (then its tail bytes), each through mix64 first.
+u64 v3_checksum(std::string_view payload) {
+  u64 h = kFnvPinnedOffset;
+  std::size_t i = 0;
+  for (; i + 8 <= payload.size(); i += 8) {
+    u64 chunk = 0;
+    for (std::size_t b = 0; b < 8; ++b) {
+      chunk |= u64{static_cast<u8>(payload[i + b])} << (8 * b);
+    }
+    h = (h ^ mix64(chunk)) * kFnvPrime;
+  }
+  for (; i < payload.size(); ++i) {
+    h = (h ^ mix64(static_cast<u8>(payload[i]))) * kFnvPrime;
+  }
+  return h;
+}
+
+/// `frame` with its checksum recomputed over its payload, so a restore
+/// gets past the checksum and decodes the payload.
+std::string rechecksummed(std::string frame) {
+  const u64 sum = v3_checksum(std::string_view(frame).substr(kPayloadAt));
+  for (std::size_t b = 0; b < 8; ++b) {
+    frame[12 + b] = static_cast<char>(sum >> (8 * b));
+  }
+  return frame;
+}
+
+TEST(Snapshot, ChecksumSeesPairedTopBitFlips) {
+  // Unmixed, the checksum of two payloads that differ in bit 63 of two
+  // 8-byte chunks is the same (v2 accepted such a blob). Every chunk is
+  // mixed first, so the pair is a checksum mismatch wherever it lands.
+  const Golden g = make_golden("puwmod", "laec", 2048);
+  ASSERT_GE(g.store->size(), 1u);
+  const std::string& good = *g.store->entries().front()->blob;
+  EXPECT_TRUE(rechecksummed(good) == good);  // the restated checksum holds
+  const std::size_t chunks = (good.size() - kPayloadAt) / 8;
+  ASSERT_GE(chunks, 16u);
+  System s(core::make_system_config(g.cfg, /*trace_mode=*/false));
+  for (const auto& [c1, c2] :
+       {std::pair<std::size_t, std::size_t>{0, 1}, {0, chunks / 2},
+        {chunks / 3, chunks - 1}, {chunks - 2, chunks - 1}}) {
+    std::string bad = good;
+    bad[kPayloadAt + 8 * c1 + 7] ^= static_cast<char>(0x80);
+    bad[kPayloadAt + 8 * c2 + 7] ^= static_cast<char>(0x80);
+    try {
+      restore_system_state(s, bad);
+      ADD_FAILURE() << "chunks " << c1 << ", " << c2 << ": accepted";
+    } catch (const service::WireError& err) {
+      EXPECT_NE(std::string(err.what()).find("checksum"), std::string::npos)
+          << "chunks " << c1 << ", " << c2 << ": " << err.what();
+    }
+  }
+}
+
+/// One decode attempt on `bytes`, held in a buffer of exactly its size so
+/// the sanitizer job sees any read past it: restore ends in success or a
+/// WireError (anything else fails the test), and state_matches returns.
+void decode_hostile(System& target, const System& golden,
+                    std::string_view bytes, std::size_t& accepted) {
+  const auto buf = std::make_unique<char[]>(std::max<std::size_t>(bytes.size(), 1));
+  std::memcpy(buf.get(), bytes.data(), bytes.size());
+  const std::string_view blob(buf.get(), bytes.size());
+  try {
+    restore_system_state(target, blob);
+    ++accepted;
+  } catch (const service::WireError&) {
+  }
+  (void)state_matches(golden, blob);
+}
+
+TEST(Snapshot, DecoderSurvivesEveryCutFlipAndLyingField) {
+  // A small golden system (1 KB L1s, 8 KB L2, a few thousand cycles of
+  // puwmod), so every length and every byte is tried within the tier-1
+  // budget. Each corruption is re-checksummed, so the decoder itself meets
+  // it: every cut, one flipped bit in every byte, and a lying u32 at every
+  // offset (every size and shape field among them), set to 0xffffffff at
+  // even offsets and to its value plus one at odd ones.
+  core::SimConfig cfg = config_for("laec");
+  cfg.dl1_size_bytes = 1024;
+  cfg.l1i_size_bytes = 1024;
+  sim::SystemConfig sc = core::make_system_config(cfg, /*trace_mode=*/false);
+  sc.memsys.l2.cache.size_bytes = 8 * 1024;
+  System golden(sc);
+  golden.load_program(workloads::kernel_by_name("puwmod").build().program);
+  for (int i = 0; i < 3000; ++i) golden.tick();
+  const std::string good = save_system_state(golden);
+  ASSERT_GT(good.size(), kPayloadAt + 64);
+  ASSERT_LT(good.size(), 16'000u);  // the fuzz's time budget
+  System target(sc);
+  std::size_t accepted = 0;
+
+  for (std::size_t n = 0; n < good.size(); ++n) {
+    const std::string cut = good.substr(0, n);
+    decode_hostile(target, golden, cut, accepted);
+    if (n >= kPayloadAt) decode_hostile(target, golden, rechecksummed(cut), accepted);
+  }
+  EXPECT_EQ(accepted, 0u) << "a cut blob was accepted";
+
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    std::string bad = good;
+    bad[i] ^= static_cast<char>(1u << (i % 8));
+    decode_hostile(target, golden, i >= kPayloadAt ? rechecksummed(bad) : bad,
+                   accepted);
+  }
+  for (std::size_t i = kPayloadAt; i + 4 <= good.size(); ++i) {
+    u32 lie = 0;
+    std::memcpy(&lie, good.data() + i, 4);
+    lie = i % 2 == 0 ? 0xffff'ffffu : lie + 1;
+    std::string bad = good;
+    std::memcpy(bad.data() + i, &lie, 4);
+    decode_hostile(target, golden, rechecksummed(bad), accepted);
+  }
+  // The good blob still restores into the target the fuzz went through.
+  restore_system_state(target, good);
+  EXPECT_TRUE(state_matches(target, good));
 }
 
 TEST(Snapshot, CorruptAndSkewedBlobsAreRejected) {

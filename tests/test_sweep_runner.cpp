@@ -279,6 +279,34 @@ TEST(SweepRunner, UnknownWorkloadThrowsBeforeRunning) {
   EXPECT_THROW((void)run_sweep(g, {}), std::out_of_range);
 }
 
+TEST(SweepRunner, ConsumerTakesResultsAndCanStopTheSweep) {
+  const auto points = small_trace_grid().points();
+  ASSERT_GE(points.size(), 6u);
+  // Every result reaches the consumer, moved in; the sweep keeps none.
+  std::vector<char> seen(points.size(), 0);
+  SweepOptions opts;
+  opts.threads = 4;
+  opts.consume = [&](PointResult&& r) {
+    ++seen.at(r.point.index);
+    return false;
+  };
+  const auto all = run_sweep(points, opts);
+  EXPECT_TRUE(all.results.empty());
+  for (const char n : seen) EXPECT_EQ(n, 1);
+  // On one thread the points run in order, so a stop at the third result
+  // leaves the rest unstarted and unconsumed.
+  std::size_t consumed = 0;
+  opts.threads = 1;
+  opts.consume = [&](PointResult&&) { return ++consumed == 3; };
+  (void)run_sweep(points, opts);
+  EXPECT_EQ(consumed, 3u);
+  // A consumer takes every result: a sink cannot share them.
+  std::ostringstream out;
+  report::CsvWriter sink(out);
+  opts.sink = &sink;
+  EXPECT_THROW((void)run_sweep(points, opts), std::invalid_argument);
+}
+
 TEST(ParallelFor, VisitsEveryIndexOnceAndRethrowsTheFirstFailure) {
   std::vector<std::atomic<int>> hits(97);
   parallel_for(hits.size(), 4, [&](std::size_t i) { hits[i].fetch_add(1); });

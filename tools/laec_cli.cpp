@@ -558,8 +558,9 @@ CliOptions parse(int argc, char** argv) {
 
 // --- service / checkpoint helpers -------------------------------------------
 
-/// SIGINT/SIGTERM request a graceful stop: the campaign loop finishes its
-/// round (checkpoint saved by on_round) and exits 3; the daemon's accept
+/// SIGINT/SIGTERM request a graceful stop: the campaign stops when the
+/// round running at the signal folds (checkpoint saved by on_round), drops
+/// the later rounds' trials in flight and exits 3; the daemon's accept
 /// loop drains and shuts down.
 std::atomic<bool> g_stop_requested{false};
 
@@ -1214,8 +1215,9 @@ void usage() {
       "                             simulate-everything reference path)\n"
       "  --snapshot-every=N         golden snapshot cadence in injector\n"
       "                             consultations (default 256; 0 disables)\n"
-      "  --snapshot-mem=MB          per-(workload,scheme) snapshot budget\n"
-      "                             (default 256; keep-every-k thinning)\n"
+      "  --snapshot-mem=MB          snapshot budget per golden run, one per\n"
+      "                             workload and timing class (default 256;\n"
+      "                             keep-every-k thinning)\n"
       "  --checkpoint=FILE  --resume  --stop-after-rounds=N  "
       "--progress[=SECS]\n"
       "service mode (serve/submit/status/stop):\n"
