@@ -61,13 +61,16 @@ std::shared_ptr<const ecc::Codec> level_codec(std::string_view key,
   return codec;
 }
 
-/// Scrub/recovery defaults implied by a codec's capabilities: correcting
-/// codes scrub and correct in place, detect-only codes can only refetch.
-void apply_derived_defaults(const ecc::Codec& codec, bool& scrub,
-                            RecoveryPolicy& recovery) {
-  scrub = codec.corrects_single();
-  recovery = codec.corrects_single() ? RecoveryPolicy::kCorrectInPlace
-                                     : RecoveryPolicy::kInvalidateRefetch;
+/// A level protected by `codec` (registry key `key`), with the scrub and
+/// recovery its capabilities imply: correcting codes scrub and correct in
+/// place, detect-only codes can only refetch.
+LevelDeployment derived_level(std::string_view key, const ecc::Codec& codec) {
+  LevelDeployment d;
+  d.codec = std::string(key);
+  d.scrub_on_correct = codec.corrects_single();
+  d.recovery = codec.corrects_single() ? RecoveryPolicy::kCorrectInPlace
+                                       : RecoveryPolicy::kInvalidateRefetch;
+  return d;
 }
 
 /// Per-segment option flags (":scrub", ":no-scrub", ":correct", ":refetch").
@@ -111,16 +114,16 @@ std::vector<std::string_view> split_base_and_flags(std::string_view segment,
   return tokens;
 }
 
-void apply_flags(const SegmentFlags& flags, std::string_view codec_key,
-                 const ecc::Codec& codec, bool& scrub,
-                 RecoveryPolicy& recovery) {
-  if (flags.scrub.has_value()) scrub = *flags.scrub;
-  if (flags.recovery.has_value()) recovery = *flags.recovery;
-  if (recovery == RecoveryPolicy::kCorrectInPlace &&
+/// Apply a segment's flags to `level`, protected by `codec`.
+void apply_flags(const SegmentFlags& flags, const ecc::Codec& codec,
+                 LevelDeployment& level) {
+  if (flags.scrub.has_value()) level.scrub_on_correct = *flags.scrub;
+  if (flags.recovery.has_value()) level.recovery = *flags.recovery;
+  if (level.recovery == RecoveryPolicy::kCorrectInPlace &&
       codec.check_bits() > 0 && !codec.corrects_single()) {
     throw std::invalid_argument(
-        "recovery \"correct\" needs a correcting codec; \"" +
-        std::string(codec_key) + "\" only detects");
+        "recovery \"correct\" needs a correcting codec; \"" + level.codec +
+        "\" only detects");
   }
 }
 
@@ -134,8 +137,7 @@ HierarchyDeployment for_codec(std::string_view key) {
   HierarchyDeployment d;
   d.name = std::string(key);
   d.dl1_key = std::string(key);
-  d.codec = std::string(key);
-  apply_derived_defaults(*codec, d.scrub_on_correct, d.recovery);
+  d.dl1 = derived_level(key, *codec);
   if (codec->check_bits() == 0) {
     d.timing = cpu::EccPolicy::kNoEcc;
   } else if (codec->corrects_single()) {
@@ -156,8 +158,7 @@ HierarchyDeployment parse_dl1_segment(std::string_view segment) {
   const auto tokens = split_base_and_flags(segment, flags);
 
   const auto finish = [&](HierarchyDeployment d) {
-    apply_flags(flags, d.codec, *ecc::make_codec(d.codec), d.scrub_on_correct,
-                d.recovery);
+    apply_flags(flags, *ecc::make_codec(d.dl1.codec), d.dl1);
     return d;
   };
 
@@ -189,8 +190,7 @@ HierarchyDeployment parse_dl1_segment(std::string_view segment) {
     HierarchyDeployment d = HierarchyDeployment::from_policy(*p);
     d.name = std::string(placement) + ":" + std::string(codec_key);
     d.dl1_key = d.name;
-    d.codec = std::string(codec_key);
-    apply_derived_defaults(*codec, d.scrub_on_correct, d.recovery);
+    d.dl1 = derived_level(codec_key, *codec);
     if (*p != cpu::EccPolicy::kNoEcc && *p != cpu::EccPolicy::kWtParity &&
         !codec->corrects_single()) {
       throw std::invalid_argument(
@@ -220,29 +220,24 @@ LevelDeployment parse_level_segment(std::string_view level,
                                 ":refetch]");
   }
   const auto codec = level_codec(tokens[0], level);
-  LevelDeployment d;
-  d.codec = std::string(tokens[0]);
-  apply_derived_defaults(*codec, d.scrub_on_correct, d.recovery);
-  apply_flags(flags, d.codec, *codec, d.scrub_on_correct, d.recovery);
+  LevelDeployment d = derived_level(tokens[0], *codec);
+  apply_flags(flags, *codec, d);
   return d;
 }
 
 /// Append the ":scrub"/":no-scrub"/":correct"/":refetch" suffixes for
-/// whatever differs from the codec's derived defaults — the minimal
+/// whatever of `d` differs from its codec's derived defaults — the minimal
 /// spelling parse() maps back to the same (scrub, recovery) pair. Shared
-/// by the DL1 and level canonicalizers so the flag grammar cannot diverge.
-void append_flag_diffs(std::string& out, const std::string& codec_key,
-                       bool scrub, RecoveryPolicy recovery) {
-  bool derived_scrub = false;
-  RecoveryPolicy derived_recovery = RecoveryPolicy::kInvalidateRefetch;
-  apply_derived_defaults(*ecc::make_codec(codec_key), derived_scrub,
-                         derived_recovery);
-  if (scrub != derived_scrub) {
-    out += scrub ? ":scrub" : ":no-scrub";
+/// by every level's segment so the flag grammar cannot diverge.
+void append_flag_diffs(std::string& out, const LevelDeployment& d) {
+  const LevelDeployment derived =
+      derived_level(d.codec, *ecc::make_codec(d.codec));
+  if (d.scrub_on_correct != derived.scrub_on_correct) {
+    out += d.scrub_on_correct ? ":scrub" : ":no-scrub";
   }
-  if (recovery != derived_recovery) {
-    out += recovery == RecoveryPolicy::kCorrectInPlace ? ":correct"
-                                                       : ":refetch";
+  if (d.recovery != derived.recovery) {
+    out += d.recovery == RecoveryPolicy::kCorrectInPlace ? ":correct"
+                                                         : ":refetch";
   }
 }
 
@@ -254,7 +249,7 @@ std::string level_key_if_not(const LevelDeployment& d,
                              std::string_view prefix) {
   if (d == base) return {};
   std::string out = std::string(prefix) + ":" + d.codec;
-  append_flag_diffs(out, d.codec, d.scrub_on_correct, d.recovery);
+  append_flag_diffs(out, d);
   return out;
 }
 
@@ -265,23 +260,22 @@ HierarchyDeployment HierarchyDeployment::from_policy(cpu::EccPolicy p) {
   d.name = std::string(to_string(p));
   d.dl1_key = d.name;
   d.timing = p;
+  std::string_view codec = "none";
   switch (p) {
     case cpu::EccPolicy::kNoEcc:
-      d.codec = "none";
       break;
     case cpu::EccPolicy::kExtraCycle:
     case cpu::EccPolicy::kExtraStage:
     case cpu::EccPolicy::kLaec:
-      d.codec = "secded-39-32";
+      codec = "secded-39-32";
       break;
     case cpu::EccPolicy::kWtParity:
-      d.codec = "parity-32";
+      codec = "parity-32";
       d.write_policy = mem::WritePolicy::kWriteThrough;
       d.alloc_policy = mem::AllocPolicy::kNoWriteAllocate;
       break;
   }
-  apply_derived_defaults(*ecc::make_codec(d.codec), d.scrub_on_correct,
-                         d.recovery);
+  d.dl1 = derived_level(codec, *ecc::make_codec(codec));
   return d;
 }
 
@@ -356,7 +350,7 @@ std::string HierarchyDeployment::canonical_key() const {
   // the same arrangement) plus whatever flags differ from the codec's
   // derived defaults.
   std::string out = dl1_key;
-  append_flag_diffs(out, codec, scrub_on_correct, recovery);
+  append_flag_diffs(out, dl1);
   if (const auto seg = level_key_if_not(l1i, l1i_default(), "l1i");
       !seg.empty()) {
     out += "+" + seg;
@@ -368,14 +362,21 @@ std::string HierarchyDeployment::canonical_key() const {
   return out;
 }
 
+const LevelDeployment& HierarchyDeployment::level(InjectTarget target) const {
+  switch (target) {
+    case InjectTarget::kDl1: return dl1;
+    case InjectTarget::kL1i: return l1i;
+    case InjectTarget::kL2: return l2;
+  }
+  throw std::invalid_argument("unknown inject target " +
+                              std::to_string(static_cast<int>(target)));
+}
+
 HierarchyDeployment HierarchyDeployment::timing_class() const {
   HierarchyDeployment d = *this;
   d.name.clear();
   d.dl1_key.clear();
-  d.codec.clear();
-  d.scrub_on_correct = false;
-  d.recovery = {};
-  for (LevelDeployment* level : {&d.l1i, &d.l2}) {
+  for (LevelDeployment* level : {&d.dl1, &d.l1i, &d.l2}) {
     level->codec.clear();
     level->scrub_on_correct = false;
     level->recovery = {};

@@ -3,16 +3,17 @@
 //
 // The NGMP-like machine stores real check bits in three arrays — the DL1,
 // the L1I and the shared L2 — and every one of them is a deployment slot
-// for any registered ecc::Codec. A HierarchyDeployment names, per cache:
-// WHICH codec protects the array (a registry key), whether corrections are
-// scrubbed back into the array, and HOW detected errors are recovered
-// (correct-in-place vs invalidate-and-refetch). For the DL1 it additionally
-// fixes the paper's two pipeline-facing choices: the cache write policy
-// (write-back vs write-through) and WHERE the check lands in the pipeline
-// (the timing placement the cpu::EccPolicy enum models). Everything
-// downstream — SimConfig, the sweep grid, CSV rows, the CLI — selects
-// schemes by deployment key, so a new codec rides through the whole stack
-// without touching an enum.
+// for any registered ecc::Codec. Each level is described by one
+// LevelDeployment: WHICH codec protects the array (a registry key),
+// whether corrections are scrubbed back into the array, and HOW detected
+// errors are recovered (correct-in-place vs invalidate-and-refetch). The
+// DL1 additionally fixes the paper's two pipeline-facing choices: the
+// cache write policy (write-back vs write-through) and WHERE the check
+// lands in the pipeline (the timing placement the cpu::EccPolicy enum
+// models). Everything downstream — SimConfig, the sweep grid, CSV rows, the
+// CLI — selects schemes by deployment key, so a new codec rides through the
+// whole stack without touching an enum. A fault storm names its level by
+// InjectTarget, and level() maps the target to that level's descriptor.
 //
 // Keys accepted by parse() are '+'-separated segments. The first segment
 // describes the DL1:
@@ -36,6 +37,7 @@
 // Example: "laec+l1i:secded-39-32+l2:sec-daec-39-32:no-scrub".
 #pragma once
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,7 +47,27 @@
 
 namespace laec::core {
 
-/// Protection of one non-DL1 cache level (the DL1's extra pipeline-facing
+/// Which cache array a fault storm strikes.
+enum class InjectTarget { kDl1, kL1i, kL2 };
+
+[[nodiscard]] constexpr std::string_view to_string(InjectTarget t) {
+  switch (t) {
+    case InjectTarget::kDl1: return "dl1";
+    case InjectTarget::kL1i: return "l1i";
+    case InjectTarget::kL2: return "l2";
+  }
+  return "invalid-inject-target";
+}
+
+[[nodiscard]] constexpr std::optional<InjectTarget> inject_target_from_string(
+    std::string_view s) {
+  if (s == "dl1") return InjectTarget::kDl1;
+  if (s == "l1i") return InjectTarget::kL1i;
+  if (s == "l2") return InjectTarget::kL2;
+  return std::nullopt;
+}
+
+/// Protection of one cache level's array (the DL1's extra pipeline-facing
 /// knobs live on HierarchyDeployment itself).
 struct LevelDeployment {
   /// Registry key of the level's word codec (ecc::make_codec(codec)).
@@ -69,19 +91,20 @@ struct HierarchyDeployment {
   /// "placement:codec", flags excluded) — what canonical_key() rebuilds
   /// the key from.
   std::string dl1_key = "no-ecc";
-  /// Registry key of the DL1 word codec.
-  std::string codec = "none";
+  /// The DL1 array's codec, scrub and recovery.
+  LevelDeployment dl1;
   /// Pipeline stage placement of the DL1 check (the legacy enum, kept as
   /// the timing-model shim).
   cpu::EccPolicy timing = cpu::EccPolicy::kNoEcc;
   mem::WritePolicy write_policy = mem::WritePolicy::kWriteBack;
   mem::AllocPolicy alloc_policy = mem::AllocPolicy::kWriteAllocate;
-  bool scrub_on_correct = false;
-  mem::RecoveryPolicy recovery = mem::RecoveryPolicy::kInvalidateRefetch;
 
   // --- the other protected arrays ----------------------------------------
   LevelDeployment l1i = l1i_default();
   LevelDeployment l2 = l2_default();
+
+  /// The level a fault storm aimed at `target` strikes.
+  [[nodiscard]] const LevelDeployment& level(InjectTarget target) const;
 
   /// The canonical deployment behind one of the paper's five policies.
   [[nodiscard]] static HierarchyDeployment from_policy(cpu::EccPolicy p);

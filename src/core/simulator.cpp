@@ -13,63 +13,51 @@
 
 namespace laec::core {
 
+namespace {
+
+/// Deploy `level`'s protection into one array's configuration, decoding as
+/// `cfg` asks.
+void deploy(mem::CacheConfig& array, const LevelDeployment& level,
+            const SimConfig& cfg) {
+  array.codec = ecc::make_codec(level.codec);
+  array.scrub_on_correct = level.scrub_on_correct;
+  array.recovery = level.recovery;
+  array.force_generic_path = cfg.force_generic_ecc_path;
+  array.use_lut_decode = cfg.lut_decode;
+}
+
+}  // namespace
+
 sim::SystemConfig make_system_config(const SimConfig& cfg, bool trace_mode) {
   sim::SystemConfig sc;
   sc.num_cores = cfg.num_cores;
   sc.max_cycles = cfg.max_cycles;
   sc.traffic = cfg.traffic;
-
-  sc.memsys.bus.request_cycles = cfg.bus_request_cycles;
-  sc.memsys.bus.response_cycles = cfg.bus_response_cycles;
-  sc.memsys.l2.hit_cycles = cfg.l2_hit_cycles;
-  sc.memsys.l2.write_cycles = cfg.l2_write_cycles;
   sc.memsys.l2.memory_cycles = cfg.memory_cycles;
 
   cpu::PipelineParams& pp = sc.core.pipeline;
   pp.hazard_rule = cfg.hazard_rule;
   pp.ecc_slot = cfg.ecc_slot;
   pp.stride_predictor = cfg.stride_predictor;
-  pp.mul_latency = cfg.mul_latency;
   pp.div_latency = cfg.div_latency;
   pp.record_chronogram = cfg.record_chronogram;
   pp.lookahead_under_branch_shadow = cfg.lookahead_under_branch_shadow;
-  pp.max_cycles = cfg.max_cycles;
 
   // Expand the scheme descriptor: per-cache codec, scrub and recovery plus
   // the DL1 write policy and stage placement all flow from the hierarchy
   // deployment.
   const HierarchyDeployment& dep = cfg.deployment;
   pp.ecc = dep.timing;
+  deploy(sc.core.dl1.cache, dep.dl1, cfg);
+  deploy(sc.core.l1i.cache, dep.l1i, cfg);
+  deploy(sc.memsys.l2.cache, dep.l2, cfg);
 
   mem::CacheConfig& dc = sc.core.dl1.cache;
   dc.size_bytes = cfg.dl1_size_bytes;
   dc.ways = cfg.dl1_ways;
-  dc.line_bytes = cfg.dl1_line_bytes;
   dc.write_policy = dep.write_policy;
   dc.alloc_policy = dep.alloc_policy;
-  dc.codec = ecc::make_codec(dep.codec);
-  dc.scrub_on_correct = dep.scrub_on_correct;
-  dc.recovery = dep.recovery;
-  dc.force_generic_path = cfg.force_generic_ecc_path;
-  dc.use_lut_decode = cfg.lut_decode;
   sc.core.dl1.oracle.enabled = trace_mode;
-  sc.core.dl1.oracle.miss_cycles = cfg.oracle_miss_cycles;
-
-  mem::CacheConfig& ic = sc.core.l1i.cache;
-  ic.size_bytes = cfg.l1i_size_bytes;
-  ic.line_bytes = cfg.dl1_line_bytes;
-  ic.codec = ecc::make_codec(dep.l1i.codec);
-  ic.scrub_on_correct = dep.l1i.scrub_on_correct;
-  ic.recovery = dep.l1i.recovery;
-  ic.force_generic_path = cfg.force_generic_ecc_path;
-  ic.use_lut_decode = cfg.lut_decode;
-
-  mem::CacheConfig& l2c = sc.memsys.l2.cache;
-  l2c.codec = ecc::make_codec(dep.l2.codec);
-  l2c.scrub_on_correct = dep.l2.scrub_on_correct;
-  l2c.recovery = dep.l2.recovery;
-  l2c.force_generic_path = cfg.force_generic_ecc_path;
-  l2c.use_lut_decode = cfg.lut_decode;
 
   sc.core.wbuf.depth = cfg.write_buffer_depth;
   return sc;
@@ -87,7 +75,7 @@ double cpi_of(const RunStats& r) {
 /// recomputed from the sums.
 void add_difference(RunStats& into, const RunStats& plus,
                     const RunStats& minus) {
-  visit_run_counters([&](auto field) {
+  visit_run_counters([&](const char*, auto field) {
     auto& x = into.*field;
     if constexpr (std::is_same_v<std::remove_cvref_t<decltype(x)>, StatSet>) {
       for (const auto& [name, v] : (plus.*field).items()) x.counter(name) += v;
@@ -182,12 +170,27 @@ RunStats collect_stats(sim::System& system, bool completed) {
   return r;
 }
 
+mem::SetAssocCache& target_array(sim::System& system, InjectTarget target) {
+  switch (target) {
+    case InjectTarget::kDl1:
+      return system.core(0).dl1().cache();
+    case InjectTarget::kL1i:
+      if (!system.core(0).has_l1i()) {
+        throw std::invalid_argument(
+            "inject_target=l1i requires program mode: the calibrated-trace "
+            "(oracle) core keeps no instruction cache");
+      }
+      return system.core(0).l1i().cache();
+    case InjectTarget::kL2:
+      return system.memsys().l2();
+  }
+  throw std::invalid_argument("unknown inject target " +
+                              std::to_string(static_cast<int>(target)));
+}
+
 unsigned injector_word_bits(const SimConfig& cfg) {
-  const HierarchyDeployment& dep = cfg.deployment;
-  std::string_view codec_key = dep.codec;
-  if (cfg.inject_target == InjectTarget::kL1i) codec_key = dep.l1i.codec;
-  if (cfg.inject_target == InjectTarget::kL2) codec_key = dep.l2.codec;
-  const auto codec = ecc::make_codec(codec_key);
+  const auto codec =
+      ecc::make_codec(cfg.deployment.level(cfg.inject_target).codec);
   return codec->check_bits() == 0 ? codec->data_bits()
                                   : codec->codeword_bits();
 }
@@ -195,49 +198,21 @@ unsigned injector_word_bits(const SimConfig& cfg) {
 std::unique_ptr<ecc::FaultInjector> attach_injector(sim::System& system,
                                                     const SimConfig& cfg) {
   if (!cfg.faults.has_value()) return nullptr;
+  mem::SetAssocCache& array = target_array(system, cfg.inject_target);
   // Size the flip universe to the targeted level's deployed codec codeword
   // (data + check bits) so fault rates stay comparable across schemes.
   ecc::InjectorConfig icfg = *cfg.faults;
   icfg.word_bits = injector_word_bits(cfg);
   auto injector = std::make_unique<ecc::FaultInjector>(icfg);
-  switch (cfg.inject_target) {
-    case InjectTarget::kDl1:
-      system.core(0).dl1().set_injector(injector.get());
-      break;
-    case InjectTarget::kL1i:
-      if (!system.core(0).has_l1i()) {
-        throw std::invalid_argument(
-            "inject_target=l1i requires program mode: the calibrated-trace "
-            "(oracle) core keeps no instruction cache");
-      }
-      system.core(0).l1i().set_injector(injector.get());
-      break;
-    case InjectTarget::kL2:
-      system.memsys().l2().set_injector(injector.get());
-      break;
-  }
+  array.set_injector(injector.get());
   return injector;
 }
 
 void attach_recorder(sim::System& system, const SimConfig& cfg,
                      mem::ResidencyRecorder* recorder) {
+  mem::SetAssocCache& array = target_array(system, cfg.inject_target);
   recorder->bind_clock(system.cycle_counter());
-  switch (cfg.inject_target) {
-    case InjectTarget::kDl1:
-      system.core(0).dl1().cache().set_recorder(recorder);
-      break;
-    case InjectTarget::kL1i:
-      if (!system.core(0).has_l1i()) {
-        throw std::invalid_argument(
-            "inject_target=l1i requires program mode: the calibrated-trace "
-            "(oracle) core keeps no instruction cache");
-      }
-      system.core(0).l1i().cache().set_recorder(recorder);
-      break;
-    case InjectTarget::kL2:
-      system.memsys().l2().set_recorder(recorder);
-      break;
-  }
+  array.set_recorder(recorder);
 }
 
 ProgramRun run_program_keep_system(const SimConfig& cfg,

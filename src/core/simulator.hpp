@@ -1,10 +1,14 @@
 // Public entry point of the LAEC library.
 //
-// SimConfig captures every knob a study needs (which ECC deployment, cache
-// geometry, latencies, fault injection); run_program / run_trace build the
-// full NGMP-like system, run it, and return a digested RunStats. The
-// examples and every benchmark harness sit on top of this facade; tests and
-// power users can still assemble sim::System directly.
+// SimConfig captures the knobs a study varies (which ECC deployment, the
+// DL1 geometry, the write-buffer depth, the divide and memory latencies,
+// fault injection); run_program / run_trace build the full NGMP-like
+// system, run it, and return a digested RunStats. The examples and every
+// benchmark harness sit on top of this facade. Every other machine
+// parameter (line sizes, the L1I geometry, bus and L2 latencies, the
+// multiply latency, the oracle miss latency) has its one default in its
+// component struct; a test or ablation sets it on the sim::SystemConfig
+// make_system_config returns, or assembles sim::System directly.
 #pragma once
 
 #include <memory>
@@ -24,26 +28,6 @@ class ResidencyRecorder;
 }
 
 namespace laec::core {
-
-/// Which cache array a SimConfig's fault storm strikes.
-enum class InjectTarget { kDl1, kL1i, kL2 };
-
-[[nodiscard]] constexpr std::string_view to_string(InjectTarget t) {
-  switch (t) {
-    case InjectTarget::kDl1: return "dl1";
-    case InjectTarget::kL1i: return "l1i";
-    case InjectTarget::kL2: return "l2";
-  }
-  return "invalid-inject-target";
-}
-
-[[nodiscard]] constexpr std::optional<InjectTarget> inject_target_from_string(
-    std::string_view s) {
-  if (s == "dl1") return InjectTarget::kDl1;
-  if (s == "l1i") return InjectTarget::kL1i;
-  if (s == "l2") return InjectTarget::kL2;
-  return std::nullopt;
-}
 
 struct SimConfig {
   /// Scheme descriptor for the whole hierarchy (per-cache codec + scrub +
@@ -66,20 +50,15 @@ struct SimConfig {
   /// Extension: stride-predicted look-ahead for data-hazard-blocked loads.
   bool stride_predictor = false;
 
-  // Geometry (paper §IV: 4-way, 32 B lines, 16 KB DL1).
+  // Geometry (paper §IV: 4-way, 32 B lines, 16 KB DL1). The line size and
+  // the L1I follow sim::CoreConfig.
   u32 dl1_size_bytes = 16 * 1024;
   u32 dl1_ways = 4;
-  u32 dl1_line_bytes = 32;
-  u32 l1i_size_bytes = 16 * 1024;
   unsigned write_buffer_depth = 8;
 
-  // Latencies.
-  unsigned mul_latency = 1;
+  // Latencies (the multiply, bus and L2 ones follow their component
+  // structs).
   unsigned div_latency = 12;
-  unsigned bus_request_cycles = 2;
-  unsigned bus_response_cycles = 2;
-  unsigned l2_hit_cycles = 4;
-  unsigned l2_write_cycles = 2;
   unsigned memory_cycles = 26;
 
   // System shape.
@@ -106,11 +85,6 @@ struct SimConfig {
   /// asserts the two modes produce byte-identical rows. Orthogonal to
   /// force_generic_ecc_path (which picks when to decode, not how).
   bool lut_decode = true;
-
-  // Trace (oracle) mode tuning: forced-miss service time. Calibrated so
-  // the trace-mode baseline CPI lands near the paper's effective ~1.3
-  // (EXPERIMENTS.md, E3 calibration note).
-  unsigned oracle_miss_cycles = 8;
 
   bool record_chronogram = false;
   bool lookahead_under_branch_shadow = true;
@@ -183,48 +157,55 @@ struct RunStats {
   StatSet bus_stats;
 };
 
-/// Call v(&RunStats::field) on every counter of RunStats: the u64 fields,
-/// then the StatSets. Member pointers, so one list walks several RunStats
-/// in step (a replay trial's counter splice). `completed` and `cpi` are
-/// not counters.
+/// Call v(name, &RunStats::field) on every counter of RunStats: the u64
+/// fields under their own names, then the StatSets under their level's
+/// name ("pipeline", "dl1", "l1i", "l2", "bus"). Member pointers, so one
+/// list walks several RunStats in step (a replay trial's counter splice,
+/// a sweep's totals). `completed` and `cpi` are not counters.
 template <class V>
 void visit_run_counters(V&& v) {
-  v(&RunStats::cycles);
-  v(&RunStats::instructions);
-  v(&RunStats::loads);
-  v(&RunStats::load_hits);
-  v(&RunStats::stores);
-  v(&RunStats::dep_loads);
-  v(&RunStats::laec_anticipated);
-  v(&RunStats::laec_data_hazard);
-  v(&RunStats::laec_resource_hazard);
-  v(&RunStats::ecc_corrected);
-  v(&RunStats::ecc_corrected_adjacent);
-  v(&RunStats::ecc_detected_uncorrectable);
-  v(&RunStats::parity_refetches);
-  v(&RunStats::data_loss_events);
-  v(&RunStats::dl1_fill_words);
-  v(&RunStats::bus_transactions);
-  v(&RunStats::bus_wait_cycles);
-  v(&RunStats::l1i_fetches);
-  v(&RunStats::l1i_fill_words);
-  v(&RunStats::l1i_corrected);
-  v(&RunStats::l1i_detected_uncorrectable);
-  v(&RunStats::l1i_refetches);
-  v(&RunStats::l2_reads);
-  v(&RunStats::l2_writes);
-  v(&RunStats::l2_fill_words);
-  v(&RunStats::l2_corrected);
-  v(&RunStats::l2_corrected_adjacent);
-  v(&RunStats::l2_detected_uncorrectable);
-  v(&RunStats::l2_refetches);
-  v(&RunStats::l2_data_loss_events);
-  v(&RunStats::pipeline_stats);
-  v(&RunStats::dl1_stats);
-  v(&RunStats::l1i_stats);
-  v(&RunStats::l2_stats);
-  v(&RunStats::bus_stats);
+  v("cycles", &RunStats::cycles);
+  v("instructions", &RunStats::instructions);
+  v("loads", &RunStats::loads);
+  v("load_hits", &RunStats::load_hits);
+  v("stores", &RunStats::stores);
+  v("dep_loads", &RunStats::dep_loads);
+  v("laec_anticipated", &RunStats::laec_anticipated);
+  v("laec_data_hazard", &RunStats::laec_data_hazard);
+  v("laec_resource_hazard", &RunStats::laec_resource_hazard);
+  v("ecc_corrected", &RunStats::ecc_corrected);
+  v("ecc_corrected_adjacent", &RunStats::ecc_corrected_adjacent);
+  v("ecc_detected_uncorrectable", &RunStats::ecc_detected_uncorrectable);
+  v("parity_refetches", &RunStats::parity_refetches);
+  v("data_loss_events", &RunStats::data_loss_events);
+  v("dl1_fill_words", &RunStats::dl1_fill_words);
+  v("bus_transactions", &RunStats::bus_transactions);
+  v("bus_wait_cycles", &RunStats::bus_wait_cycles);
+  v("l1i_fetches", &RunStats::l1i_fetches);
+  v("l1i_fill_words", &RunStats::l1i_fill_words);
+  v("l1i_corrected", &RunStats::l1i_corrected);
+  v("l1i_detected_uncorrectable", &RunStats::l1i_detected_uncorrectable);
+  v("l1i_refetches", &RunStats::l1i_refetches);
+  v("l2_reads", &RunStats::l2_reads);
+  v("l2_writes", &RunStats::l2_writes);
+  v("l2_fill_words", &RunStats::l2_fill_words);
+  v("l2_corrected", &RunStats::l2_corrected);
+  v("l2_corrected_adjacent", &RunStats::l2_corrected_adjacent);
+  v("l2_detected_uncorrectable", &RunStats::l2_detected_uncorrectable);
+  v("l2_refetches", &RunStats::l2_refetches);
+  v("l2_data_loss_events", &RunStats::l2_data_loss_events);
+  v("pipeline", &RunStats::pipeline_stats);
+  v("dl1", &RunStats::dl1_stats);
+  v("l1i", &RunStats::l1i_stats);
+  v("l2", &RunStats::l2_stats);
+  v("bus", &RunStats::bus_stats);
 }
+
+/// The array of `system` a storm aimed at `target` strikes: core 0's DL1 or
+/// L1I, or the shared L2. Throws std::invalid_argument for the L1I of a
+/// trace (oracle) mode system, which keeps none.
+[[nodiscard]] mem::SetAssocCache& target_array(sim::System& system,
+                                               InjectTarget target);
 
 /// Assemble, run `program` on core 0 of a fresh system, digest the stats.
 /// A fault injector described by cfg.faults is attached to the array named

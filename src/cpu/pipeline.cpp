@@ -838,10 +838,6 @@ void Pipeline::do_f(Cycle now) {
 bool Pipeline::cycle(Cycle now) {
   if (halted_) return false;
   ++*c_cycles_;
-  if (params_.max_cycles != 0 && *c_cycles_ > params_.max_cycles) {
-    halted_ = true;
-    return false;
-  }
 
   assert(stages_in_program_order());
   if (chrono_.enabled()) record_all(now);

@@ -116,9 +116,6 @@ struct PipelineParams {
   bool lookahead_under_branch_shadow = true;
 
   bool record_chronogram = false;
-
-  /// Safety stop for runaway simulations (0 = unlimited).
-  u64 max_cycles = 0;
 };
 
 }  // namespace laec::cpu

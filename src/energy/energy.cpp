@@ -80,7 +80,8 @@ EnergyBreakdown compute(const EnergyParams& p, const core::RunStats& stats,
 
   // DL1: one check per load, one encode per store or refilled word (the
   // fill-word counter accounts for the configured line size).
-  const CodecEnergy dl1 = codec_energy(p, *ecc::make_codec(deployment.codec));
+  const CodecEnergy dl1 =
+      codec_energy(p, *ecc::make_codec(deployment.dl1.codec));
   const double dl1_pj =
       loads * dl1.check_pj +
       (stores + static_cast<double>(stats.dl1_fill_words)) * dl1.encode_pj;

@@ -172,7 +172,7 @@ std::vector<std::string> campaign_to_row(const CellResult& r) {
       core::HierarchyDeployment::parse(r.cell.scheme);
   return {r.cell.workload,
           dep.name,
-          dep.codec,
+          dep.dl1.codec,
           dep.l1i.codec,
           dep.l2.codec,
           std::string(to_string(r.target)),

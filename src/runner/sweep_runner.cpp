@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <system_error>
 #include <thread>
+#include <type_traits>
 
 #include "common/hash.hpp"
 #include "ecc/injector.hpp"
@@ -96,43 +97,16 @@ void accumulate(StatSet& totals, const PointResult& r) {
   totals.counter("points") += 1;
   totals.counter("self_check_failures") += r.self_check_ok ? 0 : 1;
   totals.counter("completed") += r.stats.completed ? 1 : 0;
-  totals.counter("cycles") += r.stats.cycles;
-  totals.counter("instructions") += r.stats.instructions;
-  totals.counter("loads") += r.stats.loads;
-  totals.counter("load_hits") += r.stats.load_hits;
-  totals.counter("stores") += r.stats.stores;
-  totals.counter("dep_loads") += r.stats.dep_loads;
-  totals.counter("laec_anticipated") += r.stats.laec_anticipated;
-  totals.counter("laec_data_hazard") += r.stats.laec_data_hazard;
-  totals.counter("laec_resource_hazard") += r.stats.laec_resource_hazard;
-  totals.counter("ecc_corrected") += r.stats.ecc_corrected;
-  totals.counter("ecc_corrected_adjacent") += r.stats.ecc_corrected_adjacent;
-  totals.counter("ecc_detected_uncorrectable") +=
-      r.stats.ecc_detected_uncorrectable;
-  totals.counter("parity_refetches") += r.stats.parity_refetches;
-  totals.counter("data_loss_events") += r.stats.data_loss_events;
-  totals.counter("l1i_corrected") += r.stats.l1i_corrected;
-  totals.counter("l1i_detected_uncorrectable") +=
-      r.stats.l1i_detected_uncorrectable;
-  totals.counter("l1i_refetches") += r.stats.l1i_refetches;
-  totals.counter("l2_corrected") += r.stats.l2_corrected;
-  totals.counter("l2_corrected_adjacent") += r.stats.l2_corrected_adjacent;
-  totals.counter("l2_detected_uncorrectable") +=
-      r.stats.l2_detected_uncorrectable;
-  totals.counter("l2_refetches") += r.stats.l2_refetches;
-  totals.counter("l2_data_loss_events") += r.stats.l2_data_loss_events;
-  totals.counter("bus_transactions") += r.stats.bus_transactions;
-  totals.counter("bus_wait_cycles") += r.stats.bus_wait_cycles;
-  for (const auto& sub :
-       {std::make_pair("pipeline.", &r.stats.pipeline_stats),
-        std::make_pair("dl1.", &r.stats.dl1_stats),
-        std::make_pair("l1i.", &r.stats.l1i_stats),
-        std::make_pair("l2.", &r.stats.l2_stats),
-        std::make_pair("bus.", &r.stats.bus_stats)}) {
-    for (const auto& [name, value] : sub.second->items()) {
-      totals.counter(std::string(sub.first) + name) += value;
+  core::visit_run_counters([&](const char* name, auto field) {
+    const auto& x = r.stats.*field;
+    if constexpr (std::is_same_v<std::remove_cvref_t<decltype(x)>, StatSet>) {
+      for (const auto& [counter, value] : x.items()) {
+        totals.counter(std::string(name) + "." + counter) += value;
+      }
+    } else {
+      totals.counter(name) += x;
     }
-  }
+  });
 }
 
 }  // namespace
@@ -289,7 +263,7 @@ std::vector<std::string> to_row(const PointResult& r) {
           r.point.variant,
           std::string(to_string(r.point.mode)),
           dep.name,
-          dep.codec,
+          dep.dl1.codec,
           dep.l1i.codec,
           dep.l2.codec,
           std::string(to_string(r.point.config.hazard_rule)),

@@ -166,8 +166,9 @@ struct SweepOptions {
 /// Digest of a whole sweep (this shard's slice).
 struct SweepSummary {
   std::vector<PointResult> results;  ///< grid order (empty with a consumer)
-  /// Batched counter aggregates over every point (cycles, instructions,
-  /// loads, ... plus the merged pipeline/DL1/bus StatSets).
+  /// Batched counter aggregates over every point: `points`, `completed`,
+  /// `self_check_failures` and every core::visit_run_counters counter, the
+  /// StatSets' counters under "pipeline.", "dl1.", "l1i.", "l2.", "bus.".
   StatSet totals;
   std::size_t points_run = 0;
   std::size_t self_check_failures = 0;

@@ -116,9 +116,10 @@ std::vector<reliability::CellProgress> load_checkpoint(
         " was taken under a different campaign configuration (grid, "
         "spec, seed, shard or geometry changed); refusing to resume");
   }
+  // The cell count sizes nothing up front: a lying count runs out of bytes
+  // (WireError) long before it could exhaust memory.
   const u32 n = r.get_u32();
   std::vector<reliability::CellProgress> cells;
-  cells.reserve(n);
   for (u32 i = 0; i < n; ++i) {
     reliability::CellProgress c;
     c.index = static_cast<std::size_t>(r.get_u64());

@@ -1,5 +1,7 @@
 #include "service/job.hpp"
 
+#include <type_traits>
+
 #include "common/hash.hpp"
 #include "mem/residency.hpp"
 #include "service/wire.hpp"
@@ -9,182 +11,173 @@ namespace laec::service {
 
 namespace {
 
-/// Read an enum byte, refusing any value past `last`: job bytes come off a
-/// socket, and a campaign run under an unknown enumerator yields a row
-/// that describes no real configuration.
-template <class E>
-E get_enum(ByteReader& r, E last, const char* what) {
-  const u8 v = r.get_u8();
-  if (v > static_cast<u8>(last)) {
-    throw WireError(std::string("campaign job names ") + what + " " +
-                    std::to_string(v) + ", which this build does not know");
+/// Call v on every field of the job's wire format, in wire order (const or
+/// mutable `job`): serialize_job walks it with a JobWriter, parse_job with
+/// a JobReader. Besides plain fields, v sees
+///   * v.pinned(value, what): a version this build writes and must read
+///     back unchanged;
+///   * v.enumerator(field, last, what): an enum sent as one byte, at most
+///     `last`;
+///   * v.check(ok, what): a condition on the fields read so far;
+///   * v.count(vector): a vector's length, before its elements.
+template <class Job, class V>
+void visit_job(Job& job, V& v) {
+  v.pinned(kJobVersion, "version");
+  v(job.base_seed);
+  v(job.shard_index);
+  v(job.shard_count);
+  v.check(job.shard_count != 0 && job.shard_index < job.shard_count,
+          "shard_index/shard_count invalid");
+
+  auto& s = job.spec;
+  v(s.accel);
+  v(s.freq_mhz);
+  v(s.trials);
+  v(s.min_trials);
+  v(s.batch);
+  v(s.confidence);
+  v(s.target_half_width);
+  v.enumerator(s.target, core::InjectTarget::kL2, "inject target");
+  // The prune mode is part of the identity (a --prune run never silently
+  // resumes a --no-prune checkpoint), and so is the recorder revision: the
+  // recorded windows define every trial's RNG stream, so cursors taken
+  // under different recording semantics are a different campaign.
+  v(s.prune);
+  v.pinned(mem::ResidencyRecorder::kVersion, "residency recorder version");
+  // Fast-forward mode is identity the same way prune is (a --ff run never
+  // silently resumes a --no-ff checkpoint — the rows are byte-identical but
+  // the operator asked for a specific reference mode), and the snapshot
+  // cadence/budget and frame revision pin WHICH snapshots existed.
+  v(s.fast_forward);
+  v(s.snapshot_every);
+  v(s.snapshot_mem_mb);
+  v.pinned(sim::kSnapshotVersion, "snapshot frame version");
+
+  // The SimConfig fields a job carries (see job.hpp). The campaign sets
+  // the deployment, faults and inject_target per cell.
+  auto& c = s.base;
+  v.enumerator(c.hazard_rule, cpu::HazardRule::kPaperLiteral, "hazard rule");
+  v(c.stride_predictor);
+  v(c.lut_decode);
+  v(c.force_generic_ecc_path);
+  v(c.dl1_size_bytes);
+  v(c.dl1_ways);
+  v(c.write_buffer_depth);
+  v(c.div_latency);
+  v(c.memory_cycles);
+  v(c.num_cores);
+  v(c.max_cycles);
+
+  v.count(job.cells);
+  for (auto& cell : job.cells) {
+    v(cell.index);
+    v(cell.workload);
+    v(cell.scheme);
+    v(cell.rate.label);
+    v(cell.rate.fit_per_mbit);
+    v(cell.rate.patterns.single);
+    v(cell.rate.patterns.adjacent_double);
+    v(cell.rate.patterns.adjacent_triple);
+    v(cell.rate.patterns.clustered);
   }
-  return static_cast<E>(v);
 }
 
-void put_config(ByteWriter& w, const core::SimConfig& c) {
-  // The CLI-settable SimConfig surface, in a fixed order. Fields the
-  // campaign overwrites per cell (scheme/deployment, faults,
-  // inject_target) are deliberately absent.
-  w.put_u8(static_cast<u8>(c.hazard_rule));
-  w.put_u8(c.stride_predictor ? 1 : 0);
-  w.put_u8(c.lut_decode ? 1 : 0);
-  w.put_u8(c.force_generic_ecc_path ? 1 : 0);
-  w.put_u32(c.dl1_size_bytes);
-  w.put_u32(c.dl1_ways);
-  w.put_u32(c.dl1_line_bytes);
-  w.put_u32(c.l1i_size_bytes);
-  w.put_u32(c.write_buffer_depth);
-  w.put_u32(c.mul_latency);
-  w.put_u32(c.div_latency);
-  w.put_u32(c.bus_request_cycles);
-  w.put_u32(c.bus_response_cycles);
-  w.put_u32(c.l2_hit_cycles);
-  w.put_u32(c.l2_write_cycles);
-  w.put_u32(c.memory_cycles);
-  w.put_u32(c.num_cores);
-  w.put_u64(c.max_cycles);
-}
+/// Integers travel at their own width; only 32- and 64-bit ones occur.
+template <class T>
+constexpr bool kWireInt = std::is_unsigned_v<T> && !std::is_same_v<T, bool> &&
+                          (sizeof(T) == 4 || sizeof(T) == 8);
 
-void get_config(ByteReader& r, core::SimConfig& c) {
-  c.hazard_rule = get_enum(r, cpu::HazardRule::kPaperLiteral, "hazard rule");
-  c.stride_predictor = r.get_u8() != 0;
-  c.lut_decode = r.get_u8() != 0;
-  c.force_generic_ecc_path = r.get_u8() != 0;
-  c.dl1_size_bytes = r.get_u32();
-  c.dl1_ways = r.get_u32();
-  c.dl1_line_bytes = r.get_u32();
-  c.l1i_size_bytes = r.get_u32();
-  c.write_buffer_depth = r.get_u32();
-  c.mul_latency = r.get_u32();
-  c.div_latency = r.get_u32();
-  c.bus_request_cycles = r.get_u32();
-  c.bus_response_cycles = r.get_u32();
-  c.l2_hit_cycles = r.get_u32();
-  c.l2_write_cycles = r.get_u32();
-  c.memory_cycles = r.get_u32();
-  c.num_cores = r.get_u32();
-  c.max_cycles = r.get_u64();
-}
+struct JobWriter {
+  ByteWriter& w;
 
-void put_cell(ByteWriter& w, const reliability::CampaignCell& c) {
-  w.put_u64(static_cast<u64>(c.index));
-  w.put_string(c.workload);
-  w.put_string(c.scheme);
-  w.put_string(c.rate.label);
-  w.put_double(c.rate.fit_per_mbit);
-  w.put_double(c.rate.patterns.single);
-  w.put_double(c.rate.patterns.adjacent_double);
-  w.put_double(c.rate.patterns.adjacent_triple);
-  w.put_double(c.rate.patterns.clustered);
-}
+  void operator()(bool b) { w.put_u8(b ? 1 : 0); }
+  void operator()(double d) { w.put_double(d); }
+  void operator()(const std::string& s) { w.put_string(s); }
+  template <class T>
+    requires kWireInt<T>
+  void operator()(T x) {
+    if constexpr (sizeof(T) == 4) {
+      w.put_u32(x);
+    } else {
+      w.put_u64(x);
+    }
+  }
+  void pinned(u32 value, const char*) { w.put_u32(value); }
+  template <class E>
+  void enumerator(E e, E, const char*) {
+    w.put_u8(static_cast<u8>(e));
+  }
+  void check(bool, const char*) {}
+  template <class T>
+  void count(const std::vector<T>& v) {
+    w.put_u64(static_cast<u64>(v.size()));
+  }
+};
 
-reliability::CampaignCell get_cell(ByteReader& r) {
-  reliability::CampaignCell c;
-  c.index = static_cast<std::size_t>(r.get_u64());
-  c.workload = r.get_string();
-  c.scheme = r.get_string();
-  c.rate.label = r.get_string();
-  c.rate.fit_per_mbit = r.get_double();
-  c.rate.patterns.single = r.get_double();
-  c.rate.patterns.adjacent_double = r.get_double();
-  c.rate.patterns.adjacent_triple = r.get_double();
-  c.rate.patterns.clustered = r.get_double();
-  return c;
-}
+/// Job bytes come off a socket: every read is bounds-checked, and every
+/// value that would make a row describe no real configuration is refused
+/// with WireError.
+struct JobReader {
+  ByteReader& r;
+
+  void operator()(bool& b) { b = r.get_u8() != 0; }
+  void operator()(double& d) { d = r.get_double(); }
+  void operator()(std::string& s) { s = r.get_string(); }
+  template <class T>
+    requires kWireInt<T>
+  void operator()(T& x) {
+    if constexpr (sizeof(T) == 4) {
+      x = r.get_u32();
+    } else {
+      x = r.get_u64();
+    }
+  }
+  void pinned(u32 value, const char* what) {
+    const u32 got = r.get_u32();
+    if (got != value) {
+      throw WireError(std::string("campaign job ") + what + " " +
+                      std::to_string(got) + " unsupported (this build speaks " +
+                      std::to_string(value) + ")");
+    }
+  }
+  template <class E>
+  void enumerator(E& e, E last, const char* what) {
+    const u8 v = r.get_u8();
+    if (v > static_cast<u8>(last)) {
+      throw WireError(std::string("campaign job names ") + what + " " +
+                      std::to_string(v) + ", which this build does not know");
+    }
+    e = static_cast<E>(v);
+  }
+  void check(bool ok, const char* what) {
+    if (!ok) throw WireError(std::string("campaign job ") + what);
+  }
+  template <class T>
+  void count(std::vector<T>& v) {
+    const u64 n = r.get_u64();
+    // An element costs bytes on the wire; anything claiming more elements
+    // than remaining bytes is corrupt, not big.
+    if (n > r.remaining()) {
+      throw WireError("campaign job claims an implausible cell count");
+    }
+    v.resize(static_cast<std::size_t>(n));
+  }
+};
 
 }  // namespace
 
 std::string serialize_job(const CampaignJob& job) {
   ByteWriter w;
-  w.put_u32(kJobVersion);
-  w.put_u64(job.base_seed);
-  w.put_u32(job.shard_index);
-  w.put_u32(job.shard_count);
-
-  const reliability::CampaignSpec& s = job.spec;
-  w.put_double(s.accel);
-  w.put_double(s.freq_mhz);
-  w.put_u32(s.trials);
-  w.put_u32(s.min_trials);
-  w.put_u32(s.batch);
-  w.put_double(s.confidence);
-  w.put_double(s.target_half_width);
-  w.put_u8(static_cast<u8>(s.target));
-  // The prune mode is part of the identity (a --prune run never silently
-  // resumes a --no-prune checkpoint), and so is the recorder revision: the
-  // recorded windows define every trial's RNG stream, so cursors taken
-  // under different recording semantics are a different campaign.
-  w.put_u8(s.prune ? 1 : 0);
-  w.put_u32(mem::ResidencyRecorder::kVersion);
-  // Fast-forward mode is identity the same way prune is (a --ff run never
-  // silently resumes a --no-ff checkpoint — the rows are byte-identical but
-  // the operator asked for a specific reference mode), and the snapshot
-  // cadence/budget and frame revision pin WHICH snapshots existed.
-  w.put_u8(s.fast_forward ? 1 : 0);
-  w.put_u32(s.snapshot_every);
-  w.put_u32(s.snapshot_mem_mb);
-  w.put_u32(sim::kSnapshotVersion);
-  put_config(w, s.base);
-
-  w.put_u64(static_cast<u64>(job.cells.size()));
-  for (const auto& c : job.cells) put_cell(w, c);
+  JobWriter writer{w};
+  visit_job(job, writer);
   return w.take();
 }
 
 CampaignJob parse_job(std::string_view bytes) {
   ByteReader r(bytes);
-  const u32 version = r.get_u32();
-  if (version != kJobVersion) {
-    throw WireError("campaign job version " + std::to_string(version) +
-                    " unsupported (this build speaks " +
-                    std::to_string(kJobVersion) + ")");
-  }
+  JobReader reader{r};
   CampaignJob job;
-  job.base_seed = r.get_u64();
-  job.shard_index = r.get_u32();
-  job.shard_count = r.get_u32();
-  if (job.shard_count == 0 || job.shard_index >= job.shard_count) {
-    throw WireError("campaign job shard_index/shard_count invalid");
-  }
-
-  reliability::CampaignSpec& s = job.spec;
-  s.accel = r.get_double();
-  s.freq_mhz = r.get_double();
-  s.trials = r.get_u32();
-  s.min_trials = r.get_u32();
-  s.batch = r.get_u32();
-  s.confidence = r.get_double();
-  s.target_half_width = r.get_double();
-  s.target = get_enum(r, core::InjectTarget::kL2, "inject target");
-  s.prune = r.get_u8() != 0;
-  const u32 recorder_version = r.get_u32();
-  if (recorder_version != mem::ResidencyRecorder::kVersion) {
-    throw WireError("campaign job recorded with residency recorder v" +
-                    std::to_string(recorder_version) +
-                    " (this build records v" +
-                    std::to_string(mem::ResidencyRecorder::kVersion) + ")");
-  }
-  s.fast_forward = r.get_u8() != 0;
-  s.snapshot_every = r.get_u32();
-  s.snapshot_mem_mb = r.get_u32();
-  const u32 snapshot_version = r.get_u32();
-  if (snapshot_version != sim::kSnapshotVersion) {
-    throw WireError("campaign job built against snapshot frame v" +
-                    std::to_string(snapshot_version) +
-                    " (this build captures v" +
-                    std::to_string(sim::kSnapshotVersion) + ")");
-  }
-  get_config(r, s.base);
-
-  const u64 n = r.get_u64();
-  // A cell costs tens of bytes on the wire; anything claiming more cells
-  // than remaining bytes is corrupt, not big.
-  if (n > r.remaining()) {
-    throw WireError("campaign job claims an implausible cell count");
-  }
-  job.cells.reserve(static_cast<std::size_t>(n));
-  for (u64 i = 0; i < n; ++i) job.cells.push_back(get_cell(r));
+  visit_job(job, reader);
   r.expect_end();
   return job;
 }

@@ -7,10 +7,17 @@
 // (resuming under a changed grid, seed, shard or machine geometry is a
 // hard error, not silently mixed statistics).
 //
-// The SimConfig portion covers the CLI-settable surface (geometry,
-// latencies, hazard rule, LUT/stride toggles). Per-cell scheme and fault
-// configuration are NOT part of it — run_campaign derives those from each
-// cell's scheme key and rate point, which the cells carry themselves.
+// Of the base SimConfig a job carries hazard_rule, stride_predictor,
+// lut_decode, force_generic_ecc_path, dl1_size_bytes, dl1_ways,
+// write_buffer_depth, div_latency, memory_cycles, num_cores and
+// max_cycles. Per-cell scheme and fault configuration are NOT part of it —
+// run_campaign derives the deployment, faults and inject_target from each
+// cell's scheme key and rate point and the spec's target. A job does not
+// carry ecc_slot, traffic, lookahead_under_branch_shadow or
+// record_chronogram: a parsed job has their defaults.
+//
+// serialize_job and parse_job walk one field list (job.cpp's visit_job),
+// so the two directions cannot disagree on order or width.
 #pragma once
 
 #include <string>
@@ -23,8 +30,10 @@ namespace laec::service {
 
 /// v2: spec.prune + recorder version; v3: fast-forward mode (flag, snapshot
 /// cadence/budget, snapshot frame version); v4: the fixed exposure window
-/// is gone (storms are drawn over recorded per-window gaps).
-inline constexpr u32 kJobVersion = 4;
+/// is gone (storms are drawn over recorded per-window gaps); v5: the line
+/// size, L1I size, multiply, bus and L2 latencies are gone (they are no
+/// longer SimConfig fields).
+inline constexpr u32 kJobVersion = 5;
 
 struct CampaignJob {
   reliability::CampaignSpec spec;            ///< incl. base SimConfig subset

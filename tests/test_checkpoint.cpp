@@ -11,6 +11,7 @@
 
 #include <bit>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -171,6 +172,69 @@ TEST(Checkpoint, PayloadLayoutIsPinned) {
   EXPECT_EQ(payload.size(), 4u + 8u + 4u + 2u * (8u + 4u + 1u + 13u * 8u));
   EXPECT_EQ(kCheckpointVersion, 3u);
   EXPECT_EQ(fnv1a(payload), 0x7310b3fa66904240ull);
+}
+
+/// `file` with its checksum restated over its payload, so a corruption
+/// gets past the checksum and the decoder meets it.
+std::string rechecksummed(std::string file) {
+  const std::size_t head = sizeof kCheckpointMagic + 8;
+  if (file.size() < head) return file;
+  const u64 sum = fnv1a(std::string_view(file).substr(head));
+  for (std::size_t b = 0; b < 8; ++b) {
+    file[sizeof kCheckpointMagic + b] = static_cast<char>(sum >> (8 * b));
+  }
+  return file;
+}
+
+/// Load `bytes` as a checkpoint file at `path`: true when it loads, false
+/// on WireError. Any other exception escapes and fails the test.
+bool loads(const std::string& path, const std::string& bytes, u64 identity) {
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  try {
+    (void)load_checkpoint(path, identity);
+    return true;
+  } catch (const WireError&) {
+    return false;
+  }
+}
+
+TEST(Checkpoint, DecoderSurvivesEveryCutFlipAndLyingField) {
+  // Every cut of a small checkpoint, one flipped bit in every byte, and a
+  // lying u32 at every payload offset (the version, identity, cell count
+  // and every counter among them), set to 0xffffffff at even offsets and
+  // to its value plus one at odd ones. Each corruption past the header is
+  // re-checksummed, so the decoder itself meets it; each load must end in
+  // success or WireError.
+  TempPath tmp("fuzz");
+  const u64 identity = 0x1aec;
+  save_checkpoint(tmp.path, identity, sample_cells());
+  const std::string good = read_bytes(tmp.path);
+  const std::size_t head = sizeof kCheckpointMagic + 8;
+  ASSERT_GT(good.size(), head);
+
+  std::size_t loaded = 0;
+  for (std::size_t n = 0; n < good.size(); ++n) {
+    loaded += loads(tmp.path, rechecksummed(good.substr(0, n)), identity);
+  }
+  EXPECT_EQ(loaded, 0u) << "a cut checkpoint loaded";
+
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    std::string bad = good;
+    bad[i] ^= static_cast<char>(1u << (i % 8));
+    (void)loads(tmp.path, i >= head ? rechecksummed(bad) : bad, identity);
+  }
+  for (std::size_t i = head; i + 4 <= good.size(); ++i) {
+    u32 lie = 0;
+    std::memcpy(&lie, good.data() + i, 4);
+    lie = i % 2 == 0 ? 0xffff'ffffu : lie + 1;
+    std::string bad = good;
+    std::memcpy(bad.data() + i, &lie, 4);
+    (void)loads(tmp.path, rechecksummed(bad), identity);
+  }
+  EXPECT_TRUE(loads(tmp.path, good, identity));
 }
 
 TEST(Checkpoint, SaveIsAtomicViaRename) {

@@ -126,23 +126,23 @@ TEST(EnumRoundTrips, EccPolicyAndHazardRule) {
 
 TEST(SchemeKeys, PolicyKeysExpandToCanonicalDeployments) {
   const auto laec = core::HierarchyDeployment::parse("laec");
-  EXPECT_EQ(laec.codec, "secded-39-32");
+  EXPECT_EQ(laec.dl1.codec, "secded-39-32");
   EXPECT_EQ(laec.timing, cpu::EccPolicy::kLaec);
   EXPECT_EQ(laec.write_policy, mem::WritePolicy::kWriteBack);
 
   const auto wt = core::HierarchyDeployment::parse("wt-parity");
-  EXPECT_EQ(wt.codec, "parity-32");
+  EXPECT_EQ(wt.dl1.codec, "parity-32");
   EXPECT_EQ(wt.write_policy, mem::WritePolicy::kWriteThrough);
   EXPECT_EQ(wt.alloc_policy, mem::AllocPolicy::kNoWriteAllocate);
 
   const auto none = core::HierarchyDeployment::parse("no-ecc");
-  EXPECT_EQ(none.codec, "none");
+  EXPECT_EQ(none.dl1.codec, "none");
   EXPECT_EQ(none.timing, cpu::EccPolicy::kNoEcc);
 }
 
 TEST(SchemeKeys, CodecKeysPickTheirNaturalArrangement) {
   const auto daec = core::HierarchyDeployment::parse("sec-daec-39-32");
-  EXPECT_EQ(daec.codec, "sec-daec-39-32");
+  EXPECT_EQ(daec.dl1.codec, "sec-daec-39-32");
   EXPECT_EQ(daec.timing, cpu::EccPolicy::kLaec);
   EXPECT_EQ(daec.write_policy, mem::WritePolicy::kWriteBack);
 
@@ -157,7 +157,7 @@ TEST(SchemeKeys, CodecKeysPickTheirNaturalArrangement) {
 TEST(SchemeKeys, PlacementColonCodecCombines) {
   const auto d = core::HierarchyDeployment::parse("extra-stage:sec-daec-39-32");
   EXPECT_EQ(d.name, "extra-stage:sec-daec-39-32");
-  EXPECT_EQ(d.codec, "sec-daec-39-32");
+  EXPECT_EQ(d.dl1.codec, "sec-daec-39-32");
   EXPECT_EQ(d.timing, cpu::EccPolicy::kExtraStage);
   // Detect-only codecs cannot sit in a correcting placement.
   EXPECT_THROW((void)core::HierarchyDeployment::parse("extra-stage:parity-32"),
@@ -190,9 +190,9 @@ TEST(SchemeKeys, UnknownKeyFailsWithKnownChoices) {
 TEST(SchemeKeys, SimConfigDefaultsToLaecAndSetSchemeReplacesIt) {
   core::SimConfig cfg;
   EXPECT_EQ(cfg.deployment.name, "laec");
-  EXPECT_EQ(cfg.deployment.codec, "secded-39-32");
+  EXPECT_EQ(cfg.deployment.dl1.codec, "secded-39-32");
   cfg.set_scheme("sec-daec-39-32");
-  EXPECT_EQ(cfg.deployment.codec, "sec-daec-39-32");
+  EXPECT_EQ(cfg.deployment.dl1.codec, "sec-daec-39-32");
   EXPECT_EQ(cfg.deployment.timing, cpu::EccPolicy::kLaec);
   const auto sc = core::make_system_config(cfg);
   ASSERT_NE(sc.core.dl1.cache.codec, nullptr);

@@ -164,11 +164,11 @@ TEST(DecBch, DeployableAsDl1SchemeKey) {
   // A correcting codec named bare rides the write-back DL1 under the LAEC
   // placement, like every other correcting drop-in.
   const auto dep = core::HierarchyDeployment::parse("dec-bch-45-32");
-  EXPECT_EQ(dep.codec, "dec-bch-45-32");
+  EXPECT_EQ(dep.dl1.codec, "dec-bch-45-32");
   EXPECT_EQ(dep.timing, cpu::EccPolicy::kLaec);
   EXPECT_EQ(dep.write_policy, mem::WritePolicy::kWriteBack);
-  EXPECT_EQ(core::HierarchyDeployment::parse(dep.canonical_key()).codec,
-            dep.codec);
+  EXPECT_EQ(core::HierarchyDeployment::parse(dep.canonical_key()).dl1.codec,
+            dep.dl1.codec);
 }
 
 }  // namespace

@@ -183,7 +183,7 @@ TEST(Hierarchy, ParityErrorRecoversByRefetch) {
                                "parity-32"),
                     ms.bus(), 0);
   ecc::FaultInjector inj;
-  dl1.set_injector(&inj);
+  dl1.cache().set_injector(&inj);
   ms.memory().write_u32(0x6000, 0x600d600d);
   Cycle now = 0;
   bool done = false;

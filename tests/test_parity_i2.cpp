@@ -108,10 +108,10 @@ TEST(InterleavedParity, CapabilityFlags) {
 TEST(InterleavedParity, DeploysAsDetectOnlyScheme) {
   // Bare-codec DL1 key: detect-only -> the write-through parity arrangement.
   const auto d = core::HierarchyDeployment::parse("parity-i2-32");
-  EXPECT_EQ(d.codec, "parity-i2-32");
+  EXPECT_EQ(d.dl1.codec, "parity-i2-32");
   EXPECT_EQ(d.timing, cpu::EccPolicy::kWtParity);
   EXPECT_EQ(d.write_policy, mem::WritePolicy::kWriteThrough);
-  EXPECT_EQ(d.recovery, mem::RecoveryPolicy::kInvalidateRefetch);
+  EXPECT_EQ(d.dl1.recovery, mem::RecoveryPolicy::kInvalidateRefetch);
   // And as a cheap L1I upgrade in a compound key.
   const auto h = core::HierarchyDeployment::parse("laec+l1i:parity-i2-32");
   EXPECT_EQ(h.l1i.codec, "parity-i2-32");

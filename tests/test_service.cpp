@@ -23,6 +23,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "obs/metrics.hpp"
 #include "reliability/campaign.hpp"
 #include "service/job.hpp"
@@ -156,9 +157,9 @@ TEST(CampaignJob, SerializeParseRoundTrips) {
 
 TEST(CampaignJob, IdentityReactsToEveryConfigurationAxis) {
   // One perturbation per field serialize_job writes: job header, every
-  // spec field, every put_config field, the cell list and every rate
-  // weight. A field dropped from serialize_job leaves the identity
-  // unchanged; one dropped from parse_job breaks the round trip.
+  // spec field, every SimConfig field a job carries, the cell list and
+  // every rate weight. A field dropped from the job's field list leaves the
+  // identity unchanged.
   using Perturb = std::function<void(CampaignJob&)>;
   const std::vector<std::pair<const char*, Perturb>> axes = {
       {"base_seed", [](CampaignJob& j) { j.base_seed ^= 1; }},
@@ -194,21 +195,9 @@ TEST(CampaignJob, IdentityReactsToEveryConfigurationAxis) {
       {"dl1_size_bytes",
        [](CampaignJob& j) { j.spec.base.dl1_size_bytes *= 2; }},
       {"dl1_ways", [](CampaignJob& j) { j.spec.base.dl1_ways *= 2; }},
-      {"dl1_line_bytes",
-       [](CampaignJob& j) { j.spec.base.dl1_line_bytes *= 2; }},
-      {"l1i_size_bytes",
-       [](CampaignJob& j) { j.spec.base.l1i_size_bytes *= 2; }},
       {"write_buffer_depth",
        [](CampaignJob& j) { j.spec.base.write_buffer_depth += 1; }},
-      {"mul_latency", [](CampaignJob& j) { j.spec.base.mul_latency += 1; }},
       {"div_latency", [](CampaignJob& j) { j.spec.base.div_latency += 1; }},
-      {"bus_request_cycles",
-       [](CampaignJob& j) { j.spec.base.bus_request_cycles += 1; }},
-      {"bus_response_cycles",
-       [](CampaignJob& j) { j.spec.base.bus_response_cycles += 1; }},
-      {"l2_hit_cycles", [](CampaignJob& j) { j.spec.base.l2_hit_cycles += 1; }},
-      {"l2_write_cycles",
-       [](CampaignJob& j) { j.spec.base.l2_write_cycles += 1; }},
       {"memory_cycles", [](CampaignJob& j) { j.spec.base.memory_cycles += 1; }},
       {"num_cores", [](CampaignJob& j) { j.spec.base.num_cores += 1; }},
       {"max_cycles", [](CampaignJob& j) { j.spec.base.max_cycles += 1; }},
@@ -239,18 +228,40 @@ TEST(CampaignJob, IdentityReactsToEveryConfigurationAxis) {
   }
 }
 
+TEST(CampaignJob, WireLayoutIsPinned) {
+  // A field list rewritten in a new order still round-trips, yet a daemon
+  // and a client of different builds would then disagree and every
+  // checkpoint identity would move. Pin the bytes: this hash may only
+  // change together with kJobVersion.
+  const std::string bytes = serialize_job(sample_job());
+  // Header: version, seed, shard. Spec: accel, freq, trials, min_trials,
+  // batch, confidence, half-width, target, prune, recorder version, ff,
+  // cadence, budget, snapshot version. SimConfig: hazard rule and three
+  // flags, six u32 fields, max_cycles. Then the cell count and two cells
+  // (index, workload, scheme, rate label, fit and four weights).
+  const std::size_t header = 4 + 8 + 4 + 4;
+  const std::size_t spec = 8 + 8 + 4 + 4 + 4 + 8 + 8 + 1 + 1 + 4 + 1 + 4 + 4 + 4;
+  const std::size_t config = 4 * 1 + 6 * 4 + 8;
+  const auto cell = [](std::size_t scheme_len) {
+    return 8 + (4 + 6) + (4 + scheme_len) + (4 + 4) + 5 * 8;
+  };
+  EXPECT_EQ(bytes.size(), header + spec + config + 8 + cell(4) + cell(14));
+  EXPECT_EQ(kJobVersion, 5u);
+  EXPECT_EQ(fnv1a(bytes), 0xae7cd714d24b0be8ull);
+}
+
 TEST(CampaignJob, OlderJobVersionIsRejectedByName) {
-  // Version 3 carried the fixed exposure window v4 dropped; its bytes must
-  // fail loudly, not shift every later field by four bytes.
+  // Version 4 carried seven machine parameters v5 dropped; its bytes must
+  // fail loudly, not shift every later field.
   std::string bytes = serialize_job(sample_job());
-  ByteWriter v3;
-  v3.put_u32(3);
-  bytes.replace(0, 4, v3.bytes());
+  ByteWriter v4;
+  v4.put_u32(4);
+  bytes.replace(0, 4, v4.bytes());
   try {
     (void)parse_job(bytes);
-    FAIL() << "a version-3 job parsed";
+    FAIL() << "a version-4 job parsed";
   } catch (const WireError& e) {
-    EXPECT_NE(std::string(e.what()).find("version 3"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("version 4"), std::string::npos)
         << e.what();
   }
 }

@@ -738,8 +738,8 @@ TEST(Snapshot, DecoderSurvivesEveryCutFlipAndLyingField) {
   // even offsets and to its value plus one at odd ones.
   core::SimConfig cfg = config_for("laec");
   cfg.dl1_size_bytes = 1024;
-  cfg.l1i_size_bytes = 1024;
   sim::SystemConfig sc = core::make_system_config(cfg, /*trace_mode=*/false);
+  sc.core.l1i.cache.size_bytes = 1024;
   sc.memsys.l2.cache.size_bytes = 8 * 1024;
   System golden(sc);
   golden.load_program(workloads::kernel_by_name("puwmod").build().program);

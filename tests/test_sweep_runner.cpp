@@ -121,7 +121,7 @@ TEST(SweepGrid, StringSchemeAxisCarriesDeploymentsIntoPoints) {
       .mode(RunMode::kTrace);
   const auto pts = g.points();
   ASSERT_EQ(pts.size(), 3u);
-  EXPECT_EQ(pts[1].config.deployment.codec, "sec-daec-39-32");
+  EXPECT_EQ(pts[1].config.deployment.dl1.codec, "sec-daec-39-32");
   EXPECT_EQ(pts[1].config.deployment.timing, EccPolicy::kLaec);
   EXPECT_EQ(pts[2].config.deployment.timing, EccPolicy::kExtraStage);
   // Policy keys expand to their canonical deployments.
@@ -129,7 +129,7 @@ TEST(SweepGrid, StringSchemeAxisCarriesDeploymentsIntoPoints) {
   policy.workloads({"tblook"}).schemes({"wt-parity"});
   const auto ppts = policy.points();
   ASSERT_EQ(ppts.size(), 1u);
-  EXPECT_EQ(ppts[0].config.deployment.codec, "parity-32");
+  EXPECT_EQ(ppts[0].config.deployment.dl1.codec, "parity-32");
 }
 
 TEST(SweepGrid, CompoundHierarchyKeysSweepPerLevelCodecs) {
@@ -142,7 +142,7 @@ TEST(SweepGrid, CompoundHierarchyKeysSweepPerLevelCodecs) {
   ASSERT_EQ(pts.size(), 3u);
   // All three points share the DL1 deployment; the levels differ.
   for (const auto& p : pts) {
-    EXPECT_EQ(p.config.deployment.codec, "secded-39-32");
+    EXPECT_EQ(p.config.deployment.dl1.codec, "secded-39-32");
     EXPECT_EQ(p.config.deployment.timing, cpu::EccPolicy::kLaec);
   }
   EXPECT_EQ(pts[0].config.deployment.l2.codec, "secded-39-32");

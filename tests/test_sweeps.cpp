@@ -72,14 +72,17 @@ INSTANTIATE_TEST_SUITE_P(
 class LineSizeSweep : public ::testing::TestWithParam<u32> {};
 
 TEST_P(LineSizeSweep, CacheGeometryIndependence) {
-  // Architectural results must not depend on the line size.
+  // Architectural results must not depend on the line size (of both L1s).
   const auto k = workloads::kernel_by_name("canrdr").build();
-  auto cfg = test::test_config(EccPolicy::kLaec);
-  cfg.dl1_line_bytes = GetParam();
-  auto r = test::run_keep_system(cfg, k.program);
-  ASSERT_TRUE(r.stats.completed);
+  sim::SystemConfig sc =
+      core::make_system_config(test::test_config(EccPolicy::kLaec));
+  sc.core.dl1.cache.line_bytes = GetParam();
+  sc.core.l1i.cache.line_bytes = GetParam();
+  sim::System sys(sc);
+  sys.load_program(k.program);
+  ASSERT_TRUE(sys.run().completed);
   for (const auto& [addr, expect] : k.expected) {
-    ASSERT_EQ(r.system->read_word_final(addr), expect);
+    ASSERT_EQ(sys.read_word_final(addr), expect);
   }
 }
 

@@ -716,7 +716,7 @@ void print_stats(const CliOptions& o, const core::RunStats& s,
     return;
   }
   std::printf("scheme            : %s   (codec %s)\n", dep.name.c_str(),
-              dep.codec.c_str());
+              dep.dl1.codec.c_str());
   std::printf("cycles            : %llu\n",
               static_cast<unsigned long long>(s.cycles));
   std::printf("instructions      : %llu   (CPI %.3f)\n",
@@ -785,7 +785,7 @@ int cmd_schemes() {
   report::Table d({"key", "codec", "write policy", "check placement"});
   for (const auto& key : core::HierarchyDeployment::policy_keys()) {
     const auto dep = core::HierarchyDeployment::parse(key);
-    d.add_row({dep.name, dep.codec,
+    d.add_row({dep.name, dep.dl1.codec,
                dep.write_policy == mem::WritePolicy::kWriteBack
                    ? "write-back"
                    : "write-through",
