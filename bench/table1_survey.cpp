@@ -4,6 +4,7 @@
 // SECDED wants its own cycle/stage.
 #include <cstdio>
 
+#include "ecc/registry.hpp"
 #include "ecc/xor_tree.hpp"
 #include "report/table.hpp"
 
@@ -35,10 +36,13 @@ int main() {
                                   1) +
                    "%"});
   };
-  add("parity-32 check", ecc::estimate_parity(32));
-  add("SECDED(39,32) encode", ecc::estimate_encoder(ecc::secded32()));
-  add("SECDED(39,32) check+correct", ecc::estimate_checker(ecc::secded32()));
-  add("SECDED(72,64) check+correct", ecc::estimate_checker(ecc::secded64()));
+  const auto& parity = ecc::linear_code("parity-32");
+  const auto& secded39 = ecc::linear_code("secded-39-32");
+  add("parity-32 check", ecc::estimate_checker(parity));
+  add("SECDED(39,32) encode", ecc::estimate_encoder(secded39));
+  add("SECDED(39,32) check+correct", ecc::estimate_checker(secded39));
+  add("SECDED(72,64) check+correct",
+      ecc::estimate_checker(ecc::linear_code("secded-72-64")));
   std::printf("Why the table looks like this — codec logic costs:\n\n%s\n",
               g.to_text().c_str());
   return 0;

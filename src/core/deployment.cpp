@@ -11,11 +11,6 @@ namespace {
 
 using mem::RecoveryPolicy;
 
-/// The cache arrays protect 32-bit words; a 64-bit-word codec cannot be
-/// deployed in any of them (Debug builds would hit the cache's geometry
-/// assert, Release builds would silently truncate check bits). Unknown
-/// names throw std::invalid_argument naming the known codecs — the
-/// exception type parse() documents for every malformed key.
 /// Comma-join for the "known choices" error diagnostics.
 std::string join_keys(const std::vector<std::string>& keys) {
   std::string out;
@@ -44,6 +39,11 @@ std::vector<std::string_view> split(std::string_view s, char delim) {
   return out;
 }
 
+/// The cache arrays protect 32-bit words; a 64-bit-word codec cannot be
+/// deployed in any of them (Debug builds would hit the cache's geometry
+/// assert, Release builds would silently truncate check bits). Unknown
+/// names throw std::invalid_argument naming the known codecs — the
+/// exception type parse() documents for every malformed key.
 std::shared_ptr<const ecc::Codec> level_codec(std::string_view key,
                                               std::string_view level) {
   if (!ecc::codec_registered(key)) {

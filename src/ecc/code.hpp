@@ -15,8 +15,8 @@ namespace laec::ecc {
 /// Outcome of checking one protected word.
 enum class CheckStatus {
   kOk,                     ///< syndrome clean, data delivered as stored
-  kCorrected,              ///< single-bit error corrected on the fly
-  kCorrectedAdjacent,      ///< adjacent double error corrected (SEC-DAEC)
+  kCorrected,              ///< error corrected on the fly
+  kCorrectedAdjacent,      ///< contiguous burst of 2+ bits corrected
   kDetectedUncorrectable,  ///< error detected but not correctable
 };
 
@@ -41,6 +41,15 @@ enum class CheckStatus {
   }
   return std::nullopt;
 }
+
+/// One decoded word, from the reference decode and the syndrome table alike.
+struct Decoded {
+  CheckStatus status = CheckStatus::kOk;
+  u64 data = 0;   ///< delivered data word (corrected where possible)
+  /// Delivered check bits: corrected with the data, the stored ones when
+  /// nothing was corrected (a detected-uncorrectable word included).
+  u64 check = 0;
+};
 
 /// Did the decoder deliver usable data (clean or repaired)?
 [[nodiscard]] constexpr bool is_corrected(CheckStatus s) {

@@ -1,14 +1,16 @@
 // Abstract codec interface of the error-code subsystem.
 //
-// Every protection scheme the simulated arrays can deploy — nothing, parity,
-// Hsiao SECDED, SEC-DAEC, and whatever a future PR registers — implements
-// ecc::Codec. The caches hold a std::shared_ptr<const Codec> and run it on
-// every access; nothing downstream switches on an enum any more. Codecs are
-// immutable after construction and safe to share across threads (the sweep
-// runner hammers one instance from every worker).
+// Every protection scheme the simulated arrays can deploy implements
+// ecc::Codec: NoneCodec for an unprotected array, LinearCodec
+// (ecc/linear_code.hpp) for every code with check bits. The caches hold a
+// std::shared_ptr<const Codec> and run it on every access; nothing
+// downstream switches on an enum. Codecs are immutable after construction
+// and safe to share across threads (the sweep runner hammers one instance
+// from every worker).
 //
-// To add a scheme in one file: subclass Codec, then register a factory with
-// ecc::register_codec("my-code-39-32", ...) (see ecc/registry.hpp).
+// A new linear code is one ecc::register_codec call (see ecc/registry.hpp)
+// building a LinearCodec from its H columns and what it corrects; a scheme
+// that is not a linear code can still subclass Codec directly.
 #pragma once
 
 #include <cstddef>
@@ -17,12 +19,7 @@
 
 #include "common/types.hpp"
 #include "ecc/code.hpp"
-#include "ecc/dec_bch.hpp"
 #include "ecc/lut.hpp"
-#include "ecc/parity.hpp"
-#include "ecc/sec_daec.hpp"
-#include "ecc/sec_daec_taec.hpp"
-#include "ecc/secded.hpp"
 
 namespace laec::ecc {
 
@@ -41,12 +38,6 @@ class Codec {
   /// Check bits for a data word (low check_bits() bits of the result).
   [[nodiscard]] virtual u64 encode(u64 data) const = 0;
 
-  struct Decoded {
-    CheckStatus status = CheckStatus::kOk;
-    u64 data = 0;   ///< delivered (corrected where possible) data word
-    u64 check = 0;  ///< matching check bits for the delivered data
-  };
-
   /// Decode a stored (data, check) pair, repairing what the scheme can.
   [[nodiscard]] virtual Decoded decode(u64 data, u64 check) const = 0;
 
@@ -54,8 +45,8 @@ class Codec {
   // The cache arrays move whole lines on fills and writebacks; these span
   // entry points let them pay ONE virtual dispatch per line instead of one
   // per 32-bit word. The default implementations loop over encode()/decode()
-  // so a drop-in scheme only has to implement the per-word pair; the
-  // built-in codecs override them with direct (devirtualized) loops.
+  // so a drop-in scheme only has to implement the per-word pair;
+  // LinearCodec overrides them with its table loops.
 
   /// Encode `n` consecutive 32-bit words into their check side-array slots.
   virtual void encode_line(const u32* data, u16* check, std::size_t n) const {
@@ -90,9 +81,9 @@ class Codec {
   /// (external drop-ins, the none codec). The cache arrays snapshot this
   /// once at construction — when present and enabled
   /// (CacheConfig::use_lut_decode), word decode becomes a table encode plus
-  /// one load and two XORs instead of the per-codec matrix walk. decode()
-  /// itself always stays the matrix-math reference path so
-  /// SimConfig::lut_decode (--no-lut) can force whole runs through it.
+  /// one load and two XORs instead of the row-mask syndrome walk. decode()
+  /// itself always stays the reference path so SimConfig::lut_decode
+  /// (--no-lut) can force whole runs through it.
   [[nodiscard]] virtual const DecodeLut* decode_lut() const { return nullptr; }
 
   // --- capability flags (drive cache recovery policy and reporting) -------
@@ -117,54 +108,6 @@ class Codec {
   [[nodiscard]] virtual bool corrects_double() const { return false; }
 };
 
-/// CRTP mixin: tabulates the final class's linear `encode_word(u64)` into a
-/// byte-sliced EncodeLut and its matrix `decode` into a dense syndrome
-/// DecodeLut, then serves encode(), the devirtualized per-word thunk, the
-/// span encoder/decoder and decode_lut() from the tables — so every entry
-/// point is derived from the same two tables and can never disagree. The
-/// virtual decode() override each scheme provides stays pure matrix math:
-/// it is both the builder input and the --no-lut reference path.
-///
-/// Each final class must call build_luts() at the END of its constructor
-/// body (the dynamic type is already Derived there, so the virtual
-/// data_bits/check_bits/decode used by the builders resolve correctly).
-/// External drop-ins can still subclass Codec directly and live with the
-/// virtual-dispatch defaults.
-template <typename Derived>
-class CodecWithFastEncode : public Codec {
- public:
-  [[nodiscard]] u64 encode(u64 data) const final { return enc_.encode(data); }
-  [[nodiscard]] EncodeFn encode_thunk() const final {
-    return +[](const Codec* c, u64 data) {
-      return static_cast<const CodecWithFastEncode*>(c)->enc_.encode(data);
-    };
-  }
-  void encode_line(const u32* data, u16* check,
-                   std::size_t n) const final {
-    enc_.encode_line(data, check, n);
-  }
-  void decode_line(const u32* data, const u16* check, u32* out,
-                   std::size_t n) const final {
-    dec_.decode_line(data, check, out, n);
-  }
-  [[nodiscard]] const DecodeLut* decode_lut() const final { return &dec_; }
-
- protected:
-  /// Tabulate the scheme. Call at the end of the Derived constructor body.
-  void build_luts() {
-    const auto* d = static_cast<const Derived*>(this);
-    enc_.build(data_bits(), [d](u64 w) { return d->encode_word(w); });
-    dec_.build(enc_, data_bits(), check_bits(), [this](u64 data, u64 check) {
-      const Decoded r = this->decode(data, check);
-      return LutDecoded{r.status, r.data, r.check};
-    });
-  }
-
- private:
-  EncodeLut enc_;
-  DecodeLut dec_;
-};
-
 /// Unprotected array: zero check bits, every word decodes clean.
 class NoneCodec final : public Codec {
  public:
@@ -175,136 +118,6 @@ class NoneCodec final : public Codec {
   [[nodiscard]] Decoded decode(u64 data, u64) const override {
     return {CheckStatus::kOk, data, 0};
   }
-};
-
-/// Single even-parity bit per word (detect-only; LEON WT L1 arrangement).
-class ParityCodec final : public CodecWithFastEncode<ParityCodec> {
- public:
-  explicit ParityCodec(unsigned data_bits) : code_(data_bits) {
-    build_luts();
-  }
-  [[nodiscard]] std::string_view name() const override { return "parity-32"; }
-  [[nodiscard]] unsigned data_bits() const override {
-    return code_.data_bits();
-  }
-  [[nodiscard]] unsigned check_bits() const override { return 1; }
-  [[nodiscard]] u64 encode_word(u64 data) const { return code_.encode(data); }
-  [[nodiscard]] Decoded decode(u64 data, u64 check) const override;
-
- private:
-  ParityCode code_;
-};
-
-/// Hsiao SECDED adapter over the shared per-width SecdedCode instances.
-class SecdedCodec final : public CodecWithFastEncode<SecdedCodec> {
- public:
-  explicit SecdedCodec(const SecdedCode& code, std::string_view name)
-      : code_(code), name_(name) {
-    build_luts();
-  }
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] unsigned data_bits() const override {
-    return code_.data_bits();
-  }
-  [[nodiscard]] unsigned check_bits() const override {
-    return code_.check_bits();
-  }
-  [[nodiscard]] u64 encode_word(u64 data) const { return code_.encode(data); }
-  [[nodiscard]] Decoded decode(u64 data, u64 check) const override;
-  [[nodiscard]] bool corrects_single() const override { return true; }
-  [[nodiscard]] bool detects_double() const override { return true; }
-
- private:
-  const SecdedCode& code_;
-  std::string_view name_;
-};
-
-/// SEC-DAEC adapter over the shared per-width SecDaecCode instances.
-class SecDaecCodec final : public CodecWithFastEncode<SecDaecCodec> {
- public:
-  explicit SecDaecCodec(const SecDaecCode& code, std::string_view name)
-      : code_(code), name_(name) {
-    build_luts();
-  }
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] unsigned data_bits() const override {
-    return code_.data_bits();
-  }
-  [[nodiscard]] unsigned check_bits() const override {
-    return code_.check_bits();
-  }
-  [[nodiscard]] u64 encode_word(u64 data) const { return code_.encode(data); }
-  [[nodiscard]] Decoded decode(u64 data, u64 check) const override;
-  [[nodiscard]] bool corrects_single() const override { return true; }
-  // Non-adjacent doubles may alias onto an adjacent pair (miscorrection) —
-  // detection of arbitrary doubles is NOT guaranteed.
-  [[nodiscard]] bool corrects_adjacent_double() const override { return true; }
-
- private:
-  const SecDaecCode& code_;
-  std::string_view name_;
-};
-
-/// SEC-DAEC-TAEC adapter over the shared (45,32) SecDaecTaecCode instance.
-/// Triple-adjacent corrections report kCorrectedAdjacent — the adjacent-MBU
-/// family the per-cache counters aggregate.
-class SecDaecTaecCodec final : public CodecWithFastEncode<SecDaecTaecCodec> {
- public:
-  explicit SecDaecTaecCodec(const SecDaecTaecCode& code, std::string_view name)
-      : code_(code), name_(name) {
-    build_luts();
-  }
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] unsigned data_bits() const override {
-    return code_.data_bits();
-  }
-  [[nodiscard]] unsigned check_bits() const override {
-    return code_.check_bits();
-  }
-  [[nodiscard]] u64 encode_word(u64 data) const { return code_.encode(data); }
-  [[nodiscard]] Decoded decode(u64 data, u64 check) const override;
-  [[nodiscard]] bool corrects_single() const override { return true; }
-  // Like SEC-DAEC: a NON-adjacent multi-bit error may alias onto a
-  // correctable burst (miscorrection) — arbitrary-double detection is NOT
-  // guaranteed, but no error pattern is ever silently accepted.
-  [[nodiscard]] bool corrects_adjacent_double() const override { return true; }
-  [[nodiscard]] bool corrects_adjacent_triple() const override { return true; }
-
- private:
-  const SecDaecTaecCode& code_;
-  std::string_view name_;
-};
-
-/// DEC-TED BCH adapter over the shared (45,32) DecBchCode instance. Any
-/// double is corrected (adjacent pairs report kCorrectedAdjacent so the
-/// adjacent-MBU counters stay comparable across codecs); triples are
-/// detected, never miscorrected.
-class DecBchCodec final : public CodecWithFastEncode<DecBchCodec> {
- public:
-  explicit DecBchCodec(const DecBchCode& code, std::string_view name)
-      : code_(code), name_(name) {
-    build_luts();
-  }
-  [[nodiscard]] std::string_view name() const override { return name_; }
-  [[nodiscard]] unsigned data_bits() const override {
-    return code_.data_bits();
-  }
-  [[nodiscard]] unsigned check_bits() const override {
-    return code_.check_bits();
-  }
-  [[nodiscard]] u64 encode_word(u64 data) const { return code_.encode(data); }
-  [[nodiscard]] Decoded decode(u64 data, u64 check) const override;
-  [[nodiscard]] bool corrects_single() const override { return true; }
-  // d = 6: every double is corrected and every triple is flagged — no
-  // multi-bit pattern of weight <= 3 is ever silently accepted or
-  // miscorrected.
-  [[nodiscard]] bool detects_double() const override { return true; }
-  [[nodiscard]] bool corrects_adjacent_double() const override { return true; }
-  [[nodiscard]] bool corrects_double() const override { return true; }
-
- private:
-  const DecBchCode& code_;
-  std::string_view name_;
 };
 
 }  // namespace laec::ecc

@@ -18,14 +18,16 @@
 //    the stored check to get the syndrome, load the entry, XOR the masks
 //    onto the stored pair. No per-codec branching survives on this path.
 //
-// The tables are built GENERICALLY from the codec's own matrix-math
-// `decode`: entry s is derived from decode(0, s), which by linearity
-// (encode(0) == 0, so syndrome(0, s) == s) yields the correction masks for
-// every (data, check) pair sharing that syndrome. The matrix path stays
-// alive as the reference implementation; tests/test_lut_decode.cpp proves
-// the two bit-identical over every syndrome, and SimConfig::lut_decode
-// (--no-lut) routes whole simulations through the matrix path so the sweep
-// determinism contract covers the table layer end to end.
+// The tables are built GENERICALLY from the code's reference `decode`
+// (LinearCode: row-mask syndrome plus pattern table): entry s is derived
+// from decode(0, s), which by linearity (encode(0) == 0, so
+// syndrome(0, s) == s) yields the correction masks for every (data, check)
+// pair sharing that syndrome. The reference path stays alive as a separate
+// implementation; tests/test_lut_decode.cpp proves the two bit-identical
+// over every syndrome, tests/test_codec_atlas.cpp over every error pattern
+// of weight 1..4, and SimConfig::lut_decode (--no-lut) routes whole
+// simulations through the reference path so the sweep determinism contract
+// covers the table layer end to end.
 #pragma once
 
 #include <cassert>
@@ -37,14 +39,6 @@
 #include "ecc/code.hpp"
 
 namespace laec::ecc {
-
-/// Decode result mirroring Codec::Decoded (kept separate so the LUT layer
-/// does not depend on the codec interface that owns it).
-struct LutDecoded {
-  CheckStatus status = CheckStatus::kOk;
-  u64 data = 0;   ///< delivered (corrected where possible) data word
-  u64 check = 0;  ///< matching check bits for the delivered data
-};
 
 /// Byte-sliced table encoder for a linear check-bit map of up to 64 data
 /// bits and up to 16 check bits.
@@ -108,12 +102,12 @@ class DecodeLut {
     CheckStatus status = CheckStatus::kOk;
   };
 
-  /// Build from the codec's matrix-math decode (any callable
-  /// (u64 data, u64 check) -> LutDecoded). Keeps a copy of the encoder so
+  /// Build from the code's reference decode (any callable
+  /// (u64 data, u64 check) -> Decoded). Keeps a copy of the encoder so
   /// decode is self-contained.
   template <typename Fn>
   void build(const EncodeLut& enc, unsigned data_bits, unsigned check_bits,
-             Fn&& matrix_decode) {
+             Fn&& reference_decode) {
     assert(check_bits >= 1 && check_bits <= 16);
     enc_ = enc;
     dmask_ = low_mask(data_bits);
@@ -123,12 +117,12 @@ class DecodeLut {
       // decode(0, s) sees syndrome s (encode(0) == 0); whatever it flips
       // relative to the stored pair is, by linearity, the correction every
       // word with this syndrome receives.
-      const LutDecoded r = matrix_decode(u64{0}, s);
+      const Decoded r = reference_decode(u64{0}, s);
       entries_[s] = {r.data, static_cast<u16>(r.check ^ s), r.status};
     }
   }
 
-  [[nodiscard]] LutDecoded decode(u64 data, u64 check) const {
+  [[nodiscard]] Decoded decode(u64 data, u64 check) const {
     const u64 c = check & cmask_;
     const Entry& e = entries_[enc_.encode(data) ^ c];
     return {e.status, (data & dmask_) ^ e.data_xor, c ^ e.check_xor};

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "ecc/parity_i2.hpp"
-
 namespace laec::ecc {
 
 CodecRegistry& CodecRegistry::instance() {
@@ -16,42 +14,42 @@ CodecRegistry::CodecRegistry() {
   const auto builtin = [this](std::string name, CodecFactory f) {
     entries_.emplace(std::move(name), Entry{std::move(f), nullptr});
   };
+  // A linear code under its canonical name (and a legacy alias, if any).
+  const auto linear = [&](std::string name, LinearCode (*code)(),
+                          std::string alias = {}) {
+    CodecFactory f = [name, code] {
+      return std::make_shared<const LinearCodec>(name, code());
+    };
+    if (!alias.empty()) builtin(std::move(alias), f);
+    builtin(std::move(name), std::move(f));
+  };
   builtin("none", [] { return std::make_shared<const NoneCodec>(); });
-  builtin("parity-32",
-          [] { return std::make_shared<const ParityCodec>(32); });
-  builtin("parity-i2-32", [] {
-    return std::make_shared<const InterleavedParityCodec>(32, 2,
-                                                          "parity-i2-32");
+  linear("parity-32", [] {
+    return LinearCode(1, parity_columns(32, 1), Corrects::kNothing);
+  }, "parity");
+  linear("parity-i2-32", [] {
+    return LinearCode(2, parity_columns(32, 2), Corrects::kNothing);
   });
-  builtin("secded-39-32", [] {
-    return std::make_shared<const SecdedCodec>(secded32(), "secded-39-32");
+  linear("secded-39-32", [] {
+    return LinearCode(7, hsiao_columns(32, 7), Corrects::kSingles);
+  }, "secded");
+  linear("secded-72-64", [] {
+    return LinearCode(8, hsiao_columns(64, 8), Corrects::kSingles);
   });
-  builtin("secded-72-64", [] {
-    return std::make_shared<const SecdedCodec>(secded64(), "secded-72-64");
+  linear("sec-daec-39-32", [] {
+    return LinearCode(7, burst_columns(32, 7, 2, {3, 5, 7}),
+                      Corrects::kBursts2);
+  }, "sec-daec");
+  linear("sec-daec-72-64", [] {
+    return LinearCode(8, burst_columns(64, 8, 2, {3, 5, 7}),
+                      Corrects::kBursts2);
   });
-  builtin("sec-daec-39-32", [] {
-    return std::make_shared<const SecDaecCodec>(sec_daec32(),
-                                                "sec-daec-39-32");
+  linear("sec-daec-taec-45-32", [] {
+    return LinearCode(13, burst_columns(32, 13, 3, {3, 5}),
+                      Corrects::kBursts3);
   });
-  builtin("sec-daec-72-64", [] {
-    return std::make_shared<const SecDaecCodec>(sec_daec64(),
-                                                "sec-daec-72-64");
-  });
-  builtin("sec-daec-taec-45-32", [] {
-    return std::make_shared<const SecDaecTaecCodec>(sec_daec_taec32(),
-                                                    "sec-daec-taec-45-32");
-  });
-  builtin("dec-bch-45-32", [] {
-    return std::make_shared<const DecBchCodec>(dec_bch32(), "dec-bch-45-32");
-  });
-  // Short legacy spellings alias the 32-bit defaults.
-  builtin("parity", [] { return std::make_shared<const ParityCodec>(32); });
-  builtin("secded", [] {
-    return std::make_shared<const SecdedCodec>(secded32(), "secded-39-32");
-  });
-  builtin("sec-daec", [] {
-    return std::make_shared<const SecDaecCodec>(sec_daec32(),
-                                                "sec-daec-39-32");
+  linear("dec-bch-45-32", [] {
+    return LinearCode(13, dec_bch_columns(32), Corrects::kPairs);
   });
 }
 
@@ -117,6 +115,16 @@ bool codec_registered(std::string_view name) {
 bool register_codec(std::string name, CodecFactory factory) {
   CodecRegistry::instance().add(std::move(name), std::move(factory));
   return true;
+}
+
+const LinearCode& linear_code(std::string_view name) {
+  // The registry keeps every codec it built, so the code outlives the call.
+  const auto* c = dynamic_cast<const LinearCodec*>(make_codec(name).get());
+  if (c == nullptr) {
+    throw std::invalid_argument("codec \"" + std::string(name) +
+                                "\" is not a linear code");
+  }
+  return c->code();
 }
 
 }  // namespace laec::ecc

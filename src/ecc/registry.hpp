@@ -2,15 +2,19 @@
 //
 // Schemes are constructed by name — ecc::make_codec("secded-39-32") — so
 // caches, the injector, sweeps, CSV rows and the CLI all speak the same
-// vocabulary and a new code is a one-file drop-in:
+// vocabulary. A new linear code is one registration: its name, its check
+// bits, the data columns of its H and what it corrects
+// (ecc/linear_code.hpp):
 //
-//     // my_code.cpp
-//     namespace { const bool registered = laec::ecc::register_codec(
-//         "my-code-39-32", [] { return std::make_shared<MyCodec>(); }); }
+//     const bool registered = laec::ecc::register_codec("my-code-39-32", [] {
+//       return std::make_shared<const laec::ecc::LinearCodec>(
+//           "my-code-39-32", laec::ecc::LinearCode(7, my_columns(),
+//                                                  laec::ecc::Corrects::kSingles));
+//     });
 //
 // Codecs are immutable, so the registry hands out one shared const instance
-// per name (constructed lazily on first use; construction of the heavier
-// codes builds H-matrices and syndrome LUTs once, not per cache).
+// per name (constructed lazily on first use; construction builds the column
+// search, the syndrome table and the LUTs once, not per cache).
 #pragma once
 
 #include <functional>
@@ -22,6 +26,7 @@
 #include <vector>
 
 #include "ecc/codec.hpp"
+#include "ecc/linear_code.hpp"
 
 namespace laec::ecc {
 
@@ -31,8 +36,8 @@ class CodecRegistry {
  public:
   /// The process-wide registry, pre-populated with the built-in schemes:
   /// none, parity-32, parity-i2-32, secded-39-32, secded-72-64,
-  /// sec-daec-39-32, sec-daec-72-64, sec-daec-taec-45-32 (plus the legacy
-  /// aliases parity, secded, sec-daec).
+  /// sec-daec-39-32, sec-daec-72-64, sec-daec-taec-45-32, dec-bch-45-32
+  /// (plus the legacy aliases parity, secded, sec-daec).
   [[nodiscard]] static CodecRegistry& instance();
 
   /// Register a scheme. Throws std::invalid_argument when `name` is empty
@@ -66,5 +71,10 @@ class CodecRegistry {
 
 /// Static-initializer-friendly registration hook (returns true).
 bool register_codec(std::string name, CodecFactory factory);
+
+/// The LinearCode behind a registered codec (its H, for the gate model and
+/// the construction tests). Throws std::invalid_argument when the named
+/// codec is not a LinearCodec.
+[[nodiscard]] const LinearCode& linear_code(std::string_view name);
 
 }  // namespace laec::ecc

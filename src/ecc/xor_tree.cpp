@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <vector>
 
 namespace laec::ecc {
 
@@ -19,13 +17,13 @@ unsigned ceil_log2(unsigned n) {
   return d;
 }
 
-/// Encoder logic shared by every H-matrix code: one balanced XOR tree per
-/// check bit over its row of H.
-GateEstimate encoder_from_rows(unsigned check_bits,
-                               const unsigned* row_weights) {
+}  // namespace
+
+GateEstimate estimate_encoder(const LinearCode& code) {
+  // One balanced XOR tree per check bit over its row of H.
   GateEstimate g;
-  for (unsigned row = 0; row < check_bits; ++row) {
-    const unsigned w = row_weights[row];
+  for (unsigned row = 0; row < code.check_bits(); ++row) {
+    const unsigned w = code.row_weight(row);
     assert(w >= 1);
     g.xor2_gates += w - 1;
     g.depth_levels = std::max(g.depth_levels, ceil_log2(w));
@@ -33,65 +31,29 @@ GateEstimate encoder_from_rows(unsigned check_bits,
   return g;
 }
 
-/// Single-bit corrector shared by SECDED and SEC-DAEC: syndrome trees, one
-/// r-input column match per data bit, one correction XOR per data bit.
-GateEstimate checker_from_rows(unsigned data_bits, unsigned check_bits,
-                               const unsigned* row_weights) {
+GateEstimate estimate_checker(const LinearCode& code) {
+  const unsigned k = code.data_bits();
+  const unsigned r = code.check_bits();
   GateEstimate g;
   // Syndrome trees: each row XORs its data bits plus its own check bit.
-  for (unsigned row = 0; row < check_bits; ++row) {
-    const unsigned w = row_weights[row] + 1;
+  for (unsigned row = 0; row < r; ++row) {
+    const unsigned w = code.row_weight(row) + 1;
     g.xor2_gates += w - 1;
     g.depth_levels = std::max(g.depth_levels, ceil_log2(w));
   }
+  if (code.corrected_patterns() == 0) return g;  // detector only
   // Column match: one r-input AND (with selective inversion) per data bit.
-  g.and2_gates += data_bits * (check_bits - 1);
+  g.and2_gates += k * (r - 1);
   // Correction: one XOR2 per data bit, in parallel.
-  g.xor2_gates += data_bits;
-  g.depth_levels += ceil_log2(check_bits) + 1;
-  return g;
-}
-
-template <typename Code>
-std::vector<unsigned> row_weights_of(const Code& code) {
-  std::vector<unsigned> w(code.check_bits());
-  for (unsigned row = 0; row < code.check_bits(); ++row) {
-    w[row] = code.row_weight(row);
+  g.xor2_gates += k;
+  g.depth_levels += ceil_log2(r) + 1;
+  // Multi-bit patterns: one more r-input match each, OR-ed (one extra gate
+  // level) into the per-data-bit correction select.
+  const unsigned multi = code.corrected_patterns() - code.codeword_bits();
+  if (multi > 0) {
+    g.and2_gates += multi * (r - 1) + k;
+    g.depth_levels += 1;
   }
-  return w;
-}
-
-}  // namespace
-
-GateEstimate estimate_encoder(const SecdedCode& code) {
-  return encoder_from_rows(code.check_bits(), row_weights_of(code).data());
-}
-
-GateEstimate estimate_encoder(const SecDaecCode& code) {
-  return encoder_from_rows(code.check_bits(), row_weights_of(code).data());
-}
-
-GateEstimate estimate_checker(const SecdedCode& code) {
-  return checker_from_rows(code.data_bits(), code.check_bits(),
-                           row_weights_of(code).data());
-}
-
-GateEstimate estimate_checker(const SecDaecCode& code) {
-  GateEstimate g = checker_from_rows(code.data_bits(), code.check_bits(),
-                                     row_weights_of(code).data());
-  // Adjacent-pair matches: one extra r-input AND per codeword pair, OR-ed
-  // (one extra gate level) into the per-data-bit correction select.
-  const unsigned pairs = code.codeword_bits() - 1;
-  g.and2_gates += pairs * (code.check_bits() - 1) + code.data_bits();
-  g.depth_levels += 1;
-  return g;
-}
-
-GateEstimate estimate_parity(unsigned data_bits) {
-  GateEstimate g;
-  assert(data_bits >= 1);
-  g.xor2_gates = data_bits;  // data_bits-1 for the tree + 1 compare
-  g.depth_levels = ceil_log2(data_bits) + 1;
   return g;
 }
 

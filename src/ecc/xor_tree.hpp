@@ -1,4 +1,4 @@
-// Gate-level cost model for parity/SECDED encoder and checker logic.
+// Gate-level cost model for the encoder and checker logic of a linear code.
 //
 // The paper argues (citing Strukov'06 and Duwe'15) that a SECDED check fits
 // comfortably within one DL1 pipeline stage; Table I's processors likewise
@@ -13,8 +13,7 @@
 // correctable column and one final XOR per data bit.
 #pragma once
 
-#include "ecc/sec_daec.hpp"
-#include "ecc/secded.hpp"
+#include "ecc/linear_code.hpp"
 
 namespace laec::ecc {
 
@@ -27,21 +26,16 @@ struct GateEstimate {
 };
 
 /// Cost of computing the check bits for a write (encoder).
-[[nodiscard]] GateEstimate estimate_encoder(const SecdedCode& code);
-[[nodiscard]] GateEstimate estimate_encoder(const SecDaecCode& code);
+[[nodiscard]] GateEstimate estimate_encoder(const LinearCode& code);
 
-/// Cost of computing the syndrome and correcting one bit (checker+corrector);
-/// this is the logic that sits in the load path and motivates the whole
-/// paper.
-[[nodiscard]] GateEstimate estimate_checker(const SecdedCode& code);
-
-/// SEC-DAEC checker: the single-bit corrector plus one extra syndrome-match
-/// term per adjacent codeword pair, OR-folded into each data bit's
-/// correction XOR (Dutta-Touba-style decoder).
-[[nodiscard]] GateEstimate estimate_checker(const SecDaecCode& code);
-
-/// Cost of a single parity bit over `data_bits` inputs (detector only).
-[[nodiscard]] GateEstimate estimate_parity(unsigned data_bits);
+/// Cost of computing the syndrome and correcting (checker + corrector); this
+/// is the logic that sits in the load path and motivates the whole paper.
+/// A detect-only code stops at the syndrome trees; a correcting one adds a
+/// syndrome match and a correction XOR per data bit, and a code that also
+/// corrects multi-bit patterns (SEC-DAEC's adjacent pairs) one more match
+/// per such pattern, OR-folded into each data bit's correction select
+/// (Dutta-Touba-style decoder).
+[[nodiscard]] GateEstimate estimate_checker(const LinearCode& code);
 
 /// Convert a gate-level estimate to picoseconds given a per-level delay
 /// (FO4-style). Default 35 ps/level is representative of a 65 nm process,

@@ -392,12 +392,11 @@ class SetAssocCache {
   /// hit by the fast test after a storm was detached).
   void decode_and_account(Way& way, u32 word_idx, WordRead& out);
   /// One stored word through the selected decode implementation: the
-  /// codec's syndrome LUT when enabled and available, its matrix-math
+  /// codec's syndrome LUT when enabled and available, its reference
   /// decode() otherwise. The two are bit-identical by contract.
-  [[nodiscard]] ecc::LutDecoded decode_word(u32 data, u16 check) const {
-    if (lut_ != nullptr) return lut_->decode(data, check);
-    const auto r = codec_->decode(data, check);
-    return {r.status, r.data, r.check};
+  [[nodiscard]] ecc::Decoded decode_word(u32 data, u16 check) const {
+    return lut_ != nullptr ? lut_->decode(data, check)
+                           : codec_->decode(data, check);
   }
   /// The line as the codec delivers it: every correctable word repaired
   /// (uncorrectable words stay as stored). The writeback/eviction view —

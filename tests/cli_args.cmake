@@ -2,7 +2,7 @@
 # impossible cache geometry must be refused with exit status 2, never
 # simulated as some other value (or hung, or crashed). A refused or failed
 # command leaves an existing --out file as it was, and a failed write exits
-# 2 too.
+# 2 too. `laec_cli schemes` must print tests/laec_cli_schemes.txt exactly.
 #
 #   cmake -DCLI=<path to laec_cli> -DWORK=<scratch dir> -P cli_args.cmake
 
@@ -147,6 +147,23 @@ endif()
 file(GLOB leftovers "${WORK}/*.tmp")
 if(leftovers)
   message(SEND_ERROR "temporary files left behind: ${leftovers}")
+  math(EXPR failures "${failures} + 1")
+endif()
+
+# `laec_cli schemes` prints the deployment keys, the registered codecs with
+# their capability flags and the checker gate model; its output is pinned.
+execute_process(
+  COMMAND "${CLI}" schemes
+  WORKING_DIRECTORY "${WORK}"
+  RESULT_VARIABLE rc
+  OUTPUT_FILE "${WORK}/schemes.txt"
+  ERROR_QUIET
+  TIMEOUT 60)
+file(READ "${WORK}/schemes.txt" schemes)
+file(READ "${CMAKE_CURRENT_LIST_DIR}/laec_cli_schemes.txt" expected_schemes)
+if(NOT rc STREQUAL "0" OR NOT schemes STREQUAL expected_schemes)
+  message(SEND_ERROR "laec_cli schemes: exit '${rc}', output differs from "
+                     "tests/laec_cli_schemes.txt")
   math(EXPR failures "${failures} + 1")
 endif()
 

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "common/bitops.hpp"
 #include "common/rng.hpp"
 #include "core/deployment.hpp"
@@ -72,15 +75,73 @@ TEST(CodecRegistry, CapabilitiesMatchSchemes) {
 TEST(CodecRegistry, UserRegistrationIsOneLine) {
   // The one-file drop-in path: register, construct by name, appears in the
   // listing. (A second registration of the same name must throw.)
-  static const bool registered = ecc::register_codec(
-      "test-parity-32", [] { return std::make_shared<ecc::ParityCodec>(32); });
+  const auto parity = [] {
+    return std::make_shared<const ecc::LinearCodec>(
+        "test-parity-32",
+        ecc::LinearCode(1, ecc::parity_columns(32, 1),
+                        ecc::Corrects::kNothing));
+  };
+  static const bool registered = ecc::register_codec("test-parity-32", parity);
   EXPECT_TRUE(registered);
   EXPECT_TRUE(ecc::codec_registered("test-parity-32"));
   EXPECT_EQ(ecc::make_codec("test-parity-32")->check_bits(), 1u);
   EXPECT_THROW(
-      ecc::register_codec("test-parity-32",
-                          [] { return std::make_shared<ecc::ParityCodec>(32); }),
+      ecc::register_codec("test-parity-32", parity),
       std::invalid_argument);
+}
+
+// The construction invariants of every registered linear code: distinct
+// nonzero columns that differ from the unit (check) columns, odd weight >= 3
+// for the Hsiao and burst families, every correctable burst on its own
+// syndrome, and row weights within each family's spread.
+TEST(LinearCodes, ConstructionInvariantsHoldForEveryCode) {
+  struct Family {
+    const char* name;
+    bool odd_weight;          ///< columns of odd weight >= 3
+    unsigned burst;           ///< longest correctable adjacent run
+    unsigned max_row_spread;  ///< heaviest minus lightest row
+  };
+  const Family families[] = {
+      {"parity-32", false, 0, 0},      {"parity-i2-32", false, 0, 0},
+      {"secded-39-32", true, 1, 3},    {"secded-72-64", true, 1, 4},
+      {"sec-daec-39-32", true, 2, 10}, {"sec-daec-72-64", true, 2, 10},
+      {"sec-daec-taec-45-32", true, 3, 12},
+      {"dec-bch-45-32", false, 2, 13}};
+  for (const Family& f : families) {
+    SCOPED_TRACE(f.name);
+    const ecc::LinearCode& c = ecc::linear_code(f.name);
+    const unsigned k = c.data_bits();
+    const unsigned n = c.codeword_bits();
+    const auto at = [&](unsigned p) {
+      return p < k ? c.column(p) : u64{1} << (p - k);
+    };
+    std::set<u64> singles;
+    for (unsigned p = 0; p < n; ++p) {
+      if (p < k && f.odd_weight) {
+        EXPECT_EQ(popcount64(at(p)) % 2, 1) << "column " << p;
+        EXPECT_GE(popcount64(at(p)), 3) << "column " << p;
+      }
+      if (f.burst > 0) {
+        EXPECT_NE(at(p), 0u) << "column " << p;
+        EXPECT_TRUE(singles.insert(at(p)).second) << "duplicate column " << p;
+      }
+    }
+    std::set<u64> bursts(singles);
+    for (unsigned len = 2; len <= f.burst; ++len) {
+      for (unsigned p = 0; p + len <= n; ++p) {
+        u64 s = 0;
+        for (unsigned i = p; i < p + len; ++i) s ^= at(i);
+        EXPECT_TRUE(bursts.insert(s).second)
+            << len << "-bit burst at " << p << " shares a syndrome";
+      }
+    }
+    unsigned lo = ~0u, hi = 0;
+    for (unsigned row = 0; row < c.check_bits(); ++row) {
+      lo = std::min(lo, c.row_weight(row));
+      hi = std::max(hi, c.row_weight(row));
+    }
+    EXPECT_LE(hi - lo, f.max_row_spread);
+  }
 }
 
 // ---------------------------------------------------------------------------

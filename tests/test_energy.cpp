@@ -90,7 +90,7 @@ TEST(Energy, CalibratedTableAndGeometryFallback) {
     [[nodiscard]] unsigned data_bits() const override { return 32; }
     [[nodiscard]] unsigned check_bits() const override { return 13; }
     [[nodiscard]] u64 encode(u64) const override { return 0; }
-    [[nodiscard]] Decoded decode(u64 d, u64) const override {
+    [[nodiscard]] ecc::Decoded decode(u64 d, u64) const override {
       return {ecc::CheckStatus::kOk, d, 0};
     }
     [[nodiscard]] bool corrects_single() const override { return true; }

@@ -22,7 +22,6 @@
 #include "common/bitops.hpp"
 #include "common/rng.hpp"
 #include "ecc/codec.hpp"
-#include "ecc/parity_i2.hpp"
 #include "ecc/registry.hpp"
 
 namespace laec::ecc {
@@ -65,8 +64,8 @@ TEST(LutDecode, ExhaustiveSyndromesMatchMatrixDecode) {
       for (const u64 d : words) {
         // Construct a stored pair whose syndrome is exactly s.
         const u64 check = (c->encode(d) ^ s) & cmask;
-        const Codec::Decoded m = c->decode(d, check);
-        const LutDecoded l = lut.decode(d, check);
+        const Decoded m = c->decode(d, check);
+        const Decoded l = lut.decode(d, check);
         ASSERT_EQ(m.status, l.status) << "s=" << s << " d=" << d;
         ASSERT_EQ(m.data, l.data) << "s=" << s << " d=" << d;
         ASSERT_EQ(m.check, l.check) << "s=" << s << " d=" << d;
@@ -76,7 +75,7 @@ TEST(LutDecode, ExhaustiveSyndromesMatchMatrixDecode) {
 }
 
 TEST(LutEncode, ByteSlicedTablesMatchMatrixEncode) {
-  // The table encoder against the underlying codes' matrix math, over the
+  // The table encoder against the underlying codes' row-mask encode, over the
   // full single-bit basis (the table's correctness by linearity reduces to
   // the basis) plus random words (which exercise the lane recombination).
   const auto check_against =
@@ -96,27 +95,10 @@ TEST(LutEncode, ByteSlicedTablesMatchMatrixEncode) {
           ASSERT_EQ(codec->encode(w | ~dmask), matrix(w)) << "w=" << w;
         }
       };
-  check_against(make_codec("parity-32"),
-                [](u64 w) { return ParityCode(32).encode(w); });
-  check_against(make_codec("parity-i2-32"), [](u64 w) {
-    u64 check = 0;
-    for (unsigned bit = 0; bit < 32; ++bit) {
-      check ^= ((w >> bit) & 1u) << (bit % 2);
-    }
-    return check;
-  });
-  check_against(make_codec("secded-39-32"),
-                [](u64 w) { return secded32().encode(w); });
-  check_against(make_codec("secded-72-64"),
-                [](u64 w) { return secded64().encode(w); });
-  check_against(make_codec("sec-daec-39-32"),
-                [](u64 w) { return sec_daec32().encode(w); });
-  check_against(make_codec("sec-daec-72-64"),
-                [](u64 w) { return sec_daec64().encode(w); });
-  check_against(make_codec("sec-daec-taec-45-32"),
-                [](u64 w) { return sec_daec_taec32().encode(w); });
-  check_against(make_codec("dec-bch-45-32"),
-                [](u64 w) { return dec_bch32().encode(w); });
+  for (const auto& c : protected_codecs()) {
+    const LinearCode& code = linear_code(c->name());
+    check_against(c, [&code](u64 w) { return code.encode(w); });
+  }
 }
 
 TEST(LutEncode, EncodeThunkAndLineAgreeWithEncode) {

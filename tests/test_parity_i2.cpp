@@ -7,8 +7,6 @@
 //  * same-class double flips are silent (the documented parity limitation);
 //  * the registry serves it and the deployment layer gives it the
 //    write-through detect-only arrangement.
-#include "ecc/parity_i2.hpp"
-
 #include <gtest/gtest.h>
 
 #include "common/bitops.hpp"

@@ -1,5 +1,3 @@
-#include "ecc/secded.hpp"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,9 +6,33 @@
 
 #include "common/bitops.hpp"
 #include "common/rng.hpp"
+#include "ecc/linear_code.hpp"
 
 namespace laec::ecc {
 namespace {
+
+/// Hsiao SECDED at the standard geometries: (13,8), (22,16), (39,32),
+/// (72,64).
+LinearCode secded_code(unsigned width) {
+  const unsigned r = width == 8 ? 5 : width == 16 ? 6 : width == 32 ? 7 : 8;
+  return LinearCode(r, hsiao_columns(width, r), Corrects::kSingles);
+}
+const LinearCode& secded8() {
+  static const LinearCode c = secded_code(8);
+  return c;
+}
+const LinearCode& secded16() {
+  static const LinearCode c = secded_code(16);
+  return c;
+}
+const LinearCode& secded32() {
+  static const LinearCode c = secded_code(32);
+  return c;
+}
+const LinearCode& secded64() {
+  static const LinearCode c = secded_code(64);
+  return c;
+}
 
 TEST(Secded, Geometries) {
   EXPECT_EQ(secded8().check_bits(), 5u);
@@ -22,7 +44,7 @@ TEST(Secded, Geometries) {
 }
 
 TEST(Secded, ColumnsAreDistinctOddWeight) {
-  for (const SecdedCode* c :
+  for (const LinearCode* c :
        {&secded8(), &secded16(), &secded32(), &secded64()}) {
     std::set<u64> seen;
     for (unsigned i = 0; i < c->data_bits(); ++i) {
@@ -34,26 +56,12 @@ TEST(Secded, ColumnsAreDistinctOddWeight) {
   }
 }
 
-TEST(Secded, RowWeightsBalanced) {
-  // The Hsiao construction should spread data bits evenly over the rows so
-  // every syndrome XOR tree has similar depth.
-  const SecdedCode& c = secded32();
-  unsigned mn = ~0u, mx = 0;
-  for (unsigned r = 0; r < c.check_bits(); ++r) {
-    mn = std::min(mn, c.row_weight(r));
-    mx = std::max(mx, c.row_weight(r));
-  }
-  // Perfect balance for (39,32) would be 96/7 ~ 13.7; the greedy
-  // construction stays within a spread of 3.
-  EXPECT_LE(mx - mn, 3u);
-}
-
 TEST(Secded, CleanDecodes) {
   Rng rng(1);
-  const SecdedCode& c = secded32();
+  const LinearCode& c = secded32();
   for (int i = 0; i < 1000; ++i) {
     const u64 v = rng.next_u64() & 0xffffffff;
-    const auto r = c.check(v, c.encode(v));
+    const auto r = c.decode(v, c.encode(v));
     EXPECT_EQ(r.status, CheckStatus::kOk);
     EXPECT_EQ(r.data, v);
   }
@@ -69,7 +77,7 @@ class SecdedSingleFlip
 
 TEST_P(SecdedSingleFlip, EverySingleFlipCorrected) {
   const auto [width, pos] = GetParam();
-  const SecdedCode c(width);
+  const LinearCode c = secded_code(width);
   if (pos >= c.codeword_bits()) GTEST_SKIP();
   Rng rng(width * 1000 + pos);
   for (int trial = 0; trial < 8; ++trial) {
@@ -81,11 +89,10 @@ TEST_P(SecdedSingleFlip, EverySingleFlipCorrected) {
     } else {
       check = flip_bit(check, pos - width);
     }
-    const auto r = c.check(data, check);
+    const auto r = c.decode(data, check);
     EXPECT_EQ(r.status, CheckStatus::kCorrected);
     EXPECT_EQ(r.data, v) << "width=" << width << " pos=" << pos;
     EXPECT_EQ(r.check, c.encode(v));
-    EXPECT_EQ(r.corrected_pos, static_cast<int>(pos));
   }
 }
 
@@ -96,7 +103,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Secded, EveryDoubleFlipDetected32) {
   // Exhaustive over all C(39,2) = 741 bit pairs of the (39,32) code.
-  const SecdedCode& c = secded32();
+  const LinearCode& c = secded32();
   const u64 v = 0x89abcdefull;
   const u64 chk = c.encode(v);
   const unsigned n = c.codeword_bits();
@@ -111,7 +118,7 @@ TEST(Secded, EveryDoubleFlipDetected32) {
           check = flip_bit(check, p - 32);
         }
       }
-      EXPECT_EQ(c.check(data, check).status,
+      EXPECT_EQ(c.decode(data, check).status,
                 CheckStatus::kDetectedUncorrectable)
           << "pair " << i << "," << j;
     }
@@ -119,7 +126,7 @@ TEST(Secded, EveryDoubleFlipDetected32) {
 }
 
 TEST(Secded, EveryDoubleFlipDetected64) {
-  const SecdedCode& c = secded64();
+  const LinearCode& c = secded64();
   const u64 v = 0x0123456789abcdefull;
   const u64 chk = c.encode(v);
   const unsigned n = c.codeword_bits();
@@ -134,7 +141,7 @@ TEST(Secded, EveryDoubleFlipDetected64) {
           check = flip_bit(check, p - 64);
         }
       }
-      EXPECT_EQ(c.check(data, check).status,
+      EXPECT_EQ(c.decode(data, check).status,
                 CheckStatus::kDetectedUncorrectable);
     }
   }
@@ -147,7 +154,7 @@ TEST(Secded, EveryDoubleFlipDetected64) {
 // kCorrected status. This is the full single-bit fault space of the DL1
 // word codec — 39 positions x 70 words — not a sampled subset.
 TEST(Secded, ExhaustiveSingleFlipRoundTrip32) {
-  const SecdedCode& c = secded32();
+  const LinearCode& c = secded32();
   std::vector<u64> words = {0x00000000ull, 0xffffffffull, 0xaaaaaaaaull,
                             0x55555555ull};
   for (unsigned b = 0; b < 32; ++b) {
@@ -160,7 +167,7 @@ TEST(Secded, ExhaustiveSingleFlipRoundTrip32) {
   for (const u64 w : words) {
     const u64 chk = c.encode(w);
     // Clean round-trip first.
-    const auto clean = c.check(w, chk);
+    const auto clean = c.decode(w, chk);
     ASSERT_EQ(clean.status, CheckStatus::kOk);
     ASSERT_EQ(clean.data, w);
     for (unsigned pos = 0; pos < c.codeword_bits(); ++pos) {
@@ -171,12 +178,11 @@ TEST(Secded, ExhaustiveSingleFlipRoundTrip32) {
       } else {
         check = flip_bit(check, pos - 32);
       }
-      const auto r = c.check(data, check);
+      const auto r = c.decode(data, check);
       ASSERT_EQ(r.status, CheckStatus::kCorrected)
           << "word 0x" << std::hex << w << " pos " << std::dec << pos;
       ASSERT_EQ(r.data, w);
       ASSERT_EQ(r.check, chk);
-      ASSERT_EQ(r.corrected_pos, static_cast<int>(pos));
     }
   }
 }
@@ -185,7 +191,7 @@ TEST(Secded, ExhaustiveSingleFlipRoundTrip32) {
 // the C(39,2) = 741 flip pairs must be flagged detected-uncorrectable (and
 // never silently "corrected" into valid-looking data) for every word.
 TEST(Secded, ExhaustiveDoubleFlipDetection32AcrossWords) {
-  const SecdedCode& c = secded32();
+  const LinearCode& c = secded32();
   const std::vector<u64> words = {0x00000000ull, 0xffffffffull,
                                   0xaaaaaaaaull, 0x55555555ull,
                                   0xdeadbeefull, 0x01234567ull};
@@ -203,7 +209,7 @@ TEST(Secded, ExhaustiveDoubleFlipDetection32AcrossWords) {
             check = flip_bit(check, p - 32);
           }
         }
-        ASSERT_EQ(c.check(data, check).status,
+        ASSERT_EQ(c.decode(data, check).status,
                   CheckStatus::kDetectedUncorrectable)
             << "word 0x" << std::hex << w << " pair " << std::dec << i << ","
             << j;
@@ -216,7 +222,7 @@ TEST(Secded, ExhaustiveDoubleFlipDetection32AcrossWords) {
 // reproduces the corrected check word, for every single-flip position of
 // every width the library ships.
 TEST(Secded, CorrectedCheckBitsConsistentAllWidths) {
-  for (const SecdedCode* c :
+  for (const LinearCode* c :
        {&secded8(), &secded16(), &secded32(), &secded64()}) {
     Rng rng(c->data_bits());
     const u64 mask = c->data_bits() == 64 ? ~u64{0}
@@ -231,7 +237,7 @@ TEST(Secded, CorrectedCheckBitsConsistentAllWidths) {
       } else {
         check = flip_bit(check, pos - c->data_bits());
       }
-      const auto r = c->check(data, check);
+      const auto r = c->decode(data, check);
       ASSERT_EQ(r.status, CheckStatus::kCorrected);
       ASSERT_EQ(c->encode(r.data), r.check)
           << "width " << c->data_bits() << " pos " << pos;
@@ -240,7 +246,7 @@ TEST(Secded, CorrectedCheckBitsConsistentAllWidths) {
 }
 
 TEST(Secded, SyndromeZeroOnlyWhenClean) {
-  const SecdedCode& c = secded32();
+  const LinearCode& c = secded32();
   const u64 v = 0x13572468;
   EXPECT_EQ(c.syndrome(v, c.encode(v)), 0u);
   EXPECT_NE(c.syndrome(flip_bit(v, 9), c.encode(v)), 0u);

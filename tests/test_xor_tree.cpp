@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "ecc/registry.hpp"
+
 namespace laec::ecc {
 namespace {
+
+const LinearCode& secded32() { return linear_code("secded-39-32"); }
+const LinearCode& secded64() { return linear_code("secded-72-64"); }
 
 TEST(XorTree, EncoderCosts32) {
   const auto g = estimate_encoder(secded32());
@@ -24,7 +29,7 @@ TEST(XorTree, CheckerDeeperThanEncoder) {
 TEST(XorTree, ParityShallowerThanSecded) {
   // The architectural point of Table I: parity is cheap enough for the hit
   // path, SECDED is not — hence the paper's schemes.
-  const auto par = estimate_parity(32);
+  const auto par = estimate_checker(linear_code("parity-32"));
   const auto sec = estimate_checker(secded32());
   EXPECT_LT(par.depth_levels, sec.depth_levels);
   EXPECT_LT(par.total_gates(), sec.total_gates());
@@ -50,8 +55,9 @@ TEST(XorTree, SecdedCheckFitsInOneCycleAt150MHz) {
 TEST(XorTree, WiderCodesCostMore) {
   EXPECT_GT(estimate_checker(secded64()).total_gates(),
             estimate_checker(secded32()).total_gates());
+  const LinearCode secded16(6, hsiao_columns(16, 6), Corrects::kSingles);
   EXPECT_GT(estimate_encoder(secded32()).total_gates(),
-            estimate_encoder(secded16()).total_gates());
+            estimate_encoder(secded16).total_gates());
 }
 
 }  // namespace

@@ -821,8 +821,9 @@ int cmd_schemes() {
   }
   std::printf("%s\n", t.to_text().c_str());
 
-  const auto chk39 = ecc::estimate_checker(ecc::secded32());
-  const auto daec39 = ecc::estimate_checker(ecc::sec_daec32());
+  const auto chk39 = ecc::estimate_checker(ecc::linear_code("secded-39-32"));
+  const auto daec39 =
+      ecc::estimate_checker(ecc::linear_code("sec-daec-39-32"));
   std::printf(
       "Checker logic (gate model): secded-39-32 depth %u (%.0f ps), "
       "sec-daec-39-32 depth %u (%.0f ps)\n",
