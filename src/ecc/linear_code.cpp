@@ -147,7 +147,7 @@ constexpr u64 gf64_mul_x(u64 a) {
 
 LinearCode::LinearCode(unsigned check_bits, std::vector<u64> columns,
                        Corrects corrects)
-    : r_(check_bits), corrects_(corrects), columns_(std::move(columns)) {
+    : r_(check_bits), columns_(std::move(columns)) {
   const unsigned k = data_bits();
   if (k < 1 || k > 64 || r_ < 1 || r_ > 16) {
     throw std::invalid_argument(
@@ -156,7 +156,8 @@ LinearCode::LinearCode(unsigned check_bits, std::vector<u64> columns,
   row_masks_.assign(r_, 0);
   for (unsigned i = 0; i < k; ++i) {
     if ((columns_[i] >> r_) != 0) {
-      throw std::invalid_argument("LinearCode: column wider than the check bits");
+      throw std::invalid_argument(
+          "LinearCode: column wider than the check bits");
     }
     for (unsigned row = 0; row < r_; ++row) {
       if (get_bit(columns_[i], row)) {
@@ -180,10 +181,10 @@ LinearCode::LinearCode(unsigned check_bits, std::vector<u64> columns,
     ++corrected_;
   };
   const unsigned n = codeword_bits();
-  for (unsigned len = 1; len <= longest_run(corrects_); ++len) {
+  for (unsigned len = 1; len <= longest_run(corrects); ++len) {
     for_each_pattern(k, n, len, true, correct);
   }
-  if (corrects_ == Corrects::kPairs) for_each_pattern(k, n, 2, false, correct);
+  if (corrects == Corrects::kPairs) for_each_pattern(k, n, 2, false, correct);
 }
 
 unsigned LinearCode::row_weight(unsigned row) const {

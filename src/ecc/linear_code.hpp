@@ -60,7 +60,6 @@ class LinearCode {
   }
   [[nodiscard]] unsigned check_bits() const { return r_; }
   [[nodiscard]] unsigned codeword_bits() const { return data_bits() + r_; }
-  [[nodiscard]] Corrects corrects() const { return corrects_; }
   /// Nonzero error patterns the syndrome table corrects.
   [[nodiscard]] unsigned corrected_patterns() const { return corrected_; }
 
@@ -86,7 +85,6 @@ class LinearCode {
   };
 
   unsigned r_ = 0;
-  Corrects corrects_ = Corrects::kNothing;
   unsigned corrected_ = 0;
   std::vector<u64> columns_;    ///< per data bit: its r-bit column
   std::vector<u64> row_masks_;  ///< per check bit: mask over data bits

@@ -12,16 +12,17 @@ CodecRegistry& CodecRegistry::instance() {
 
 CodecRegistry::CodecRegistry() {
   const auto builtin = [this](std::string name, CodecFactory f) {
-    entries_.emplace(std::move(name), Entry{std::move(f), nullptr});
+    entries_.emplace(std::move(name), Entry{std::move(f), nullptr, {}});
   };
   // A linear code under its canonical name (and a legacy alias, if any).
   const auto linear = [&](std::string name, LinearCode (*code)(),
                           std::string alias = {}) {
-    CodecFactory f = [name, code] {
+    if (!alias.empty()) {
+      entries_.emplace(std::move(alias), Entry{nullptr, nullptr, name});
+    }
+    builtin(name, [name, code] {
       return std::make_shared<const LinearCodec>(name, code());
-    };
-    if (!alias.empty()) builtin(std::move(alias), f);
-    builtin(std::move(name), std::move(f));
+    });
   };
   builtin("none", [] { return std::make_shared<const NoneCodec>(); });
   linear("parity-32", [] {
@@ -61,8 +62,8 @@ void CodecRegistry::add(std::string name, CodecFactory factory) {
     throw std::invalid_argument("CodecRegistry: null factory for " + name);
   }
   std::lock_guard<std::mutex> lock(mu_);
-  const auto [it, inserted] =
-      entries_.emplace(std::move(name), Entry{std::move(factory), nullptr});
+  const auto [it, inserted] = entries_.emplace(
+      std::move(name), Entry{std::move(factory), nullptr, {}});
   if (!inserted) {
     throw std::invalid_argument("CodecRegistry: duplicate scheme name \"" +
                                 it->first + "\"");
@@ -71,7 +72,7 @@ void CodecRegistry::add(std::string name, CodecFactory factory) {
 
 std::shared_ptr<const Codec> CodecRegistry::make(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(name);
+  auto it = entries_.find(name);
   if (it == entries_.end()) {
     std::string known;
     for (const auto& [n, e] : entries_) {
@@ -81,6 +82,7 @@ std::shared_ptr<const Codec> CodecRegistry::make(std::string_view name) {
     throw std::out_of_range("unknown ECC scheme \"" + std::string(name) +
                             "\" (known: " + known + ")");
   }
+  if (!it->second.alias_of.empty()) it = entries_.find(it->second.alias_of);
   if (it->second.cached == nullptr) {
     it->second.cached = it->second.factory();
   }

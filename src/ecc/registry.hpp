@@ -6,15 +6,17 @@
 // bits, the data columns of its H and what it corrects
 // (ecc/linear_code.hpp):
 //
-//     const bool registered = laec::ecc::register_codec("my-code-39-32", [] {
-//       return std::make_shared<const laec::ecc::LinearCodec>(
-//           "my-code-39-32", laec::ecc::LinearCode(7, my_columns(),
-//                                                  laec::ecc::Corrects::kSingles));
+//     using namespace laec::ecc;
+//     const bool registered = register_codec("my-code-39-32", [] {
+//       return std::make_shared<const LinearCodec>(
+//           "my-code-39-32",
+//           LinearCode(7, my_columns(), Corrects::kSingles));
 //     });
 //
 // Codecs are immutable, so the registry hands out one shared const instance
-// per name (constructed lazily on first use; construction builds the column
-// search, the syndrome table and the LUTs once, not per cache).
+// per code (constructed lazily on first use; construction builds the column
+// search, the syndrome table and the LUTs once, not per cache). A legacy
+// alias hands out its canonical name's instance.
 #pragma once
 
 #include <functional>
@@ -59,6 +61,7 @@ class CodecRegistry {
   struct Entry {
     CodecFactory factory;
     std::shared_ptr<const Codec> cached;  // lazily built, then shared
+    std::string alias_of;  // canonical name, for a legacy alias
   };
   mutable std::mutex mu_;  // make() may race across sweep workers
   std::map<std::string, Entry, std::less<>> entries_;

@@ -46,6 +46,13 @@ TEST(CodecRegistry, InstancesAreSharedAndStable) {
   const auto a = ecc::make_codec("secded-39-32");
   const auto b = ecc::make_codec("secded-39-32");
   EXPECT_EQ(a.get(), b.get()) << "stateless codecs should be cached";
+  // A legacy alias hands out its canonical name's instance, so the code,
+  // its syndrome table and its LUTs are built once.
+  EXPECT_EQ(ecc::make_codec("secded").get(), a.get());
+  EXPECT_EQ(ecc::make_codec("parity").get(),
+            ecc::make_codec("parity-32").get());
+  EXPECT_EQ(ecc::make_codec("sec-daec").get(),
+            ecc::make_codec("sec-daec-39-32").get());
 }
 
 TEST(CodecRegistry, UnknownNameFailsWithClearError) {

@@ -9,8 +9,6 @@
 //    corrects_double capability flag set, usable as a DL1 scheme key.
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "common/bitops.hpp"
 #include "common/rng.hpp"
 #include "core/deployment.hpp"

@@ -7,9 +7,6 @@
 //    trade-off) miscorrected — syndrome never zero, status never kOk.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <set>
-
 #include "common/bitops.hpp"
 #include "common/rng.hpp"
 #include "ecc/registry.hpp"

@@ -9,8 +9,6 @@
 //    the corrects_adjacent_triple capability flag set.
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "common/bitops.hpp"
 #include "common/rng.hpp"
 #include "ecc/registry.hpp"
